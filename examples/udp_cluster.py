@@ -37,7 +37,7 @@ async def build_cluster():
     for pid, transport in transports.items():
         for other, address in addresses.items():
             if other != pid:
-                transport._peers[other] = address
+                transport.set_peer(other, address)
     services = {}
     for pid in sorted(membership):
         config = DetectorConfig(process_id=pid, membership=membership, f=F)

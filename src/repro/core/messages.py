@@ -35,11 +35,18 @@ __all__ = [
 
 TaggedRecords = tuple[tuple[ProcessId, int], ...]
 
-_REGISTRY: dict[str, type] = {}
+#: kind -> (class, field names); the field tuple is computed once, when the
+#: class registers, so encode/decode never call ``dataclasses.fields``.
+_REGISTRY: dict[str, tuple[type, tuple[str, ...]]] = {}
 _KIND_BY_TYPE: dict[type, str] = {}
 #: cached class-name fallbacks for unregistered types (tests pass plain
 #: strings through the simulated network); registering a type evicts it.
 _KIND_FALLBACK: dict[type, str] = {}
+
+#: exact types JSON carries as they are — everything else is walked
+_SCALARS = frozenset({int, str, float, bool, type(None)})
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_decode = json.JSONDecoder().decode
 
 M = TypeVar("M")
 
@@ -54,9 +61,9 @@ def register_message(kind: str) -> Callable[[Type[M]], Type[M]]:
     def _register(cls: Type[M]) -> Type[M]:
         if not is_dataclass(cls):
             raise TypeError(f"{cls.__name__} must be a dataclass to be a wire message")
-        if kind in _REGISTRY and _REGISTRY[kind] is not cls:
+        if kind in _REGISTRY and _REGISTRY[kind][0] is not cls:
             raise ValueError(f"message kind {kind!r} is already registered")
-        _REGISTRY[kind] = cls
+        _REGISTRY[kind] = (cls, tuple(f.name for f in fields(cls)))
         _KIND_BY_TYPE[cls] = kind
         _KIND_FALLBACK.pop(cls, None)
         return cls
@@ -92,39 +99,62 @@ def message_kind_of(message: object) -> str:
 
 def encode_message(message: object) -> bytes:
     """Serialise a registered message to JSON bytes."""
-    kind = message_kind(message)
-    payload = {"kind": kind}
-    for f in fields(message):  # type: ignore[arg-type]
-        payload[f.name] = _jsonify(getattr(message, f.name))
+    payload = _to_payload(message)
     try:
-        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        return _encode(payload).encode("utf-8")
     except (TypeError, ValueError) as exc:
-        raise TransportError(f"cannot encode {kind!r} message: {exc}") from exc
+        raise TransportError(f"cannot encode {payload['kind']!r} message: {exc}") from exc
 
 
 def decode_message(data: bytes) -> Any:
-    """Deserialise JSON bytes previously produced by :func:`encode_message`."""
+    """Deserialise JSON bytes previously produced by :func:`encode_message`.
+
+    Bytes off a socket are outside input: whatever is wrong with them, the
+    only exception this raises is :class:`TransportError`.
+    """
     try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = _decode(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TransportError(f"malformed message payload: {exc}") from exc
+    return _from_payload(payload)
+
+
+def _to_payload(message: object) -> dict[str, Any]:
+    kind = message_kind(message)
+    payload = {"kind": kind}
+    for name in _REGISTRY[kind][1]:
+        value = getattr(message, name)
+        payload[name] = value if type(value) in _SCALARS else _jsonify(value)
+    return payload
+
+
+def _from_payload(payload: Any) -> Any:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise TransportError("message payload lacks a 'kind' discriminator")
-    kind = payload.pop("kind")
-    cls = _REGISTRY.get(kind)
-    if cls is None:
+    kind = payload["kind"]
+    entry = _REGISTRY.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise TransportError(f"unknown message kind {kind!r}")
+    cls, names = entry
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in payload:
-            raise TransportError(f"{kind!r} message is missing field {f.name!r}")
-        kwargs[f.name] = _dejsonify(payload[f.name])
+    try:
+        for name in names:
+            value = payload[name]
+            kwargs[name] = value if type(value) in _SCALARS else _dejsonify(value)
+    except KeyError:
+        raise TransportError(f"{kind!r} message is missing field {name!r}") from None
+    except (TypeError, ValueError, RecursionError) as exc:
+        # a tagged form of the wrong shape ("__frozenset__" of dicts, a
+        # "__mapping__" that is not pairs) or nesting past the stack
+        raise TransportError(f"malformed {kind!r} field {name!r}: {exc}") from exc
     return cls(**kwargs)
 
 
 def _jsonify(value: Any) -> Any:
     if isinstance(value, tuple):
-        return [_jsonify(item) for item in value]
+        return [item if type(item) in _SCALARS else _jsonify(item) for item in value]
+    if type(value) in _KIND_BY_TYPE:
+        return {"__message__": _to_payload(value)}
     if isinstance(value, frozenset):
         return {"__frozenset__": sorted((_jsonify(item) for item in value), key=repr)}
     if isinstance(value, Mapping):
@@ -134,15 +164,18 @@ def _jsonify(value: Any) -> Any:
 
 def _dejsonify(value: Any) -> Any:
     if isinstance(value, list):
-        return tuple(_dejsonify(item) for item in value)
+        return tuple(
+            [item if type(item) in _SCALARS else _dejsonify(item) for item in value]
+        )
     if isinstance(value, dict):
+        if "__message__" in value:
+            return _from_payload(value["__message__"])
         if "__frozenset__" in value:
             return frozenset(_dejsonify(item) for item in value["__frozenset__"])
         if "__mapping__" in value:
             return {
                 _dejsonify(k): _dejsonify(v) for k, v in value["__mapping__"]
             }
-        return value
     return value
 
 

@@ -103,7 +103,7 @@ class MemoryTransport(Transport):
     async def close(self) -> None:
         self.started = False
 
-    async def send(self, dst: ProcessId, message: object) -> bool:
+    def send(self, dst: ProcessId, message: object) -> bool:
         if not self.started:
             raise TransportError(f"transport of {self.process_id!r} is not started")
         return self._hub.submit(self.process_id, dst, message)

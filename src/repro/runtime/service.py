@@ -107,7 +107,6 @@ class DetectorService:
         self._elector = None
         self._task: asyncio.Task | None = None
         self._watchers: list[asyncio.Queue] = []
-        self._send_tasks: set[asyncio.Task] = set()
         self.rounds_completed = 0
         self.retries_sent = 0
         transport.set_handler(self._on_message)
@@ -225,8 +224,6 @@ class DetectorService:
             except asyncio.CancelledError:
                 pass
             self._task = None
-        for task in list(self._send_tasks):
-            task.cancel()
         await self.transport.close()
 
     # -- drive loops --------------------------------------------------------------
@@ -243,7 +240,7 @@ class DetectorService:
             before = self.detector.suspects()
             self._quorum_event.clear()
             broadcast = self.detector.start_round()
-            await self.transport.broadcast(peers, broadcast.message)
+            self.transport.broadcast(peers, broadcast.message)
             await self._await_quorum(peers, broadcast.message)
             if self.pacing.grace > 0:
                 await asyncio.sleep(self.pacing.grace)
@@ -273,7 +270,7 @@ class DetectorService:
             except TimeoutError:
                 if not self.detector.quorum_reached():
                     self.retries_sent += 1
-                    await self.transport.broadcast(peers, query)
+                    self.transport.broadcast(peers, query)
 
     def _after_round(self, outcome: QueryRoundOutcome) -> None:
         """Extension point for subclasses (e.g. leader election)."""
@@ -328,7 +325,7 @@ class DetectorService:
             before = self.detector.suspects()
             effect = self.detector.on_query(message)
             if effect is not None:
-                self._send_soon(effect.destination, effect.message)
+                self.transport.send(effect.destination, effect.message)
             self._notify_if_changed(before)
         elif isinstance(message, Response):
             self.detector.on_response(message)
@@ -336,30 +333,18 @@ class DetectorService:
                 self._quorum_event.set()
 
     def _execute(self, effects) -> None:
-        """Put core effects on the wire (fire-and-forget send tasks)."""
+        """Put core effects on the wire (transport sends never suspend)."""
         if effects is None:
             return
         if not isinstance(effects, list):
             effects = [effects]
         for effect in effects:
             if isinstance(effect, Broadcast):
-                self._broadcast_soon(effect.message)
+                self.transport.broadcast(self._peers, effect.message)
             elif isinstance(effect, SendTo):
-                self._send_soon(effect.destination, effect.message)
+                self.transport.send(effect.destination, effect.message)
             else:
                 raise ConfigurationError(f"unknown effect {effect!r}")
-
-    def _broadcast_soon(self, message: object) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self.transport.broadcast(self._peers, message)
-        )
-        self._send_tasks.add(task)
-        task.add_done_callback(self._send_tasks.discard)
-
-    def _send_soon(self, dst: ProcessId, message: object) -> None:
-        task = asyncio.get_running_loop().create_task(self.transport.send(dst, message))
-        self._send_tasks.add(task)
-        task.add_done_callback(self._send_tasks.discard)
 
     def _notify_if_changed(self, before: frozenset[ProcessId]) -> None:
         after = self.detector.suspects()

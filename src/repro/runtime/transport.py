@@ -20,7 +20,9 @@ class Transport(abc.ABC):
     :mod:`repro.core.messages`); whether they serialise them (UDP) or pass
     object references (memory hub) is their business.  Delivery calls the
     handler installed via :meth:`set_handler` on the event loop thread; the
-    handler must not block.
+    handler must not block.  :meth:`send` never suspends — it hands the
+    message to the kernel or the hub and returns — so it is a plain method
+    the handler may call inline.
     """
 
     def __init__(self, process_id: ProcessId) -> None:
@@ -49,15 +51,15 @@ class Transport(abc.ABC):
 
     # -- I/O --------------------------------------------------------------------
     @abc.abstractmethod
-    async def send(self, dst: ProcessId, message: object) -> bool:
+    def send(self, dst: ProcessId, message: object) -> bool:
         """Best-effort transmission; returns whether it was put on the wire."""
 
-    async def broadcast(self, peers: Iterable[ProcessId], message: object) -> int:
+    def broadcast(self, peers: Iterable[ProcessId], message: object) -> int:
         """Send to each peer; returns the number put on the wire."""
         sent = 0
         for dst in peers:
             if dst == self._process_id:
                 continue
-            if await self.send(dst, message):
+            if self.send(dst, message):
                 sent += 1
         return sent

@@ -49,6 +49,11 @@ class UdpTransport(Transport):
         self._peers = dict(peers)
         self._udp: asyncio.DatagramTransport | None = None
         self._last_error: Exception | None = None
+        #: the last (message, bytes) encoded: a broadcast or a retry hands
+        #: :meth:`send` the same frozen message object once per peer
+        self._encoded: tuple[object, bytes] | None = None
+        #: datagrams received but not delivered to the handler
+        self.datagrams_dropped = 0
 
     @property
     def local_address(self) -> Address | None:
@@ -69,13 +74,20 @@ class UdpTransport(Transport):
             self._udp.close()
             self._udp = None
 
-    async def send(self, dst: ProcessId, message: object) -> bool:
+    def set_peer(self, pid: ProcessId, address: Address) -> None:
+        """Add or move ``pid`` in the peer directory (allowed after start)."""
+        self._peers[pid] = address
+
+    def send(self, dst: ProcessId, message: object) -> bool:
         if self._udp is None:
             raise TransportError(f"transport of {self.process_id!r} is not started")
         addr = self._peers.get(dst)
         if addr is None:
             return False
-        self._udp.sendto(encode_message(message), addr)
+        encoded = self._encoded
+        if encoded is None or encoded[0] is not message:
+            encoded = self._encoded = (message, encode_message(message))
+        self._udp.sendto(encoded[1], addr)
         return True
 
     # ------------------------------------------------------------------
@@ -83,8 +95,9 @@ class UdpTransport(Transport):
         try:
             message = decode_message(data)
         except TransportError:
-            return  # garbage datagram: drop, never crash the service
+            message = None
         sender = getattr(message, "sender", None)
-        if sender is None:
+        if sender is None:  # garbage, or no one to dispatch it under: drop, never crash
+            self.datagrams_dropped += 1
             return
         self._dispatch(sender, message)

@@ -124,6 +124,42 @@ class TestDetectorServiceMechanics:
 
         assert run(scenario()) >= 3
 
+    def test_service_adds_no_task_per_outgoing_message(self):
+        """Responses and queries leave inside the handler / the round loop:
+        beside the services' own loops, the only tasks a running cluster
+        creates are the hub's deliveries, and stop() leaves none behind.
+        """
+
+        async def scenario():
+            cluster = LocalCluster(
+                n=4,
+                f=1,
+                latency=ConstantLatency(0.0005),
+                pacing=ServicePacing(grace=0),
+                seed=7,
+            )
+            await cluster.start()
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def counting_factory(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            loop.set_task_factory(counting_factory)
+            await asyncio.sleep(0.1)
+            loop.set_task_factory(None)
+            rounds = sum(s.rounds_completed for s in cluster.services.values())
+            await cluster.stop()
+            leftover = asyncio.all_tasks() - {asyncio.current_task()} - cluster.hub._inflight
+            await cluster.hub.drain()
+            return created, rounds, leftover
+
+        created, rounds, leftover = run(scenario())
+        assert rounds > 0
+        assert set(created) == {"MemoryHub._deliver_later"}
+        assert leftover == set()
+
 
 class TestMemoryHub:
     def test_loss_free_delivery(self):
@@ -137,7 +173,7 @@ class TestMemoryHub:
             await b.start()
             from repro.core.messages import Response
 
-            await a.send(2, Response(sender=1, round_id=7))
+            a.send(2, Response(sender=1, round_id=7))
             await hub.drain()
             return received
 
@@ -157,7 +193,7 @@ class TestMemoryHub:
             hub.crash(2)
             from repro.core.messages import Response
 
-            sent = await a.send(2, Response(sender=1, round_id=1))
+            sent = a.send(2, Response(sender=1, round_id=1))
             await hub.drain()
             return sent, received
 
@@ -179,7 +215,7 @@ class TestMemoryHub:
             from repro.core.messages import Response
 
             with pytest.raises(TransportError):
-                await transport.send(2, Response(sender=1, round_id=1))
+                transport.send(2, Response(sender=1, round_id=1))
 
         run(scenario())
 
@@ -199,12 +235,12 @@ class TestUdpTransport:
             a.set_handler(lambda src, msg: received_a.append((src, msg)))
             b.set_handler(lambda src, msg: received_b.append((src, msg)))
             query = Query(sender=1, round_id=3, suspected=((2, 1),), mistakes=())
-            await a.send(2, query)
+            a.send(2, query)
             for _ in range(100):
                 if received_b:
                     break
                 await asyncio.sleep(0.01)
-            await b.send(1, Response(sender=2, round_id=3))
+            b.send(1, Response(sender=2, round_id=3))
             for _ in range(100):
                 if received_a:
                     break
@@ -224,7 +260,7 @@ class TestUdpTransport:
             await transport.start()
             from repro.core.messages import Response
 
-            result = await transport.send(9, Response(sender=1, round_id=1))
+            result = transport.send(9, Response(sender=1, round_id=1))
             await transport.close()
             return result
 
@@ -286,3 +322,84 @@ class TestUdpTransport:
             return received
 
         assert run(scenario()) == []
+
+    def test_every_dropped_datagram_is_counted(self):
+        """Whatever arrives, the read callback never raises; drops are counted."""
+
+        async def scenario():
+            import socket
+
+            from repro.consensus.messages import Ack, InstanceEnvelope
+            from repro.core.messages import Response, encode_message
+
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            transport = UdpTransport(1, ("127.0.0.1", 0), peers={})
+            await transport.start()
+            received = []
+            transport.set_handler(lambda src, msg: received.append(msg))
+            dropped = [
+                b"definitely not json",
+                b"\xff\xfe",
+                b'{"kind":[1]}',
+                b'{"kind":{}}',
+                b'{"kind":"fd.response","sender":2}',
+                # decodes, but carries no sender to dispatch under
+                encode_message(InstanceEnvelope(2, Ack(2, 1))),
+            ]
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            for data in dropped:
+                sock.sendto(data, transport.local_address)
+            sock.sendto(encode_message(Response(sender=2, round_id=1)), transport.local_address)
+            sock.close()
+            for _ in range(100):
+                if len(received) + transport.datagrams_dropped == len(dropped) + 1:
+                    break
+                await asyncio.sleep(0.01)
+            await transport.close()
+            return len(received), transport.datagrams_dropped, len(dropped), loop_errors
+
+        received, counted, sent_bad, loop_errors = run(scenario())
+        assert loop_errors == []
+        assert received == 1
+        assert counted == sent_bad
+
+    def test_a_broadcast_and_its_retry_encode_once(self, monkeypatch):
+        from repro.core.messages import Query, Response
+        from repro.runtime import udp
+
+        encoded = []
+        encode = udp.encode_message
+        monkeypatch.setattr(
+            udp, "encode_message", lambda message: encoded.append(message) or encode(message)
+        )
+
+        async def scenario():
+            received = []
+            receiver = UdpTransport(9, ("127.0.0.1", 0), peers={})
+            receiver.set_handler(lambda src, msg: received.append(msg))
+            await receiver.start()
+            sender = UdpTransport(1, ("127.0.0.1", 0), peers={})
+            await sender.start()
+            for pid in (2, 3, 4):
+                sender.set_peer(pid, receiver.local_address)
+            query = Query(sender=1, round_id=5, suspected=((3, 1),), mistakes=())
+            assert sender.broadcast([1, 2, 3, 4], query) == 3
+            assert sender.broadcast([1, 2, 3, 4], query) == 3  # what a retry does
+            after_query = len(encoded)
+            response = Response(sender=1, round_id=8)
+            assert sender.send(2, response) is True
+            for _ in range(100):
+                if len(received) == 7:
+                    break
+                await asyncio.sleep(0.01)
+            await sender.close()
+            await receiver.close()
+            return after_query, query, response, received
+
+        after_query, query, response, received = run(scenario())
+        assert after_query == 1
+        assert encoded == [query, response]
+        assert received == [query] * 6 + [response]

@@ -39,7 +39,7 @@ async def _udp_services(membership, detector, **params):
     for pid, transport in transports.items():
         for other, addr in addresses.items():
             if other != pid:
-                transport._peers[other] = addr
+                transport.set_peer(other, addr)
     for service in services.values():
         await service.start()
     return services

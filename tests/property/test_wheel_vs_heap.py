@@ -89,7 +89,9 @@ def _interpret(backend: str, ops) -> list:
                 tag_box[0] += 1
                 tag = tag_box[0]
                 pending[tag] = s.now + delay
-                handles.append(s.schedule_after(delay, chained, tag) if delay else s.schedule_at(s.now, chained, tag))
+                # tracked like every other handle: a later `cancel` of it
+                # must clear its tag from `pending`
+                track(s.schedule_after(delay, chained, tag) if delay else s.schedule_at(s.now, chained, tag), tag)
 
         return chained
 
