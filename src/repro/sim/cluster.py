@@ -188,7 +188,11 @@ class SimCluster:
             raise SimulationError(
                 f"cannot relocate {pid!r}: topology has no positions"
             )
-        reach = self._transmission_range()
+        reach = self.topology.transmission_range
+        if reach is None:
+            raise SimulationError(
+                f"cannot relocate {pid!r}: topology records no transmission_range"
+            )
         self.topology.isolate(pid)
         self.topology.positions[pid] = position
         for other in sorted(self.topology.ids(), key=repr):
@@ -196,18 +200,6 @@ class SimCluster:
                 continue
             if _dist(position, self.topology.positions[other]) <= reach:
                 self.topology.add_edge(pid, other)
-
-    def _transmission_range(self) -> float:
-        """Infer the radio range from existing geometric edges."""
-        longest = 0.0
-        for a, b in self.topology.edges():
-            if a in self.topology.positions and b in self.topology.positions:
-                longest = max(
-                    longest, _dist(self.topology.positions[a], self.topology.positions[b])
-                )
-        if longest == 0.0:
-            raise SimulationError("topology has no geometric edges to infer range from")
-        return longest
 
     def _process_or_raise(self, pid: ProcessId) -> SimProcess:
         try:

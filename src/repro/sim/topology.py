@@ -7,7 +7,9 @@ remain connected after removing any ``f`` nodes, i.e. ``(f + 1)``-connected
 by the follow-up report's evaluation: seed a clique of ``f + 2`` nodes placed
 on a circle of radius ``r / 2``, then repeatedly drop a uniformly random
 point in the region and keep it only if it has at least ``f + 1`` neighbors
-within transmission range ``r``.
+within transmission range ``r``.  Positions are bucketed by square cells just
+over ``r`` wide and a point is compared only with the 3 x 3 block of cells
+around it (see ``_cell``), so a build costs O(n * d) distance evaluations.
 
 :class:`Topology` is deliberately a tiny mutable adjacency structure —
 mobility support needs edges to come and go during a run.
@@ -41,6 +43,8 @@ class Topology:
         ids: Iterable[ProcessId],
         edges: Iterable[tuple[ProcessId, ProcessId]] = (),
         positions: Mapping[ProcessId, tuple[float, float]] | None = None,
+        *,
+        transmission_range: float | None = None,
     ) -> None:
         self._adjacency: dict[ProcessId, set[ProcessId]] = {pid: set() for pid in ids}
         #: per-node caches of the neighborhood, rebuilt lazily after edge
@@ -52,6 +56,8 @@ class Topology:
         for a, b in edges:
             self.add_edge(a, b)
         self.positions: dict[ProcessId, tuple[float, float]] = dict(positions or {})
+        #: the radio reach a geometric topology was wired with (relocation reuses it)
+        self.transmission_range = transmission_range
 
     # -- structure ---------------------------------------------------------
     def ids(self) -> frozenset[ProcessId]:
@@ -141,7 +147,8 @@ class Topology:
             self.add_edge(pid, other)
 
     def copy(self) -> "Topology":
-        return Topology(self.ids(), self.edges(), self.positions)
+        reach = self.transmission_range
+        return Topology(self.ids(), self.edges(), self.positions, transmission_range=reach)
 
     # -- metrics used by the paper ------------------------------------------
     def range_density(self) -> int:
@@ -239,12 +246,14 @@ def random_geometric(
     No connectivity guarantee — use :func:`manet_topology` when the
     f-covering property is required.
     """
+    if transmission_range <= 0:
+        raise ConfigurationError(f"transmission_range must be > 0, got {transmission_range}")
     id_list = list(ids)
     positions = {
         pid: (rng.uniform(0, area), rng.uniform(0, area)) for pid in id_list
     }
-    topo = Topology(id_list, positions=positions)
-    _connect_by_range(topo, transmission_range)
+    topo = Topology(id_list, positions=positions, transmission_range=transmission_range)
+    _connect_by_range(topo)
     return topo
 
 
@@ -268,6 +277,8 @@ def manet_topology(
     experiment (E1) sweeps the range density ``d``.  Positions are kept so
     mobility can move nodes geometrically.
     """
+    if transmission_range <= 0:
+        raise ConfigurationError(f"transmission_range must be > 0, got {transmission_range}")
     if min_neighbors is None:
         min_neighbors = f + 1
     if min_neighbors < f + 1:
@@ -286,33 +297,65 @@ def manet_topology(
             center + (transmission_range / 2.0) * math.cos(angle),
             center + (transmission_range / 2.0) * math.sin(angle),
         )
+    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    for pos in positions.values():
+        cells.setdefault(_cell(pos, transmission_range), []).append(pos)
     for pid in ids[seed_count:]:
         for _ in range(max_attempts_per_node):
             candidate = (rng.uniform(0, area), rng.uniform(0, area))
-            neighbors = sum(
-                1
-                for pos in positions.values()
-                if _dist(candidate, pos) <= transmission_range
-            )
+            cx, cy = home = _cell(candidate, transmission_range)
+            neighbors = 0
+            for gx in (cx - 1, cx, cx + 1):
+                for gy in (cy - 1, cy, cy + 1):
+                    for pos in cells.get((gx, gy), ()):
+                        if _dist(candidate, pos) <= transmission_range:
+                            neighbors += 1
             if neighbors >= min_neighbors:
                 positions[pid] = candidate
+                cells.setdefault(home, []).append(candidate)
                 break
         else:
             raise TopologyError(
                 f"could not place node {pid} with {min_neighbors} neighbors after "
                 f"{max_attempts_per_node} attempts (area too large for n?)"
             )
-    topo = Topology(ids, positions=positions)
-    _connect_by_range(topo, transmission_range)
+    topo = Topology(ids, positions=positions, transmission_range=transmission_range)
+    _connect_by_range(topo)
     return topo
 
 
-def _connect_by_range(topo: Topology, transmission_range: float) -> None:
+def _connect_by_range(topo: Topology) -> None:
+    """Add edge (a, b) for every pair in range: ``a`` in repr order, ``b`` ascending
+    after it, the order of an all-pairs scan, so adjacency sets fill identically."""
+    reach = topo.transmission_range
     id_list = sorted(topo.ids(), key=repr)
-    for i, a in enumerate(id_list):
-        for b in id_list[i + 1 :]:
-            if _dist(topo.positions[a], topo.positions[b]) <= transmission_range:
-                topo.add_edge(a, b)
+    points = [topo.positions[pid] for pid in id_list]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, point in enumerate(points):
+        cells.setdefault(_cell(point, reach), []).append(i)
+    for i, (a, here) in enumerate(zip(id_list, points)):
+        cx, cy = _cell(here, reach)
+        near = []
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for j in cells.get((gx, gy), ()):
+                    if j > i and _dist(here, points[j]) <= reach:
+                        near.append(j)
+        for j in sorted(near):
+            topo.add_edge(a, id_list[j])
+
+
+def _cell(p: tuple[float, float], reach: float) -> tuple[int, int]:
+    """The square cell holding ``p``; cells are a hair wider than ``reach``.
+
+    ``_dist(p, q) <= reach`` in floats bounds the real ``|p.x - q.x|`` by
+    ``reach * (1 + 2**-50)`` (one rounding in the subtraction, under an ulp in
+    ``hypot``), which is below the padded side.  Float ``//`` is the exact floor
+    of the real quotient, and floors of reals at most one side apart differ by
+    at most one: all of ``p``'s closed disc lies in the 3 x 3 block around it.
+    """
+    side = reach * (1.0 + 2.0**-40)
+    return (int(p[0] // side), int(p[1] // side))
 
 
 def _dist(p: tuple[float, float], q: tuple[float, float]) -> float:

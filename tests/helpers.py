@@ -70,3 +70,14 @@ class InstantExchange:
         if not finish:
             return None
         return detector.finish_round()
+
+
+class ScriptedUniform:
+    """Stands in for ``random.Random`` where only ``uniform`` is drawn: returns
+    the scripted values in turn, so a test can put a node at an exact spot."""
+
+    def __init__(self, values: Iterable[float]) -> None:
+        self._values = iter(values)
+
+    def uniform(self, low: float, high: float) -> float:
+        return next(self._values)

@@ -6,7 +6,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim import ConstantLatency, QueryPacing, SimCluster
 from repro.sim.cluster import time_free_driver_factory
 from repro.sim.faults import CrashFault, FaultPlan, MobilityFault
-from repro.sim.topology import Topology, full_mesh
+from repro.sim.topology import Topology, full_mesh, random_geometric
+from tests.helpers import ScriptedUniform
 
 
 def factory():
@@ -79,7 +80,7 @@ class TestRelocation:
             4: (50.0, 0.0),
             5: (55.0, 0.0),
         }
-        topo = Topology(positions.keys(), positions=positions)
+        topo = Topology(positions.keys(), positions=positions, transmission_range=10.0)
         for a, b in ((1, 2), (2, 3), (1, 3), (4, 5)):
             topo.add_edge(a, b)
         return topo
@@ -92,9 +93,34 @@ class TestRelocation:
             topology=self.geometric_topology(), driver_factory=factory(), fault_plan=plan
         )
         cluster.run(until=3.0)
-        # Range inferred from the longest existing edge (10 units: 1-3).
+        # Reach is the recorded transmission_range: 10 units.
         assert cluster.topology.neighbors(1) == frozenset({4, 5})
         assert 1 not in cluster.topology.neighbors(2)
+
+    def test_relocation_reaches_as_far_as_the_topology_was_built_with(self):
+        # r = 10, but the longest edge the builder found is 5 (1-2).  Node 1
+        # lands 6 from node 2 and 9 from node 3: both within r, both beyond
+        # the longest surviving edge.
+        spots = [0.0, 0.0, 5.0, 0.0, 20.0, 0.0]
+        rng = ScriptedUniform(spots)
+        topo = random_geometric([1, 2, 3], rng, area=30.0, transmission_range=10.0)
+        assert list(topo.edges()) == [(1, 2)]
+        plan = FaultPlan.of(
+            moves=[MobilityFault(1, depart=1.0, arrive=2.0, new_position=(11.0, 0.0))]
+        )
+        cluster = SimCluster(topology=topo, driver_factory=factory(), fault_plan=plan)
+        cluster.run(until=3.0)
+        assert cluster.topology.neighbors(1) == frozenset({2, 3})
+
+    def test_relocation_without_a_recorded_range_fails(self):
+        positions = {1: (0.0, 0.0), 2: (5.0, 0.0), 3: (9.0, 0.0)}
+        topo = Topology(positions, [(1, 2)], positions=positions)
+        plan = FaultPlan.of(
+            moves=[MobilityFault(1, depart=1.0, arrive=2.0, new_position=(8.0, 0.0))]
+        )
+        cluster = SimCluster(topology=topo, driver_factory=factory(), fault_plan=plan)
+        with pytest.raises(SimulationError):
+            cluster.run(until=3.0)
 
     def test_relocation_without_positions_fails(self):
         plan = FaultPlan.of(

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
+from repro.sim import topology as topology_module
 from repro.sim.topology import (
     Topology,
     full_mesh,
@@ -159,6 +160,53 @@ class TestManetConstruction:
                 transmission_range=10.0,
                 max_attempts_per_node=50,
             )
+
+
+class TestRecordedRange:
+    def test_geometric_builders_record_the_range_and_copy_carries_it(self):
+        geometric = random_geometric(range(5), random.Random(1), area=10.0, transmission_range=4.0)
+        manet = manet_topology(12, f=1, rng=random.Random(1), transmission_range=80.0)
+        assert geometric.transmission_range == geometric.copy().transmission_range == 4.0
+        assert manet.transmission_range == manet.copy().transmission_range == 80.0
+        assert ring([1, 2, 3]).transmission_range is None
+
+    @pytest.mark.parametrize("reach", [0.0, -1.0])
+    def test_non_positive_range_rejected(self, reach):
+        with pytest.raises(ConfigurationError):
+            random_geometric(range(5), random.Random(1), area=10.0, transmission_range=reach)
+        with pytest.raises(ConfigurationError):
+            manet_topology(12, f=1, rng=random.Random(1), transmission_range=reach)
+
+
+class TestConstructionCost:
+    """Distance evaluations, counted: the gate has no clock in it.
+
+    The two geometries are the benchmark's ``sim_large_n`` cell and
+    ``E1Params.large_n()``, at equal node density (3.2e-4 per unit area).
+    An all-pairs build needs 3.2 M evaluations for the first and 3.2x more
+    per node for the second.
+    """
+
+    @staticmethod
+    def evaluations(monkeypatch, n, area):
+        calls = 0
+        dist = topology_module._dist
+
+        def counting_dist(p, q):
+            nonlocal calls
+            calls += 1
+            return dist(p, q)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(topology_module, "_dist", counting_dist)
+            manet_topology(n, f=4, rng=random.Random(7), area=area, min_neighbors=9)
+        return calls
+
+    def test_evaluations_per_node_do_not_grow_with_n(self, monkeypatch):
+        at_800 = self.evaluations(monkeypatch, 800, 1581.0)
+        at_2000 = self.evaluations(monkeypatch, 2000, 2500.0)
+        assert at_800 < 400_000
+        assert at_2000 / 2000 < 2.0 * (at_800 / 800)
 
 
 class TestNeighborCaches:
