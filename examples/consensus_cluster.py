@@ -16,16 +16,16 @@ Run with::
 """
 
 from repro.consensus import ConsensusHarness
-from repro.sim import ExponentialLatency, QueryPacing
-from repro.sim.cluster import heartbeat_driver_factory, time_free_driver_factory
+from repro.sim import ExponentialLatency
 from repro.sim.faults import CrashFault, FaultPlan
 
 
-def run(label, fd_factory, *, seed=7):
+def run(label, detector, detector_params, *, seed=7):
     harness = ConsensusHarness(
         n=9,
         f=4,
-        fd_driver_factory=fd_factory,
+        detector=detector,  # any key of the repro.detectors registry
+        detector_params=detector_params,
         latency=ExponentialLatency(0.001),  # δ ≈ 1 ms, unbounded tail
         seed=seed,
         # Process 1 coordinates round 1 — crash it before anyone proposes.
@@ -48,11 +48,13 @@ def main() -> None:
     print("consensus with the round-1 coordinator crashed at t≈0\n")
     tf = run(
         "time-free ◇S detector (Δ = 0.5 s query pacing)",
-        time_free_driver_factory(4, QueryPacing(grace=0.5)),
+        "time-free",
+        {"grace": 0.5},
     )
     hb = run(
         "heartbeat detector (Δ = 0.5 s, Θ = 1.0 s)",
-        heartbeat_driver_factory(period=0.5, timeout=1.0),
+        "heartbeat",
+        {"period": 0.5, "timeout": 1.0},
     )
     print(f"\nrecovery speedup of the time-free detector: {hb / tf:.2f}x")
     print("(the heartbeat run must wait out its timeout before nacking;")

@@ -4,9 +4,10 @@
 CI's large-n smoke: proves the columnar trace plane keeps an n=2000
 cell inside a bounded memory envelope.  The ceiling is enforced with
 ``RLIMIT_AS`` *before* the cell runs, so a memory regression fails
-with ``MemoryError`` instead of quietly leaning on a big runner — the
-object-backend recorder's per-change suspect snapshots alone would
-blow through it.  Peak RSS is reported either way.
+with ``MemoryError`` instead of quietly leaning on a big runner — a
+per-change suspect snapshot (what the pre-columnar recorder stored, see
+``tests/reference_trace.py``) would alone blow through it.  Peak RSS is
+reported either way.
 
 Usage: python scripts/large_n_smoke.py [--exp e1] [--cell 0] [--limit-gb 2.0]
 """

@@ -1,8 +1,8 @@
 """Run consensus over any registered failure detector on the simulator.
 
 Each simulated node co-hosts two protocol stacks: the failure detector
-(driven by its usual driver, built from the :mod:`repro.detectors` registry
-or any custom driver factory) and a *sequence* of consensus participants —
+(driven by its usual driver, built from the :mod:`repro.detectors`
+registry) and a *sequence* of consensus participants —
 one per instance of a repeated multi-instance run.  The composite driver
 dispatches incoming messages by type, executes consensus effects, and
 *pokes* the consensus state machines whenever the local detector's suspect
@@ -39,9 +39,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..core.effects import Broadcast, Effect, SendTo
+from ..detectors import sim_driver_factory
 from ..errors import ConfigurationError
 from ..ids import ProcessId
-from ..sim.cluster import DriverFactory, SimCluster, time_free_driver_factory
+from ..sim.cluster import SimCluster
 from ..sim.faults import FaultPlan
 from ..sim.latency import LatencyModel
 from ..sim.node import SimProcess
@@ -361,11 +362,12 @@ class ConsensusRunResult:
 class ConsensusHarness:
     """Build-and-run helper for consensus workloads (t4/c1) and tests.
 
-    The detector side accepts either a **registry key** (``detector=`` plus
-    optional ``detector_params`` knob dict, resolved through
-    :func:`repro.detectors.sim_driver_factory` — any registered family) or
-    a raw ``fd_driver_factory`` for custom drivers; the consensus side is a
-    **protocol registry key** (``protocol=``, default CT).  The two are
+    The detector side is a **registry key** (``detector=``, default the
+    paper's time-free detector, plus an optional ``detector_params`` knob
+    dict, resolved through :func:`repro.detectors.sim_driver_factory`); a
+    custom family reaches the harness by registering it with
+    :func:`repro.detectors.register_detector` first.  The consensus side is
+    a **protocol registry key** (``protocol=``, default CT).  The two are
     joined by a :class:`~repro.consensus.spec.ConsensusOracle` built from
     the per-node driver: ``suspects()`` is pulled straight from the
     detector, ``leader()`` uses the native Omega elector when the driver
@@ -379,9 +381,8 @@ class ConsensusHarness:
         f: int,
         protocol: str = "ct",
         protocol_params: Any | None = None,
-        detector: str | None = None,
+        detector: str = "time-free",
         detector_params: dict | None = None,
-        fd_driver_factory: DriverFactory | None = None,
         latency: LatencyModel | None = None,
         seed: int = 1,
         fault_plan: FaultPlan | None = None,
@@ -396,18 +397,7 @@ class ConsensusHarness:
             raise ConfigurationError("consensus needs at least 2 processes")
         if instances < 1:
             raise ConfigurationError("a consensus run needs at least 1 instance")
-        if detector is not None and fd_driver_factory is not None:
-            raise ConfigurationError(
-                "pass either a registry detector key or a raw fd_driver_factory"
-            )
-        if detector is not None:
-            from ..detectors import sim_driver_factory
-
-            fd_factory = sim_driver_factory(detector, f, **(detector_params or {}))
-        elif fd_driver_factory is not None:
-            fd_factory = fd_driver_factory
-        else:
-            fd_factory = time_free_driver_factory(f)
+        fd_factory = sim_driver_factory(detector, f, **(detector_params or {}))
         spec: ConsensusSpec = get_protocol(protocol)
         if protocol_params is None:
             resolved_protocol_params = spec.make_params()

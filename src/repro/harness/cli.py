@@ -191,9 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--mem",
         action="store_true",
-        help="also measure each workload's peak memory (tracemalloc second "
-        "pass; the trace workload additionally reports its object-backend "
-        "baseline and ratio)",
+        help="also measure each workload's peak memory (tracemalloc second pass)",
     )
     bench.add_argument("--quiet", action="store_true", help="no table, just a summary line")
     bench.add_argument(

@@ -148,7 +148,7 @@ def load_manifest(workers_dir: str | os.PathLike) -> dict[str, Any]:
     path = _manifest_path(workers_dir)
     try:
         with path.open("r", encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(
             f"no run manifest at {path}; start a worker with "
@@ -156,6 +156,13 @@ def load_manifest(workers_dir: str | os.PathLike) -> dict[str, Any]:
         ) from None
     except ValueError as exc:
         raise ConfigurationError(f"unreadable run manifest {path}: {exc}") from exc
+    if not isinstance(manifest.get("plugins", {}), dict):
+        raise ConfigurationError(
+            f"run manifest {path} was written by an older version of repro "
+            "(its plugin record is not a per-source mapping); no current "
+            "worker can join that run — start a fresh --workers-dir"
+        )
+    return manifest
 
 
 def _check_compatible(existing: dict[str, Any], fresh: dict[str, Any]) -> None:
@@ -504,30 +511,19 @@ def grid_status(
     workers_dir: str | os.PathLike, backend: str = "auto"
 ) -> GridStatus:
     manifest = load_manifest(workers_dir)
+    # per-source record ({"env": [...], "entry_points": [...]}), flattened
+    plugins = manifest.get("plugins", {})
     with open_ledger(workers_dir, len(manifest["cells"]), backend) as ledger:
         now = time.time()
         return GridStatus(
             experiment=manifest["experiment"],
             counts=ledger.counts(now=now),
             owners=ledger.owners(now=now),
-            plugins=_manifest_plugin_names(manifest),
+            plugins=tuple(
+                sorted({*plugins.get("env", ()), *plugins.get("entry_points", ())})
+            ),
             backend=ledger.backend,
         )
-
-
-def _manifest_plugin_names(manifest: dict[str, Any]) -> tuple[str, ...]:
-    """Flatten the manifest's plugin record for display.
-
-    Current manifests record per-source dicts
-    (``{"env": [...], "entry_points": [...]}``); pre-entry-point manifests
-    recorded a flat list.
-    """
-    raw = manifest.get("plugins", ())
-    if isinstance(raw, dict):
-        names = [*raw.get("env", ()), *raw.get("entry_points", ())]
-    else:
-        names = list(raw)
-    return tuple(sorted(set(names)))
 
 
 def grid_reap(workers_dir: str | os.PathLike, backend: str = "auto") -> int:

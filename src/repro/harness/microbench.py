@@ -28,8 +28,8 @@ Workloads:
 * ``trace``   — trace plane end-to-end: record a drifting suspicion trace
   into the columnar store, then tabulate it with the pruned per-pair query
   mix (events = changes recorded + queries executed).  Its committed floor
-  is pinned above the object backend's speed on the same workload, so a
-  silent fallback to the object recorder trips the gate.
+  sits ~2x above what the pre-columnar object recorder managed on the
+  same script, so losing the per-pair index trips the gate.
 * ``cells``   — one end-to-end experiment cell: a time-free cluster with
   a crash, run to horizon, then the full QoS tabulation (detection,
   mistakes, message load) — the workload grid runs scale by.
@@ -47,11 +47,7 @@ per-workload kev/s floors (``benchmarks/bench_floors.json``) and fails
 when any workload regresses below its floor — the CI regression gate.
 
 ``repro bench --mem`` re-runs each workload under :mod:`tracemalloc` and
-records its peak traced allocation (``peak_kb``).  Workloads carrying a
-``mem_baseline`` attribute (currently ``trace``, whose baseline is the
-object-backend recorder) also record ``baseline_peak_kb`` and the
-``mem_ratio`` between the two — the committed evidence for the columnar
-store's memory claim.
+records its peak traced allocation (``peak_kb``).
 """
 
 from __future__ import annotations
@@ -65,6 +61,7 @@ from typing import Any, Callable, Iterable
 from ..errors import ConfigurationError
 from ..experiments.report import Table
 from ..sim.engine import Scheduler
+from ..sim.trace import TraceRecorder
 from .artifacts import ARTIFACT_SCHEMA, artifact_name
 
 __all__ = [
@@ -215,8 +212,6 @@ def bench_trace_query(n: int) -> float:
     """
     import random as _random
 
-    from ..sim.trace import TraceRecorder
-
     observers = 40
     per_observer = max(50, n // 1000)
     rng = _random.Random(5)
@@ -256,7 +251,7 @@ def bench_trace_query(n: int) -> float:
     return elapsed
 
 
-def bench_trace(n: int, backend: str = "columnar") -> float:
+def bench_trace(n: int) -> float:
     """Trace plane tabulation at large-n shape: the QoS metrics read path.
 
     Records (untimed) an interleaved trace — 96 observers whose drifting
@@ -266,26 +261,22 @@ def bench_trace(n: int, backend: str = "columnar") -> float:
     (``first_suspicion_time`` / ``permanent_suspicion_time`` per
     (observer, victim), *unpruned* — most observers never suspected a given
     victim, the case the per-pair transition index turns into an O(1) miss
-    where the object backend scans the observer's whole timeline), a
+    where a list-of-objects store scans the observer's whole timeline), a
     mistake/accuracy-style pass (``suspicion_intervals`` twice plus
     ``permanent_suspicion_time`` for the ``targets_of``-pruned pairs with
     history), and time-increasing ``suspects_at`` /
     ``false_suspicion_count_at`` sweeps.  Events are queries executed.  The
-    committed floor sits above the object backend's speed on this exact
-    workload (pass ``backend="object"`` to measure it), so a silent
-    fallback to the object recorder trips the ``bench-gate`` CI job; the
-    ``--mem`` pass covers the recording too, so the cell's ``mem_ratio``
-    against the object baseline is the columnar store's memory claim.
+    ``--mem`` pass covers the recording too; ``tests/unit/test_microbench.py``
+    runs this script on the object-store reference as well and holds the
+    columnar store to a third of its peak.
     """
     import random as _random
-
-    from ..sim.trace import TraceRecorder
 
     observers = 96
     per_observer = max(100, n // 2000)
     rng = _random.Random(17)
     ids = [f"n{i}" for i in range(observers)]
-    trace = TraceRecorder(backend=backend)
+    trace = TraceRecorder()
     ops = 0
 
     neighborhood = 16
@@ -333,9 +324,6 @@ def bench_trace(n: int, backend: str = "columnar") -> float:
     elapsed = _timed(tabulate)
     bench_trace.events = ops  # type: ignore[attr-defined]
     return elapsed
-
-
-bench_trace.mem_baseline = lambda n: bench_trace(n, backend="object")  # type: ignore[attr-defined]
 
 
 def bench_cells(n: int) -> float:
@@ -487,8 +475,7 @@ def run_microbench(
 
     With ``mem=True`` each workload runs a second time under
     :mod:`tracemalloc` (timings come from the first, uninstrumented run) and
-    its cell gains ``peak_kb``; workloads with a ``mem_baseline`` attribute
-    additionally gain ``baseline_peak_kb`` and ``mem_ratio``.
+    its cell gains ``peak_kb``.
     """
     wanted = list(only) or list(WORKLOADS)
     unknown = sorted(set(wanted) - set(WORKLOADS))
@@ -520,12 +507,6 @@ def run_microbench(
         }
         if mem:
             value["peak_kb"] = round(_peak_kb(fn, events), 1)
-            baseline = getattr(fn, "mem_baseline", None)
-            if baseline is not None:
-                value["baseline_peak_kb"] = round(_peak_kb(baseline, events), 1)
-                value["mem_ratio"] = round(
-                    value["baseline_peak_kb"] / value["peak_kb"], 1
-                )
         cells.append({"coords": {"workload": name}, "value": value})
     payload = {
         "schema": MICROBENCH_SCHEMA,
@@ -564,12 +545,6 @@ def microbench_table(payload: dict[str, Any]) -> Table:
         if with_mem:
             row.append(value.get("peak_kb", "-"))
         table.add_row(*row)
-        if "mem_ratio" in value:
-            table.add_note(
-                f"{cell['coords']['workload']}: peak {value['peak_kb']} KiB vs "
-                f"{value['baseline_peak_kb']} KiB for the object-backend "
-                f"baseline — {value['mem_ratio']}x smaller"
-            )
     table.add_note("timings are machine-dependent; artifact is for tracking, not identity")
     return table
 

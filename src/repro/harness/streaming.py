@@ -283,8 +283,3 @@ def write_artifact_streaming(
         # so the body continues the object we already started.
         fh.write(rendered_rest[2:])
         fh.write("\n")
-
-
-#: backwards-compatible aliases (pre-distributed-runner private names)
-_SpilledValues = SpilledValues
-_write_artifact_streaming = write_artifact_streaming

@@ -52,8 +52,6 @@ class SimCluster:
         fault_plan: FaultPlan | None = None,
         loss_rate: float = 0.0,
         start_stagger: float = 0.0,
-        latency_backend: str = "python",
-        trace_backend: str = "columnar",
     ) -> None:
         if (topology is None) == (n is None):
             raise ConfigurationError("provide exactly one of `topology` or `n`")
@@ -63,22 +61,8 @@ class SimCluster:
         self.membership = frozenset(topology.ids())
         self.scheduler = Scheduler()
         self.rng = RngStreams(seed)
-        self.trace = TraceRecorder(backend=trace_backend)
+        self.trace = TraceRecorder()
         self.latency = latency if latency is not None else ConstantLatency(0.001)
-        if latency_backend == "numpy":
-            # Opt-in numpy-vectorized broadcast delay sampling.  The random
-            # stream differs from the python backend (see
-            # repro.sim.latency_numpy), so reproduction scenarios keep the
-            # default; falls back to pure python when numpy is unavailable
-            # or the model has no vectorized form.
-            from .latency_numpy import vectorize_latency
-
-            self.latency = vectorize_latency(self.latency)
-        elif latency_backend != "python":
-            raise ConfigurationError(
-                f"unknown latency_backend {latency_backend!r}; "
-                "choose 'python' or 'numpy'"
-            )
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.none()
         self.network = SimNetwork(
             self.scheduler,

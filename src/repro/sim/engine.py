@@ -5,29 +5,25 @@ the same instant fire in scheduling order, which — together with seeded
 randomness (:mod:`repro.sim.rng`) — makes whole simulations reproducible
 bit-for-bit.
 
-Two backends implement that contract behind one API (see
-``docs/engine.md`` for the full design note):
+The queue is a hierarchical bucketed timer wheel (see ``docs/engine.md``
+for the full design note): two 256-slot levels of width ``2**-10`` and
+``256 * 2**-10`` virtual-time units, plus a sorted spill list for events
+beyond the wheel's ~64k-tick span.  Inserts are O(1) regardless of how
+many events are pending (the property that matters for grids with
+thousands of processes), slots are sorted by ``(time, seq)`` only when the
+cursor reaches them, and a free list recycles ``_Event`` objects so the
+steady state of a simulation performs zero event allocations.  The
+binary-heap loop it replaced lives on as a reference model in
+``tests/reference_scheduler.py``; ``tests/property/test_wheel_vs_heap.py``
+requires identical workloads to produce identical fire sequences on both.
 
-* ``backend="wheel"`` (the default) — a hierarchical bucketed timer wheel:
-  two 256-slot levels of width ``quantum`` and ``256 * quantum``, plus a
-  sorted spill list for events beyond the wheel's ~64k-tick span.  Inserts
-  are O(1) regardless of how many events are pending (the property that
-  matters for grids with thousands of processes), slots are sorted by
-  ``(time, seq)`` only when the cursor reaches them, and a free list
-  recycles ``_Event`` objects so the steady state of a simulation performs
-  zero event allocations.
-* ``backend="heap"`` — the original binary-heap implementation, kept
-  verbatim as a differential-debugging oracle: identical workloads must
-  produce identical fire sequences on both backends
-  (``tests/property/test_wheel_vs_heap.py`` enforces this).
-
-Shared semantics, regardless of backend:
+Semantics:
 
 * cancellation is *lazy*: a cancelled event stays where it is and is
-  discarded when the cursor (or heap pop) reaches it, so ``cancel`` is
-  O(1); a sweep rebuilds the structure once cancelled events outnumber
-  live ones, so cancel-heavy workloads (timer re-arming) never accumulate
-  unbounded garbage;
+  discarded when the cursor reaches it, so ``cancel`` is O(1); the
+  cascade reaps cancelled events block by block and a sweep rebuilds the
+  structure once they pile up far ahead of the cursor, so cancel-heavy
+  workloads (timer re-arming) never accumulate unbounded garbage;
 * :meth:`Scheduler.schedule_batch` inserts many events at once (broadcast
   deliveries, cluster start-up staggering) and assigns sequence numbers in
   item order, so batching changes cost, never order;
@@ -55,7 +51,11 @@ _PENDING, _FIRED, _CANCELLED = 0, 1, 2
 
 #: sweep policy: rebuild the pending structure when at least this many
 #: cancelled events are buried in it *and* they outnumber the live ones.
-_SWEEP_MIN_DEAD = 64
+#: The cascade reaps garbage block by block anyway, so sweeping is a memory
+#: backstop only and the trigger is deliberately high — above the zombie
+#: plateau of timer re-arm workloads (cancel rate x reap lag), which
+#: cascade reaping serves with no sweep at all.
+_SWEEP_MIN = 16384
 
 #: wheel geometry — two 256-slot levels (8 bits each); events further than
 #: 2**16 ticks out go to the sorted spill list.
@@ -64,10 +64,11 @@ _L0_SIZE = 1 << _L0_BITS  # 256 slots of one tick each
 _L0_MASK = _L0_SIZE - 1
 _SPAN = 1 << (2 * _L0_BITS)  # 65536 ticks covered by both levels
 
-#: default slot width in virtual-time units: ~1 ms when time is seconds,
-#: sized so the repo's latency draws (~1e-3) land a slot or two ahead and
-#: protocol periods (~0.5–10 s) stay inside the two-level span (~64 s).
-_DEFAULT_QUANTUM = 2.0**-10
+#: slot width in virtual-time units: ~1 ms when time is seconds, sized so
+#: the repo's latency draws (~1e-3) land a slot or two ahead and protocol
+#: periods (~0.5–10 s) stay inside the two-level span (~64 s).  It affects
+#: bucketing cost only, never event ordering.
+_QUANTUM = 2.0**-10
 
 #: freelist bound — beyond this, recycled events are left to the GC.
 _FREELIST_MAX = 65536
@@ -88,7 +89,7 @@ _EVENTS_CREATED = 0
 class _Event:
     """One scheduled callback.
 
-    ``gen`` is the recycling generation: the wheel backend returns fired
+    ``gen`` is the recycling generation: the scheduler returns fired
     and reaped events to a free list, bumping ``gen`` so any outstanding
     :class:`EventHandle` (which captured the old generation) can tell that
     its event is gone without keeping the object alive.
@@ -132,7 +133,7 @@ class EventHandle:
 
     The handle captures the event's recycling generation and timestamp at
     creation, so it keeps answering :attr:`time`, :attr:`fired` and
-    :attr:`cancelled` correctly even after the wheel backend has recycled
+    :attr:`cancelled` correctly even after the scheduler has recycled
     the underlying :class:`_Event` into a new scheduling.
     """
 
@@ -176,60 +177,28 @@ class EventHandle:
         owner._live -= 1
         dead = owner._dead + 1
         owner._dead = dead
-        if dead >= owner._sweep_min and dead > owner._live:
+        if dead >= _SWEEP_MIN and dead > owner._live:
             owner._sweep()
         return True
 
 
 class Scheduler:
-    """A virtual-time event loop (timer-wheel backend by default).
+    """A virtual-time event loop on a hierarchical timer wheel.
 
     The loop never advances past events: :attr:`now` is exactly the
     timestamp of the event being processed.  Callbacks may schedule further
     events at or after ``now`` (scheduling in the past raises
     :class:`~repro.errors.SimulationError`).
-
-    Parameters
-    ----------
-    backend:
-        ``"wheel"`` (default) or ``"heap"``.  Both are observably
-        identical — same fire order, same ``now`` trajectory, same error
-        behavior; construct with ``backend="heap"`` to differentially
-        debug a suspected wheel problem (see ``docs/engine.md``).
-    quantum:
-        Wheel slot width in virtual-time units (ignored by the heap
-        backend).  The default of 2**-10 suits second-scale simulations;
-        pick roughly the smallest delay your workload schedules.  The
-        quantum affects bucketing cost only, never event ordering.
     """
 
-    def __new__(cls, *, backend: str = "wheel", quantum: float = _DEFAULT_QUANTUM):
-        if backend not in ("wheel", "heap"):
-            raise SimulationError(
-                f"unknown scheduler backend {backend!r}; choose 'wheel' or 'heap'"
-            )
-        if cls is Scheduler and backend == "heap":
-            return object.__new__(_HeapScheduler)
-        return object.__new__(cls)
-
-    def __init__(self, *, backend: str = "wheel", quantum: float = _DEFAULT_QUANTUM):
-        if quantum <= 0.0:
-            raise SimulationError(f"quantum must be > 0, got {quantum}")
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
         self._stopped = False
         self._live = 0  # pending events across all tiers
         self._dead = 0  # cancelled events awaiting lazy removal
-        #: cancelled-event count that triggers a full sweep.  The wheel's
-        #: cascade reaps garbage block by block anyway, so sweeping is a
-        #: memory backstop only and the trigger is deliberately high —
-        #: above the zombie plateau of timer re-arm workloads (cancel
-        #: rate x reap lag), which cascade reaping serves with no sweep
-        #: at all.
-        self._sweep_min = 16384
-        self._quantum = quantum
-        self._inv_quantum = 1.0 / quantum
+        self._inv_quantum = 1.0 / _QUANTUM
         #: cursor: the tick currently (or next) being drained.  No pending
         #: event ever maps to a tick the cursor has fully passed.
         self._cursor = 0
@@ -254,11 +223,6 @@ class Scheduler:
         self._spare: list[_Event] = []
 
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Which queue implementation this scheduler runs on."""
-        return "wheel"
-
     @property
     def now(self) -> float:
         """Current virtual time."""
@@ -298,8 +262,12 @@ class Scheduler:
             event = _Event(time, seq, callback, args, self)
         self._seq = seq + 1
         self._live += 1
-        # _insert, inlined: scheduling is the hot path and the extra
-        # frame costs more than the tier dispatch itself.
+        # Tier dispatch, written out in each schedule_* method: scheduling
+        # is the hot path and a shared helper's frame costs more than the
+        # dispatch itself.  A tick at or behind the cursor goes to the
+        # cursor's own slot (safe because drains sort by real (time, seq),
+        # never by tick) or, while that slot is mid-drain, to its merge
+        # heap, so it fires in exact (time, seq) position.
         tick = int(time * self._inv_quantum)
         delta = tick - self._cursor
         if delta < _L0_SIZE:
@@ -344,8 +312,7 @@ class Scheduler:
             event = _Event(time, seq, callback, args, self)
         self._seq = seq + 1
         self._live += 1
-        # _insert, inlined: scheduling is the hot path and the extra
-        # frame costs more than the tier dispatch itself.
+        # Tier dispatch, as in schedule_at.
         tick = int(time * self._inv_quantum)
         delta = tick - self._cursor
         if delta < _L0_SIZE:
@@ -397,8 +364,7 @@ class Scheduler:
             event = _Event(time, seq, callback, args, self)
         self._seq = seq + 1
         self._live += 1
-        # _insert, inlined: scheduling is the hot path and the extra
-        # frame costs more than the tier dispatch itself.
+        # Tier dispatch, as in schedule_at.
         tick = int(time * self._inv_quantum)
         delta = tick - self._cursor
         if delta < _L0_SIZE:
@@ -462,8 +428,8 @@ class Scheduler:
                 event.state = _PENDING
             else:
                 event = _Event(time, seq, callback, args, self)
-            # _insert, inlined across the batch loop (broadcast fan-out
-            # is the simulator's hottest scheduling site).
+            # Tier dispatch, as in schedule_at, hoisted into the batch loop
+            # (broadcast fan-out is the simulator's hottest scheduling site).
             tick = int(time * inv)
             delta = tick - cursor
             if delta < _L0_SIZE:
@@ -486,31 +452,6 @@ class Scheduler:
         self._seq = seq
         self._live += len(staged)
         return out
-
-    def _insert(self, event: _Event, time: float, seq: int) -> None:
-        """Place a pending event in the tier its tick belongs to."""
-        tick = int(time * self._inv_quantum)
-        delta = tick - self._cursor
-        if delta < _L0_SIZE:
-            if delta <= 0:
-                # Current slot.  While that slot is mid-drain, inserts go
-                # to its merge heap so they fire in exact (time, seq)
-                # position; otherwise they join the slot list (the clamp
-                # to the cursor slot is safe because drains sort by real
-                # (time, seq), never by tick).
-                active = self._active
-                if active is not None:
-                    heapq.heappush(active, (time, seq, event))
-                    return
-                self._l0[self._cursor & _L0_MASK].append(event)
-            else:
-                self._l0[tick & _L0_MASK].append(event)
-            self._l0_count += 1
-        elif delta < _SPAN:
-            self._l1[(tick >> _L0_BITS) & _L0_MASK].append(event)
-            self._l1_count += 1
-        else:
-            insort(self._spill, (time, seq, event))
 
     # -- control ---------------------------------------------------------
     def stop(self) -> None:
@@ -536,7 +477,7 @@ class Scheduler:
         than with the wheel geometry.  The wheel's cascade already reaps
         cancelled events block by block as the cursor reaches them; this
         sweep is only the memory backstop for garbage parked far ahead
-        of the cursor, hence the high `_sweep_min` trigger.
+        of the cursor, hence the high `_SWEEP_MIN` trigger.
         """
         recycle = self._recycle
         for slots in (self._l0, self._l1):
@@ -653,11 +594,11 @@ class Scheduler:
         free = self._free
         while not self._stopped:
             if processed >= limit:
-                # Garbage-independent rule (must match the heap backend):
-                # the break counts as truncated only when *live* events
-                # remain.  Cancelled leftovers are invisible — the two
-                # backends reap them at different times, so keying on
-                # them would let `now` diverge between backends.
+                # Garbage-independent rule: the break counts as truncated
+                # only when *live* events remain.  Cancelled leftovers are
+                # invisible — when they get reaped (cascade, sweep, drain)
+                # is an implementation detail, and keying on them would
+                # let it leak into `now`.
                 if self._live:
                     truncated = True
                 break
@@ -686,8 +627,8 @@ class Scheduler:
                     # clamped into the cursor's own slot, so that slot must
                     # still be offered to the drain: its (time, seq) sort
                     # fires exactly the events at or before `until` and
-                    # puts the rest back.  Skipping it here is how a wheel
-                    # silently strands events the heap backend would fire.
+                    # puts the rest back.  Skipping it here would silently
+                    # strand events that are due.
                     if l0[cursor & _L0_MASK]:
                         found = True
                     break
@@ -776,11 +717,10 @@ class Scheduler:
                             free.append(event)
                         continue
                     time = event.time
-                    # The limit check comes first, mirroring the heap
-                    # backend's loop: when `max_events` is exhausted AND
-                    # the next event lies beyond `until`, both backends
-                    # must agree the run was truncated (clock parked)
-                    # rather than drained (clock advanced to `until`).
+                    # The limit check comes first: when `max_events` is
+                    # exhausted AND the next event lies beyond `until`,
+                    # the run counts as truncated (clock parked), not as
+                    # drained (clock advanced to `until`).
                     if processed >= limit:
                         self._putback(index, event, batch, i, extra)
                         truncated = True
@@ -849,134 +789,3 @@ class Scheduler:
         slot.extend(batch[i:])
         slot.extend(entry[2] for entry in extra)
         self._l0_count += len(slot)
-
-
-class _HeapScheduler(Scheduler):
-    """The original binary-heap event loop, kept as the wheel's oracle.
-
-    Selected with ``Scheduler(backend="heap")``.  Slower on large or
-    cancel-heavy runs (O(log n) inserts, whole-heap compaction) but
-    structurally simple — differential runs against the wheel backend are
-    the first tool to reach for when debugging an ordering suspicion.
-    """
-
-    def __init__(self, *, backend: str = "heap", quantum: float = _DEFAULT_QUANTUM):
-        self._now = 0.0
-        self._heap: list[tuple[float, int, _Event]] = []
-        self._seq = 0
-        self._events_processed = 0
-        self._stopped = False
-        self._live = 0  # pending events in the heap
-        self._dead = 0  # cancelled events awaiting lazy removal
-        self._sweep_min = _SWEEP_MIN_DEAD  # original heap compaction trigger
-        self._free: list[_Event] = []  # unused; kept for API symmetry
-
-    @property
-    def backend(self) -> str:
-        return "heap"
-
-    # -- scheduling ------------------------------------------------------
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule an event at {time} before current time {self._now}"
-            )
-        event = _Event(time, self._seq, callback, args, self)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
-        self._live += 1
-        return EventHandle(event)
-
-    def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def schedule_fire(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        self.schedule_at(time, callback, *args)
-
-    def schedule_batch(
-        self,
-        items: Iterable[tuple[float, Callable[..., None], tuple[Any, ...]]],
-        *,
-        handles: bool = True,
-    ) -> list[EventHandle]:
-        entries: list[tuple[float, int, _Event]] = []
-        now = self._now
-        seq = self._seq
-        for time, callback, args in items:
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule an event at {time} before current time {now}"
-                )
-            entries.append((time, seq, _Event(time, seq, callback, args, self)))
-            seq += 1
-        if not entries:
-            return []
-        self._seq = seq
-        self._live += len(entries)
-        heap = self._heap
-        if len(entries) * 4 >= len(heap):
-            heap.extend(entries)
-            heapq.heapify(heap)
-        else:
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-        if not handles:
-            return []
-        return [EventHandle(entry[2]) for entry in entries]
-
-    # -- internal maintenance -------------------------------------------
-    def _sweep(self) -> None:
-        """Drop buried cancelled events and rebuild the heap.
-
-        ``(time, seq)`` totally orders events, so heapify after filtering
-        reproduces the exact pop order the full heap would have produced.
-        """
-        self._heap = [entry for entry in self._heap if entry[2].state == _PENDING]
-        heapq.heapify(self._heap)
-        self._dead = 0
-
-    # -- the event loop ---------------------------------------------------
-    def run(self, *, until: float | None = None, max_events: int | None = None) -> int:
-        if until is not None and until < self._now:
-            raise SimulationError(f"cannot run until {until}, already at {self._now}")
-        self._stopped = False
-        processed = 0
-        truncated = False  # stopped early with events <= `until` still pending
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and not self._stopped:
-            if max_events is not None and processed >= max_events:
-                # Only live events count (the heap may still hold cancelled
-                # garbage); keeps `now` identical to the wheel backend,
-                # which reaps garbage on a different cadence.
-                if self._live:
-                    truncated = True
-                break
-            event = heap[0][2]
-            if event.state == _CANCELLED:
-                pop(heap)
-                self._dead -= 1
-                continue
-            if until is not None and event.time > until:
-                break
-            pop(heap)
-            event.state = _FIRED
-            self._live -= 1
-            self._now = event.time
-            event.callback(*event.args)
-            processed += 1
-            self._events_processed += 1
-            if heap is not self._heap:
-                # The callback cancelled enough events to trigger a sweep,
-                # which rebuilt the heap: rebind the local alias.
-                heap = self._heap
-        # Only advance to `until` when every event at or before it has been
-        # processed.  After a `max_events` (or `stop()`) break, pending
-        # events earlier than `until` may remain — jumping the clock over
-        # them would make time run backwards on the next `run` call.
-        if until is not None and not self._stopped and not truncated:
-            self._now = max(self._now, until)
-        return processed

@@ -6,41 +6,36 @@ records are aggregated (counters) by default to keep memory bounded on long
 runs; suspicion changes and rounds are kept in full since every experiment
 needs their timelines.
 
-Two storage backends sit behind one query surface:
+Changes and rounds live in a compact columnar store.  Process ids are
+interned to dense ints; the global change log is a pair of parallel
+``array('d')``/``array('i')`` time/observer columns plus per-change
+added/removed deltas stored as small tuples of dense ints.  No per-change
+``suspects`` snapshot is materialized — instead each observer keeps
+periodic *checkpoints* of its suspect set (every ``checkpoint_interval``
+changes, plus a forced checkpoint whenever a record's ``before`` disagrees
+with the previous ``after``), so ``suspects_at`` costs O(log c + k) and a
+cell's trace memory is O(changes) instead of O(n * changes).  Rounds are
+stored the same way: scalar columns plus responders/winners flattened into
+shared int arrays with offset columns.
 
-``backend="columnar"`` (default)
-    A compact columnar store.  Process ids are interned to dense ints; the
-    global change log is a pair of parallel ``array('d')``/``array('i')``
-    time/observer columns plus per-change added/removed deltas stored as
-    small tuples of dense ints.  No per-change ``suspects`` snapshot is
-    materialized — instead each observer keeps periodic *checkpoints* of
-    its suspect set (every ``checkpoint_interval`` changes, plus a forced
-    checkpoint whenever a record's ``before`` disagrees with the previous
-    ``after``), so ``suspects_at`` costs O(log c + k) and a cell's trace
-    memory is O(changes) instead of O(n * changes).  Rounds are stored the
-    same way: scalar columns plus responders/winners flattened into shared
-    int arrays with offset columns.
+The list-of-dataclasses recorder this replaced is the audited oracle in
+``tests/reference_trace.py``: a hypothesis differential
+(``test_columnar_matches_object_oracle`` under ``tests/property/``) drives
+both through identical scripts and asserts equal query results, the same
+pattern that pins the timer wheel to the reference heap scheduler.
 
-``backend="object"``
-    The original list-of-dataclasses recorder with a lazily built
-    per-observer index.  It is the audited oracle: the property suite in
-    ``tests/property/test_trace_backends.py`` drives both backends through
-    identical scripts and asserts equal query results (the same pattern
-    that pins the timer wheel to the heap scheduler).
-
-Both backends serve ``trace.suspicion_changes`` / ``trace.rounds`` as
-plain lists.  The object backend returns its live store; the columnar
-backend materializes a cached view on first access and re-ingests it when
-callers replace or truncate it in place (test fixtures do both) — the sim
-itself never touches the views, so runs never pay for materialization.
-The index/columns assume what the simulator guarantees: records are
-appended in non-decreasing time order.
+``trace.suspicion_changes`` / ``trace.rounds`` are served as plain lists:
+a cached view materialized on first access and re-ingested when callers
+replace or truncate it in place (test fixtures do both) — the sim itself
+never touches the views, so runs never pay for materialization.  The
+columns assume what the simulator guarantees: records are appended in
+non-decreasing time order.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -201,9 +196,9 @@ class _ColumnarChanges:
         self._observers = array("i")
         self._obs: list[_ObserverColumn] = []
         #: cached materialized list served as ``trace.suspicion_changes``;
-        #: kept append-consistent so held references behave like the object
-        #: backend's live list, re-ingested when its length drifts (in-place
-        #: truncation) or it is replaced wholesale
+        #: kept append-consistent so held references behave like a live
+        #: list, re-ingested when its length drifts (in-place truncation)
+        #: or it is replaced wholesale
         self._view: list[SuspicionChange] | None = None
         self._view_len = 0
 
@@ -448,9 +443,9 @@ class _ColumnarChanges:
 
         Codes pack ``local_position << 2 | kind``.  A literal (test-authored)
         change may list a target as both added and removed; that folds into
-        one kind-3 code so replay visits the record once, exactly like the
-        object backend's added/removed membership tests.  ``array('i')``
-        bounds local positions at 2**29 records per observer.
+        one kind-3 code so replay visits the record once, exactly like
+        added/removed membership tests over a list of change objects.
+        ``array('i')`` bounds local positions at 2**29 records per observer.
         """
         trans = col.transitions
         start = col.trans_len
@@ -679,211 +674,15 @@ class _ColumnarRounds:
         return [self._round(i) for i in self._by_querier.get(dense, ())]
 
 
-class _Timeline:
-    """One observer's changes with a parallel time array for bisection."""
-
-    __slots__ = ("times", "changes")
-
-    def __init__(self) -> None:
-        self.times: list[float] = []
-        self.changes: list[SuspicionChange] = []
-
-
-class _ObjectChanges:
-    """The original list-of-objects store with a lazy per-observer index."""
-
-    __slots__ = ("changes", "_index", "_indexed", "_indexed_source")
-
-    def __init__(self) -> None:
-        self.changes: list[SuspicionChange] = []
-        #: lazy per-observer index over ``changes`` (see module doc)
-        self._index: dict[ProcessId, _Timeline] = {}
-        self._indexed = 0
-        #: the exact list object the index was built from — holding the
-        #: reference means a wholesale ``suspicion_changes`` replacement
-        #: (test fixtures do this) is always caught by identity, even at
-        #: equal length
-        self._indexed_source: list | None = None
-
-    def record(
-        self,
-        time: float,
-        observer: ProcessId,
-        before: frozenset[ProcessId],
-        after: frozenset[ProcessId],
-    ) -> SuspicionChange:
-        change = SuspicionChange(
-            time=time,
-            observer=observer,
-            added=after - before,
-            removed=before - after,
-            suspects=after,
-        )
-        self.changes.append(change)
-        return change
-
-    def view(self) -> list[SuspicionChange]:
-        return self.changes
-
-    def replace(self, value: list[SuspicionChange]) -> None:
-        self.changes = value
-
-    def _ensure_index(self) -> dict[ProcessId, _Timeline]:
-        index = self._index
-        changes = self.changes
-        if changes is not self._indexed_source or len(changes) < self._indexed:
-            # The list was replaced wholesale or truncated in place (test
-            # fixtures do both): drop the stale index and rebuild.
-            index.clear()
-            self._indexed = 0
-            self._indexed_source = changes
-        count = len(changes)
-        if count == self._indexed:
-            return index
-        for change in changes[self._indexed :]:
-            timeline = index.get(change.observer)
-            if timeline is None:
-                timeline = index[change.observer] = _Timeline()
-            timeline.times.append(change.time)
-            timeline.changes.append(change)
-        self._indexed = count
-        return index
-
-    def _timeline(self, observer: ProcessId) -> _Timeline | None:
-        return self._ensure_index().get(observer)
-
-    def changes_of(self, observer: ProcessId) -> list[SuspicionChange]:
-        timeline = self._timeline(observer)
-        return list(timeline.changes) if timeline is not None else []
-
-    def suspects_at(self, observer: ProcessId, time: float) -> frozenset[ProcessId]:
-        timeline = self._timeline(observer)
-        if timeline is None:
-            return frozenset()
-        at = bisect_right(timeline.times, time)
-        if at == 0:
-            return frozenset()
-        return timeline.changes[at - 1].suspects
-
-    def first_suspicion_time(
-        self, observer: ProcessId, target: ProcessId, *, after: float = 0.0
-    ) -> float | None:
-        timeline = self._timeline(observer)
-        if timeline is None:
-            return None
-        changes = timeline.changes
-        for at in range(bisect_left(timeline.times, after), len(changes)):
-            change = changes[at]
-            if target in change.added:
-                return change.time
-        return None
-
-    def permanent_suspicion_time(
-        self, observer: ProcessId, target: ProcessId
-    ) -> float | None:
-        timeline = self._timeline(observer)
-        if timeline is None:
-            return None
-        start: float | None = None
-        suspected = False
-        for change in timeline.changes:
-            if target in change.added and not suspected:
-                suspected = True
-                start = change.time
-            elif target in change.removed and suspected:
-                suspected = False
-                start = None
-        return start if suspected else None
-
-    def suspicion_intervals(
-        self, observer: ProcessId, target: ProcessId, *, horizon: float
-    ) -> list[tuple[float, float]]:
-        timeline = self._timeline(observer)
-        intervals: list[tuple[float, float]] = []
-        start: float | None = None
-        if timeline is not None:
-            for change in timeline.changes:
-                if target in change.added and start is None:
-                    start = change.time
-                elif target in change.removed and start is not None:
-                    intervals.append((start, change.time))
-                    start = None
-        if start is not None:
-            intervals.append((start, horizon))
-        return intervals
-
-    def false_suspicion_count_at(
-        self, time: float, crashed: frozenset[ProcessId]
-    ) -> int:
-        count = 0
-        for timeline in self._ensure_index().values():
-            at = bisect_right(timeline.times, time)
-            if at == 0:
-                continue
-            suspects = timeline.changes[at - 1].suspects
-            count += sum(1 for target in suspects if target not in crashed)
-        return count
-
-    def targets_of(self, observer: ProcessId) -> frozenset[ProcessId]:
-        timeline = self._timeline(observer)
-        if timeline is None:
-            return _EMPTY
-        targets: set[ProcessId] = set()
-        for change in timeline.changes:
-            targets.update(change.added)
-        return frozenset(targets)
-
-
-class _ObjectRounds:
-    """The original round list with a lazy per-querier index."""
-
-    __slots__ = ("rounds", "_index", "_indexed", "_indexed_source")
-
-    def __init__(self) -> None:
-        self.rounds: list[RoundRecord] = []
-        self._index: dict[ProcessId, list[RoundRecord]] = {}
-        self._indexed = 0
-        self._indexed_source: list | None = None
-
-    def record(self, rec: RoundRecord) -> None:
-        self.rounds.append(rec)
-
-    def view(self) -> list[RoundRecord]:
-        return self.rounds
-
-    def replace(self, value: list[RoundRecord]) -> None:
-        self.rounds = value
-
-    def _ensure_index(self) -> dict[ProcessId, list[RoundRecord]]:
-        index = self._index
-        rounds = self.rounds
-        if rounds is not self._indexed_source or len(rounds) < self._indexed:
-            index.clear()
-            self._indexed = 0
-            self._indexed_source = rounds
-        count = len(rounds)
-        if count == self._indexed:
-            return index
-        for record in rounds[self._indexed :]:
-            index.setdefault(record.querier, []).append(record)
-        self._indexed = count
-        return index
-
-    def rounds_of(self, querier: ProcessId) -> list[RoundRecord]:
-        return list(self._ensure_index().get(querier, ()))
-
-
 class TraceRecorder:
     """Append-only record store with indexed timeline queries.
 
-    ``backend`` selects the change/round storage strategy ("columnar" or
-    "object", see module doc); everything else — crash and mobility event
-    lists, message counters, and the whole query surface — is identical
-    between the two.
+    Suspicion changes and rounds go to the columnar stores (see module
+    doc), which answer the timeline queries; crash, mobility, recovery and
+    membership events are plain lists and messages are counters.
     """
 
     __slots__ = (
-        "backend",
         "crashes",
         "mobility",
         "recoveries",
@@ -900,25 +699,11 @@ class TraceRecorder:
     )
 
     def __init__(
-        self,
-        *,
-        backend: str = "columnar",
-        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+        self, *, checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     ) -> None:
-        if backend == "columnar":
-            interner = _Interner()
-            self._changes: _ColumnarChanges | _ObjectChanges = _ColumnarChanges(
-                interner, checkpoint_interval
-            )
-            self._rounds: _ColumnarRounds | _ObjectRounds = _ColumnarRounds(interner)
-        elif backend == "object":
-            self._changes = _ObjectChanges()
-            self._rounds = _ObjectRounds()
-        else:
-            raise ValueError(
-                f"unknown trace backend {backend!r} (expected 'columnar' or 'object')"
-            )
-        self.backend = backend
+        interner = _Interner()
+        self._changes = _ColumnarChanges(interner, checkpoint_interval)
+        self._rounds = _ColumnarRounds(interner)
         self.crashes: list[CrashEvent] = []
         self.mobility: list[MobilityEvent] = []
         self.recoveries: list[RecoveryEvent] = []
@@ -927,8 +712,8 @@ class TraceRecorder:
         self.messages_by_sender: Counter = Counter()
         self.messages_total = 0
         self.messages_dropped = 0
-        #: lazy ``process -> first crash time`` map over ``crashes``, same
-        #: invalidation pattern as the change index (identity + shrink)
+        #: lazy ``process -> first crash time`` map over ``crashes``,
+        #: rebuilt when the list is replaced (identity) or shrinks
         self._crash_index: dict[ProcessId, float] = {}
         self._crash_indexed = 0
         self._crash_source: list = self.crashes

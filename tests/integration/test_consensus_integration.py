@@ -4,18 +4,21 @@ import pytest
 
 from repro.consensus import ConsensusHarness
 from repro.errors import ConfigurationError
-from repro.sim import ExponentialLatency, QueryPacing
-from repro.sim.cluster import heartbeat_driver_factory, time_free_driver_factory
+from repro.sim import ExponentialLatency
 from repro.sim.faults import CrashFault, FaultPlan
 
 
-def harness(n=5, f=2, *, fd=None, fault_plan=None, seed=1, proposals=None):
+def harness(
+    n=5, f=2, *, detector="time-free", detector_params=None,
+    fault_plan=None, seed=1, proposals=None,
+):
+    if detector_params is None:
+        detector_params = {"grace": 0.05}
     return ConsensusHarness(
         n=n,
         f=f,
-        fd_driver_factory=fd if fd is not None else time_free_driver_factory(
-            f, QueryPacing(grace=0.05)
-        ),
+        detector=detector,
+        detector_params=detector_params,
         latency=ExponentialLatency(0.001),
         seed=seed,
         fault_plan=fault_plan,
@@ -72,7 +75,8 @@ class TestCoordinatorCrash:
         plan = FaultPlan.of(crashes=[CrashFault(1, 0.001)])
         tf = harness(fault_plan=plan, seed=2).run(until=60.0)
         hb = harness(
-            fd=heartbeat_driver_factory(period=0.5, timeout=1.0),
+            detector="heartbeat",
+            detector_params={"period": 0.5, "timeout": 1.0},
             fault_plan=plan,
             seed=2,
         ).run(until=60.0)
@@ -85,7 +89,7 @@ class TestSafetyUnderBadDetectors:
         # Safety must not depend on detector quality: use a heartbeat with
         # an absurdly aggressive timeout (constant false suspicions).
         result = harness(
-            fd=heartbeat_driver_factory(period=0.5, timeout=0.0001)
+            detector="heartbeat", detector_params={"period": 0.5, "timeout": 0.0001}
         ).run(until=60.0)
         assert result.agreement_holds
         assert result.validity_holds

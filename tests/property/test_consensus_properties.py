@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consensus import ConsensusHarness
-from repro.sim import ExponentialLatency, QueryPacing
-from repro.sim.cluster import time_free_driver_factory
+from repro.sim import ExponentialLatency
 from repro.sim.faults import CrashFault, FaultPlan
 
 
@@ -49,7 +48,7 @@ class TestConsensusProperties:
         harness = ConsensusHarness(
             n=n,
             f=f,
-            fd_driver_factory=time_free_driver_factory(f, QueryPacing(grace=0.05)),
+            detector_params={"grace": 0.05},
             latency=ExponentialLatency(0.001),
             seed=seed,
             fault_plan=plan,
@@ -70,7 +69,7 @@ class TestConsensusProperties:
         harness = ConsensusHarness(
             n=5,
             f=2,
-            fd_driver_factory=time_free_driver_factory(2, QueryPacing(grace=0.05)),
+            detector_params={"grace": 0.05},
             latency=ExponentialLatency(0.001),
             seed=seed,
             proposals=proposals,

@@ -4,10 +4,10 @@ Hypothesis generates random (but valid-by-construction) interleavings of
 crashes, crash-recovery windows, partitions/heals and membership churn,
 then checks:
 
-* **Backend equality** — the same plan driven through a full cluster run
-  produces identical observables under the columnar and object trace
-  backends (the object store is the audited oracle, as in
-  ``test_trace_backends``).
+* **Recorder equality** — the same plan driven through a full cluster run
+  produces identical observables under the production columnar recorder
+  and the object-store reference (``tests/reference_trace.py``, the
+  audited oracle, as in ``test_trace_backends``).
 * **Epoch ground truth** — a process is never alive and down at the same
   instant: ``alive_intervals`` and ``down_intervals`` are disjoint and
   together tile ``[0, horizon)``; incarnations are monotone.
@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import cluster as cluster_module
 from repro.sim.cluster import SimCluster, heartbeat_driver_factory
 from repro.sim.engine import Scheduler
 from repro.sim.faults import (
@@ -37,6 +39,8 @@ from repro.sim.latency import ConstantLatency
 from repro.sim.network import SimNetwork
 from repro.sim.rng import RngStreams
 from repro.sim.topology import full_mesh
+from repro.sim.trace import TraceRecorder
+from tests.reference_trace import ReferenceTraceRecorder
 
 MEMBERS = (1, 2, 3, 4, 5)
 HORIZON = 8.0
@@ -191,20 +195,24 @@ def test_heal_restores_pre_partition_links(splits):
     assert reachable() == baseline
 
 
-# -- backend equality under fault interleavings -----------------------------
+# -- recorder equality under fault interleavings ----------------------------
 
 
-def _run(plan, backend, seed):
-    cluster = SimCluster(
-        n=len(MEMBERS),
-        driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
-        latency=ConstantLatency(0.001),
-        seed=seed,
-        fault_plan=plan,
-        trace_backend=backend,
-    )
+def _run(plan, recorder, seed):
+    # The whole cluster runs on `recorder`: SimCluster has no argument for
+    # it, so the class it instantiates is swapped for the build.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster_module, "TraceRecorder", recorder)
+        cluster = SimCluster(
+            n=len(MEMBERS),
+            driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+            latency=ConstantLatency(0.001),
+            seed=seed,
+            fault_plan=plan,
+        )
     cluster.run(until=HORIZON)
     trace = cluster.trace
+    assert type(trace) is recorder
     return [
         list(trace.suspicion_changes),
         list(trace.rounds),
@@ -220,4 +228,4 @@ def _run(plan, backend, seed):
 @settings(max_examples=25, deadline=None)
 @given(plan=fault_plans(), seed=st.integers(min_value=1, max_value=2**16))
 def test_trace_backends_agree_under_faults(plan, seed):
-    assert _run(plan, "columnar", seed) == _run(plan, "object", seed)
+    assert _run(plan, TraceRecorder, seed) == _run(plan, ReferenceTraceRecorder, seed)

@@ -1,9 +1,9 @@
 """The columnar trace store pinned to the object recorder, its oracle.
 
-``TraceRecorder(backend="object")`` is the audited reference implementation
+``tests/reference_trace.py`` holds the audited reference implementation
 kept for differential debugging (see docs/trace.md) — the same pattern as
-the scheduler's heap backend in ``test_wheel_vs_heap``.  Hypothesis drives
-both backends through identical operation scripts — interleaved
+the scheduler's reference heap loop in ``test_wheel_vs_heap``.  Hypothesis
+drives both recorders through identical operation scripts — interleaved
 ``record_suspicion_change`` appends (including *inconsistent* jumps whose
 ``before`` is not the previous ``after``, which force checkpoints in the
 columnar store), wholesale ``suspicion_changes`` / ``rounds`` list
@@ -17,7 +17,7 @@ view list, and round records — and every query observable must match:
 
 Scripts keep times globally non-decreasing — that is the recording
 contract both stores bisect under; unsorted hand-built lists have no
-defined query semantics on either backend.
+defined query semantics on either store.
 
 Checkpoint intervals of 1/2/64 run the same scripts so both the
 "checkpoint at every record" and "long delta replay" extremes are
@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.trace import RoundRecord, SuspicionChange, TraceRecorder
+from tests.reference_trace import ReferenceTraceRecorder
 
 OBSERVERS = tuple(range(1, 6))
 TARGETS = tuple(range(1, 9))
@@ -185,8 +186,8 @@ def _observe(trace: TraceRecorder) -> list:
 @settings(max_examples=120, deadline=None)
 @given(ops=_OPS, interval=st.sampled_from((1, 2, 64)))
 def test_columnar_matches_object_oracle(ops, interval):
-    columnar = TraceRecorder(backend="columnar", checkpoint_interval=interval)
-    oracle = TraceRecorder(backend="object")
+    columnar = TraceRecorder(checkpoint_interval=interval)
+    oracle = ReferenceTraceRecorder()
     _apply(columnar, ops)
     _apply(oracle, ops)
     assert _observe(columnar) == _observe(oracle)
@@ -196,8 +197,8 @@ def test_columnar_matches_object_oracle(ops, interval):
 @given(ops=_OPS, interval=st.sampled_from((1, 2, 64)))
 def test_columnar_view_survives_reobservation(ops, interval):
     """Observing twice (views materialized, caches warm) changes nothing."""
-    columnar = TraceRecorder(backend="columnar", checkpoint_interval=interval)
-    oracle = TraceRecorder(backend="object")
+    columnar = TraceRecorder(checkpoint_interval=interval)
+    oracle = ReferenceTraceRecorder()
     _apply(columnar, ops)
     _apply(oracle, ops)
     first = _observe(columnar)

@@ -1,8 +1,8 @@
-"""The timer wheel pinned to the heap backend, its behavioural oracle.
+"""The timer wheel pinned to the heap loop, its behavioural oracle.
 
-``Scheduler(backend="heap")`` is the audited reference implementation kept
-for differential debugging (see docs/engine.md).  Hypothesis drives both
-backends through identical operation scripts — interleaved ``schedule_at``
+``tests/reference_scheduler.py`` holds the audited reference implementation
+kept for differential debugging (see docs/engine.md).  Hypothesis drives
+both schedulers through identical operation scripts — interleaved ``schedule_at``
 / ``schedule_after`` / ``schedule_batch`` / ``cancel`` / ``run`` calls,
 including zero-delay rescheduling chains, mid-callback cancellations, and
 ``max_events``-truncated run segments — and every observable must match:
@@ -14,7 +14,7 @@ Two invariants get dedicated suites on top of the oracle comparison:
 * same-tick ordering — events inside one wheel slot fire in exact
   ``(time, seq)`` order, so batching never reorders ties;
 * ``max_events`` breaks leave ``now`` monotone and never past a pending
-  event (the PR 3 heap regression, generalised to both backends).
+  event (the PR 3 heap regression, generalised to both schedulers).
 
 The zero-allocation tripwire at the bottom reads the module-global
 ``_EVENTS_CREATED`` counter around a steady-state run: once the freelist
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.sim import engine
 from repro.sim.engine import Scheduler
+from tests.reference_scheduler import ReferenceHeapScheduler
 
 # -- operation scripts ----------------------------------------------------
 
@@ -68,9 +69,9 @@ _OPS = st.lists(
 )
 
 
-def _interpret(backend: str, ops) -> list:
+def _interpret(factory, ops) -> list:
     """Run one operation script and return every observable it produced."""
-    s = Scheduler(backend=backend)
+    s = factory()
     log: list = []
     handles: list = []
     pending: dict[int, float] = {}  # tag -> scheduled time, while live
@@ -161,11 +162,11 @@ def _interpret(backend: str, ops) -> list:
             # that is still due — time would run backwards when it fires.
             if pending:
                 assert s.now <= min(pending.values()) + 1e-12, (
-                    backend,
+                    factory.__name__,
                     s.now,
                     min(pending.values()),
                 )
-    # Final drain: everything still outstanding fires in both backends.
+    # Final drain: everything still outstanding fires in both schedulers.
     n = s.run(until=s.now + 2000.0)
     log.append(("ran", n))
     log.append(("now", round(s.now, 9)))
@@ -176,8 +177,8 @@ class TestWheelMatchesHeapOracle:
     @settings(max_examples=80, deadline=None)
     @given(ops=_OPS)
     def test_identical_observables(self, ops):
-        wheel = _interpret("wheel", ops)
-        heap = _interpret("heap", ops)
+        wheel = _interpret(Scheduler, ops)
+        heap = _interpret(ReferenceHeapScheduler, ops)
         assert wheel == heap
 
 
@@ -192,8 +193,8 @@ class TestSameTickOrdering:
         base=st.integers(min_value=0, max_value=5),
     )
     def test_one_slot_fires_in_time_then_seq_order(self, jitters, base):
-        for backend in ("wheel", "heap"):
-            s = Scheduler(backend=backend)
+        for factory in (Scheduler, ReferenceHeapScheduler):
+            s = factory()
             t0 = base * 0.37
             fired: list[int] = []
             expected = sorted(
@@ -203,7 +204,7 @@ class TestSameTickOrdering:
             for i, jitter in enumerate(jitters):
                 s.schedule_at(t0 + jitter * 1e-5, fired.append, i)
             s.run()
-            assert fired == expected, backend
+            assert fired == expected, factory.__name__
 
 
 class TestZeroAllocationSteadyState:

@@ -5,7 +5,8 @@ itself defines them (``attr in vars(cls)``) and module functions under the
 names ``repro`` modules bind them to, and skips silently what it does not
 find — so renaming or hoisting one of these would zero
 ``runtime.udp.datagrams`` / ``runtime.us_per_msg`` / ``core.messages.*`` /
-``sim.topology.build_s`` without failing anything.  This pins them.
+``sim.topology.build_s`` / ``sim.engine.*`` / ``sim.trace.*`` without
+failing anything.  This pins them.
 """
 
 import inspect
@@ -19,6 +20,8 @@ from repro.runtime.memory import MemoryHub
 from repro.runtime.transport import Transport
 from repro.runtime.udp import UdpTransport
 from repro.sim import topology
+from repro.sim.engine import Scheduler
+from repro.sim.trace import TraceRecorder
 
 
 def test_runtime_boundaries_are_defined_on_the_classes_the_tracer_patches():
@@ -49,3 +52,35 @@ def test_experiments_reach_the_manet_builder_through_a_module_level_name():
     # the tracer rebinds the name in every module that holds the function
     assert e1_density.manet_topology is topology.manet_topology
     assert e2_mobility.manet_topology is topology.manet_topology
+
+
+@pytest.mark.parametrize(
+    "method", ["run", "schedule_fire", "schedule_batch", "schedule_at", "schedule_after"]
+)
+def test_scheduler_boundaries_are_defined_on_scheduler_itself(method):
+    assert inspect.isfunction(vars(Scheduler)[method])
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        "record_suspicion_change", "record_round", "record_crash", "record_mobility",
+        "record_recovery", "record_membership", "record_drop", "record_drops",
+        "changes_of", "suspects_at", "first_suspicion_time",
+        "permanent_suspicion_time", "suspicion_intervals",
+        "false_suspicion_count_at", "targets_of", "rounds_of", "crash_time_of",
+        "crashed_processes",
+    ],
+)
+def test_recorder_boundaries_are_defined_on_the_recorder_itself(method):
+    # the delegating facade is the attach point: a recorder that inherited
+    # these from a store, or forwarded them with __getattr__, would zero
+    # sim.trace.* in traced runs
+    assert inspect.isfunction(vars(TraceRecorder)[method])
+
+
+@pytest.mark.parametrize("view", ["suspicion_changes", "rounds"])
+def test_recorder_views_are_properties_the_tracer_can_rebuild(view):
+    prop = vars(TraceRecorder)[view]
+    assert isinstance(prop, property)
+    assert inspect.isfunction(prop.fget)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Scheduler
+from tests.reference_scheduler import ReferenceHeapScheduler
 
 
 class TestScheduling:
@@ -178,20 +179,20 @@ class TestCancellation:
         assert fired == []
 
 
-@pytest.fixture(params=["wheel", "heap"])
-def backend(request):
+@pytest.fixture(params=[Scheduler, ReferenceHeapScheduler], ids=["wheel", "heap"])
+def factory(request):
     return request.param
 
 
 class TestLazyDeletion:
     """Lazy-deletion cancellation (with sweeping) must never change semantics,
-    on either backend."""
+    on the wheel or on the reference heap loop."""
 
-    def test_mass_cancellation_triggers_sweep(self, backend):
-        # Enough cancellations to cross either backend's sweep trigger
+    def test_mass_cancellation_triggers_sweep(self, factory):
+        # Enough cancellations to cross either scheduler's sweep trigger
         # (the wheel's is deliberately high — cascade reaps for it).
         count = 20000
-        scheduler = Scheduler(backend=backend)
+        scheduler = factory()
         fired = []
         handles = [scheduler.schedule_at(1.0 + i, fired.append, i) for i in range(count)]
         survivors = [i for i in range(count) if i % 7 == 0]
@@ -199,7 +200,7 @@ class TestLazyDeletion:
             if i % 7 != 0:
                 assert handle.cancel() is True
         # Sweeping has reclaimed cancelled entries from the queue structure...
-        if backend == "heap":
+        if factory is ReferenceHeapScheduler:
             assert len(scheduler._heap) < count
         else:
             assert scheduler._l0_count + len(scheduler._spill) + sum(
@@ -210,12 +211,12 @@ class TestLazyDeletion:
         scheduler.run()
         assert fired == survivors
 
-    def test_determinism_under_interleaved_cancel(self, backend):
+    def test_determinism_under_interleaved_cancel(self, factory):
         """Identical schedule/cancel scripts produce identical fire sequences
         whether or not sweeping kicked in along the way."""
 
         def script(cancel_batch: int) -> list[int]:
-            scheduler = Scheduler(backend=backend)
+            scheduler = factory()
             fired = []
             handles = {}
             for i in range(300):
@@ -232,8 +233,8 @@ class TestLazyDeletion:
         assert fired_quiet == [i for i in expected_all if i % 300 != 0]
         assert fired_compacted == [i for i in expected_all if i % 2 != 0]
 
-    def test_same_timestamp_order_survives_sweep(self, backend):
-        scheduler = Scheduler(backend=backend)
+    def test_same_timestamp_order_survives_sweep(self, factory):
+        scheduler = factory()
         fired = []
         keepers = [scheduler.schedule_at(5.0, fired.append, f"k{i}") for i in range(5)]
         doomed = [scheduler.schedule_at(5.0, fired.append, f"d{i}") for i in range(200)]
@@ -244,33 +245,19 @@ class TestLazyDeletion:
         assert fired == [f"k{i}" for i in range(5)]
 
 
-class TestBackendSelection:
-    def test_default_backend_is_wheel(self):
-        assert Scheduler().backend == "wheel"
-
-    def test_heap_backend_is_selectable_and_isinstance_compatible(self):
-        scheduler = Scheduler(backend="heap")
-        assert scheduler.backend == "heap"
-        assert isinstance(scheduler, Scheduler)
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(SimulationError):
-            Scheduler(backend="btree")
-
-
 class TestTimerWheelTiers:
     """Exercise the wheel's level-1 and spill tiers explicitly."""
 
     def test_far_future_events_cross_tiers_in_order(self):
-        from repro.sim.engine import _DEFAULT_QUANTUM, _L0_SIZE, _SPAN
+        from repro.sim.engine import _QUANTUM, _L0_SIZE, _SPAN
 
         scheduler = Scheduler()
         fired = []
         # One event per tier: level-0, level-1, and the sorted spill list.
         times = [
-            _DEFAULT_QUANTUM * (_L0_SIZE // 2),
-            _DEFAULT_QUANTUM * (_L0_SIZE * 4),
-            _DEFAULT_QUANTUM * (_SPAN * 3),
+            _QUANTUM * (_L0_SIZE // 2),
+            _QUANTUM * (_L0_SIZE * 4),
+            _QUANTUM * (_SPAN * 3),
         ]
         for t in reversed(times):
             scheduler.schedule_at(t, fired.append, t)
@@ -279,11 +266,11 @@ class TestTimerWheelTiers:
         assert scheduler.now == times[-1]
 
     def test_spill_events_share_a_tick_with_wheel_events(self):
-        from repro.sim.engine import _DEFAULT_QUANTUM, _SPAN
+        from repro.sim.engine import _QUANTUM, _SPAN
 
         scheduler = Scheduler()
         fired = []
-        far = _DEFAULT_QUANTUM * (_SPAN + 10)
+        far = _QUANTUM * (_SPAN + 10)
         # Scheduled while far away (goes to spill), then the wheel advances
         # and a same-time event lands in level 0 directly.
         scheduler.schedule_at(far, fired.append, "spilled")
@@ -292,11 +279,11 @@ class TestTimerWheelTiers:
         assert fired == ["spilled", "direct"]
 
     def test_cancelled_spill_events_are_reclaimed(self):
-        from repro.sim.engine import _DEFAULT_QUANTUM, _SPAN
+        from repro.sim.engine import _QUANTUM, _SPAN
 
         count = 20000  # enough to cross the wheel's sweep trigger
         scheduler = Scheduler()
-        far = _DEFAULT_QUANTUM * _SPAN * 2
+        far = _QUANTUM * _SPAN * 2
         handles = [scheduler.schedule_at(far + i, lambda: None) for i in range(count)]
         for handle in handles[:-1]:
             handle.cancel()
@@ -306,15 +293,15 @@ class TestTimerWheelTiers:
         assert scheduler.events_processed == 1
 
     def test_same_tick_preserves_schedule_order_across_insert_paths(self):
-        from repro.sim.engine import _DEFAULT_QUANTUM
+        from repro.sim.engine import _QUANTUM
 
         scheduler = Scheduler()
         fired = []
         # Distinct float times within one wheel tick must still fire in
         # (time, seq) order, not insertion order.
-        tick_base = _DEFAULT_QUANTUM * 100
-        scheduler.schedule_at(tick_base + _DEFAULT_QUANTUM * 0.75, fired.append, "late")
-        scheduler.schedule_at(tick_base + _DEFAULT_QUANTUM * 0.25, fired.append, "early")
+        tick_base = _QUANTUM * 100
+        scheduler.schedule_at(tick_base + _QUANTUM * 0.75, fired.append, "late")
+        scheduler.schedule_at(tick_base + _QUANTUM * 0.25, fired.append, "early")
         scheduler.run()
         assert fired == ["early", "late"]
 

@@ -100,6 +100,21 @@ class TestManifest:
         with pytest.raises(ConfigurationError, match="unreadable run manifest"):
             load_manifest(tmp_path)
 
+    def test_pre_entry_point_plugin_list_is_a_clear_error(self, t2, tmp_path):
+        # Manifests once recorded plugins as a flat list.  No current worker
+        # can join such a run, so status / reap say so instead of parsing it.
+        from repro.harness.grid import grid_reap, grid_status
+
+        spec, params = t2
+        manifest = grid_manifest(spec, params)
+        manifest["plugins"] = ["json"]
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        for command in (load_manifest, grid_status, grid_reap):
+            with pytest.raises(ConfigurationError, match="older version") as caught:
+                command(tmp_path)
+            assert str(path) in str(caught.value)
+
     def test_manifest_file_round_trips(self, t2, tmp_path):
         spec, params = t2
         ensure_manifest(tmp_path, spec, params)

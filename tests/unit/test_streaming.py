@@ -142,7 +142,7 @@ class TestRunGridStreaming:
     def test_slices_are_lazy_views_not_lists(self, tmp_path):
         # f2-style `values[:split]` on a huge grid must not materialise
         # half the grid; slices are disk-backed views themselves.
-        from repro.harness.streaming import _SpilledValues
+        from repro.harness.streaming import SpilledValues
 
         observed = {}
 
@@ -164,7 +164,7 @@ class TestRunGridStreaming:
             tabulate=slicing_tabulate,
         )
         run_grid_streaming(spec, SynthParams(cells_count=100), tmp_path, window=8)
-        assert observed["type"] is _SpilledValues
+        assert observed["type"] is SpilledValues
         assert observed["len"] == 50
         assert observed["sum"] == sum(i * i for i in range(50))
 

@@ -1,18 +1,20 @@
 """Unit tests for trace recording and timeline queries.
 
-Every query test runs against both stores — the default columnar backend
-and the object-recorder oracle — via the ``trace`` fixture, so the two
-can never drift on the documented semantics.
+Every query test runs against both stores — the production columnar
+recorder and the object-recorder oracle in ``tests/reference_trace.py`` —
+via the ``trace`` fixture, so the two can never drift on the documented
+semantics.
 """
 
 import pytest
 
 from repro.sim.trace import TraceRecorder
+from tests.reference_trace import ReferenceTraceRecorder
 
 
-@pytest.fixture(params=["columnar", "object"])
+@pytest.fixture(params=[TraceRecorder, ReferenceTraceRecorder], ids=["columnar", "object"])
 def trace(request):
-    return TraceRecorder(backend=request.param)
+    return request.param()
 
 
 def record_seq(trace, observer, *events):
@@ -25,10 +27,6 @@ def record_seq(trace, observer, *events):
 
 
 class TestSuspicionChanges:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            TraceRecorder(backend="parquet")
-
     def test_no_op_change_is_dropped(self, trace):
         result = trace.record_suspicion_change(1.0, 1, frozenset({2}), frozenset({2}))
         assert result is None

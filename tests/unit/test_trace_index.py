@@ -7,8 +7,8 @@ full-trace scans.  The originals are kept here verbatim as private
 reference oracles and both are run over randomized traces.
 
 Every test runs under both the columnar store and the object-recorder
-oracle backend — the reference scans read the materialized
-``suspicion_changes`` view, which both backends must serve identically.
+oracle (``tests/reference_trace.py``) — the reference scans read the
+materialized ``suspicion_changes`` view, which both must serve identically.
 """
 
 import random
@@ -16,10 +16,11 @@ import random
 import pytest
 
 from repro.sim.trace import TraceRecorder
+from tests.reference_trace import ReferenceTraceRecorder
 
 
-@pytest.fixture(params=["columnar", "object"])
-def backend(request):
+@pytest.fixture(params=[TraceRecorder, ReferenceTraceRecorder], ids=["columnar", "object"])
+def recorder(request):
     return request.param
 
 # ---------------------------------------------------------------------------
@@ -102,11 +103,11 @@ def _ref_rounds_of(trace, querier):
 # ---------------------------------------------------------------------------
 
 
-def random_trace(seed, *, observers=6, changes=120, backend="columnar"):
+def random_trace(seed, *, observers=6, changes=120, recorder=TraceRecorder):
     """A time-ordered random trace, as the simulator would record it."""
     rng = random.Random(seed)
     ids = list(range(1, observers + 1))
-    trace = TraceRecorder(backend=backend)
+    trace = recorder()
     current = {pid: frozenset() for pid in ids}
     now = 0.0
     for _ in range(changes):
@@ -122,8 +123,8 @@ QUERY_TIMES = [0.0, 0.5, 3.7, 1e9]
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_indexed_queries_match_linear_scan_oracles(seed, backend):
-    trace, ids, end = random_trace(seed, backend=backend)
+def test_indexed_queries_match_linear_scan_oracles(seed, recorder):
+    trace, ids, end = random_trace(seed, recorder=recorder)
     horizon = end + 1.0
     sample_times = QUERY_TIMES + [end * f for f in (0.25, 0.5, 0.75, 1.0)]
     for observer in ids:
@@ -155,11 +156,11 @@ def test_indexed_queries_match_linear_scan_oracles(seed, backend):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_index_stays_correct_across_interleaved_appends_and_reads(seed, backend):
+def test_index_stays_correct_across_interleaved_appends_and_reads(seed, recorder):
     """Reads may interleave with appends: the index must pick up new tail."""
     rng = random.Random(seed)
     ids = [1, 2, 3]
-    trace = TraceRecorder(backend=backend)
+    trace = recorder()
     current = {pid: frozenset() for pid in ids}
     now = 0.0
     for step in range(60):
@@ -181,9 +182,9 @@ def test_index_stays_correct_across_interleaved_appends_and_reads(seed, backend)
             )
 
 
-def test_index_rebuilds_after_wholesale_list_replacement(backend):
+def test_index_rebuilds_after_wholesale_list_replacement(recorder):
     """Fixtures may replace ``suspicion_changes`` outright; detect shrinkage."""
-    trace, ids, end = random_trace(99, observers=3, changes=30, backend=backend)
+    trace, ids, end = random_trace(99, observers=3, changes=30, recorder=recorder)
     trace.changes_of(1)  # force the index
     kept = trace.suspicion_changes[:5]
     trace.suspicion_changes = kept
@@ -191,11 +192,11 @@ def test_index_rebuilds_after_wholesale_list_replacement(backend):
     assert trace.suspects_at(1, end) == _ref_suspects_at(trace, 1, end)
 
 
-def test_index_rebuilds_after_same_length_list_replacement(backend):
+def test_index_rebuilds_after_same_length_list_replacement(recorder):
     """Replacement is detected by identity, not just by length changes."""
     import dataclasses
 
-    trace, ids, end = random_trace(17, observers=3, changes=30, backend=backend)
+    trace, ids, end = random_trace(17, observers=3, changes=30, recorder=recorder)
     trace.changes_of(1)  # force the index on the original list
     replacement = list(trace.suspicion_changes)
     replacement[0] = dataclasses.replace(
@@ -213,8 +214,8 @@ def test_index_rebuilds_after_same_length_list_replacement(backend):
     )
 
 
-def test_index_rebuilds_after_in_place_truncation(backend):
-    trace, ids, end = random_trace(23, observers=3, changes=30, backend=backend)
+def test_index_rebuilds_after_in_place_truncation(recorder):
+    trace, ids, end = random_trace(23, observers=3, changes=30, recorder=recorder)
     trace.changes_of(1)  # force the index
     del trace.suspicion_changes[10:]
     for obs in ids:
@@ -224,11 +225,11 @@ def test_index_rebuilds_after_in_place_truncation(backend):
         )
 
 
-def test_rounds_index_matches_linear_scan(backend):
+def test_rounds_index_matches_linear_scan(recorder):
     from repro.sim.trace import RoundRecord
 
     rng = random.Random(7)
-    trace = TraceRecorder(backend=backend)
+    trace = recorder()
     for i in range(40):
         querier = rng.choice([1, 2, 3])
         trace.record_round(
