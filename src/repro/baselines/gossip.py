@@ -22,6 +22,7 @@ from ..core.effects import Broadcast, Effect
 from ..core.messages import register_message
 from ..errors import ConfigurationError
 from ..ids import ProcessId, validate_membership
+from .timers import PeerTimers
 
 __all__ = ["GossipHeartbeat", "GossipHeartbeatDetector"]
 
@@ -57,9 +58,11 @@ class GossipHeartbeatDetector:
         self._peers = members - {process_id}
         self.period = period
         self.timeout = timeout
-        self._vector: dict[ProcessId, int] = {pid: 0 for pid in members}
-        self._deadlines: dict[ProcessId, float] = {}
-        self._suspected: set[ProcessId] = set()
+        #: kept in the order beats carry it (``repr`` of the id)
+        self._vector: dict[ProcessId, int] = {
+            pid: 0 for pid in sorted(members, key=repr)
+        }
+        self._timers = PeerTimers(self._peers)
         self._next_beat: float | None = None
         self._started = False
 
@@ -73,7 +76,7 @@ class GossipHeartbeatDetector:
         return "gossip-heartbeat"
 
     def suspects(self) -> frozenset[ProcessId]:
-        return frozenset(self._suspected)
+        return self._timers.suspects()
 
     def heartbeat_vector(self) -> dict[ProcessId, int]:
         return dict(self._vector)
@@ -81,50 +84,41 @@ class GossipHeartbeatDetector:
     # -- core interface ----------------------------------------------------
     def start(self, now: float) -> list[Effect]:
         self._started = True
-        self._deadlines = {p: now + self.timeout for p in self._peers}
+        self._timers.arm_all({p: now + self.timeout for p in self._peers})
         return self._emit_beat(now)
 
     def on_message(self, now: float, sender: ProcessId, message: object) -> list[Effect]:
         if not isinstance(message, GossipHeartbeat):
             return []
+        vector = self._vector
         for pid, beat in message.vector:
-            if pid not in self._vector or pid == self._pid:
-                continue
-            if beat > self._vector[pid]:
+            known = vector.get(pid)  # None: not a member
+            if known is not None and beat > known and pid != self._pid:
                 # New information about pid (possibly relayed multi-hop):
                 # refresh its timer and clear any suspicion.
-                self._vector[pid] = beat
-                self._deadlines[pid] = now + self.timeout
-                self._suspected.discard(pid)
+                vector[pid] = beat
+                self._timers.refresh(pid, now + self.timeout)
         return []
 
     def on_wakeup(self, now: float) -> list[Effect]:
         effects: list[Effect] = []
         if self._next_beat is not None and now >= self._next_beat:
             effects.extend(self._emit_beat(now))
-        for peer in sorted(self._peers, key=repr):
-            if peer in self._suspected:
-                continue
-            deadline = self._deadlines.get(peer)
-            if deadline is not None and now >= deadline:
-                self._suspected.add(peer)
+        self._timers.expire(now)
         return effects
 
     def next_wakeup(self) -> float | None:
         if not self._started:
             return None
-        candidates = [
-            deadline
-            for peer, deadline in self._deadlines.items()
-            if peer not in self._suspected
-        ]
-        if self._next_beat is not None:
-            candidates.append(self._next_beat)
-        return min(candidates, default=None)
+        deadline = self._timers.next_deadline()
+        # started, so the beat timer is armed
+        if deadline is None or self._next_beat <= deadline:
+            return self._next_beat
+        return deadline
 
     # ------------------------------------------------------------------
     def _emit_beat(self, now: float) -> list[Effect]:
         self._vector[self._pid] += 1
         self._next_beat = now + self.period
-        vector = tuple(sorted(self._vector.items(), key=lambda kv: repr(kv[0])))
+        vector = tuple(self._vector.items())
         return [Broadcast(GossipHeartbeat(sender=self._pid, vector=vector))]

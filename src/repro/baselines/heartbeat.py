@@ -23,6 +23,7 @@ from ..core.effects import Broadcast, Effect
 from ..core.messages import register_message
 from ..errors import ConfigurationError
 from ..ids import ProcessId, validate_membership
+from .timers import PeerTimers
 
 __all__ = ["Heartbeat", "HeartbeatDetector"]
 
@@ -64,9 +65,8 @@ class HeartbeatDetector:
         self.adaptive = adaptive
         self.timeout_increment = timeout_increment
         self._timeouts: dict[ProcessId, float] = {p: timeout for p in self._peers}
-        self._deadlines: dict[ProcessId, float] = {}
+        self._timers = PeerTimers(self._peers)
         self._last_seq: dict[ProcessId, int] = {}
-        self._suspected: set[ProcessId] = set()
         self._seq = 0
         self._next_beat: float | None = None
         self._started = False
@@ -81,7 +81,7 @@ class HeartbeatDetector:
         return "heartbeat(adaptive)" if self.adaptive else "heartbeat"
 
     def suspects(self) -> frozenset[ProcessId]:
-        return frozenset(self._suspected)
+        return self._timers.suspects()
 
     def timeout_of(self, peer: ProcessId) -> float:
         """Current per-peer timeout (grows in adaptive mode)."""
@@ -90,7 +90,7 @@ class HeartbeatDetector:
     # -- core interface ----------------------------------------------------
     def start(self, now: float) -> list[Effect]:
         self._started = True
-        self._deadlines = {p: now + self._timeouts[p] for p in self._peers}
+        self._timers.arm_all({p: now + self._timeouts[p] for p in self._peers})
         return self._emit_beat(now)
 
     def on_message(self, now: float, sender: ProcessId, message: object) -> list[Effect]:
@@ -99,37 +99,27 @@ class HeartbeatDetector:
         if message.seq <= self._last_seq.get(sender, -1):
             return []  # stale, reordered beat
         self._last_seq[sender] = message.seq
-        if sender in self._suspected:
-            self._suspected.discard(sender)
-            if self.adaptive:
-                # A false suspicion: the timeout was too aggressive.
-                self._timeouts[sender] += self.timeout_increment
-        self._deadlines[sender] = now + self._timeouts[sender]
+        if self.adaptive and self._timers.is_suspected(sender):
+            # A false suspicion: the timeout was too aggressive.
+            self._timeouts[sender] += self.timeout_increment
+        self._timers.refresh(sender, now + self._timeouts[sender])
         return []
 
     def on_wakeup(self, now: float) -> list[Effect]:
         effects: list[Effect] = []
         if self._next_beat is not None and now >= self._next_beat:
             effects.extend(self._emit_beat(now))
-        for peer in sorted(self._peers, key=repr):
-            if peer in self._suspected:
-                continue
-            deadline = self._deadlines.get(peer)
-            if deadline is not None and now >= deadline:
-                self._suspected.add(peer)
+        self._timers.expire(now)
         return effects
 
     def next_wakeup(self) -> float | None:
         if not self._started:
             return None
-        candidates = [
-            deadline
-            for peer, deadline in self._deadlines.items()
-            if peer not in self._suspected
-        ]
-        if self._next_beat is not None:
-            candidates.append(self._next_beat)
-        return min(candidates, default=None)
+        deadline = self._timers.next_deadline()
+        # started, so the beat timer is armed
+        if deadline is None or self._next_beat <= deadline:
+            return self._next_beat
+        return deadline
 
     # ------------------------------------------------------------------
     def _emit_beat(self, now: float) -> list[Effect]:

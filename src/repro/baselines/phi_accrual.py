@@ -28,6 +28,8 @@ from .heartbeat import Heartbeat
 
 __all__ = ["PhiAccrualDetector"]
 
+_SQRT2 = math.sqrt(2.0)
+
 
 class PhiAccrualDetector:
     """Sans-I/O accrual detector core (host with a timed driver).
@@ -67,9 +69,13 @@ class PhiAccrualDetector:
         self._windows: dict[ProcessId, deque[float]] = {
             p: deque(maxlen=window_size) for p in self._peers
         }
+        #: each peer's ``(mean, std)``, kept until its window next grows: a
+        #: window changes once per period and is evaluated several times
+        self._estimates: dict[ProcessId, tuple[float, float]] = {}
         self._last_arrival: dict[ProcessId, float] = {}
         self._last_seq: dict[ProcessId, int] = {}
         self._suspected: set[ProcessId] = set()
+        self._suspects: frozenset[ProcessId] | None = frozenset()
         self._seq = 0
         self._next_beat: float | None = None
         self._next_eval: float | None = None
@@ -85,7 +91,11 @@ class PhiAccrualDetector:
         return f"phi-accrual(t={self.threshold})"
 
     def suspects(self) -> frozenset[ProcessId]:
-        return frozenset(self._suspected)
+        """The suspect set; the identical object until it next changes."""
+        suspects = self._suspects
+        if suspects is None:
+            suspects = self._suspects = frozenset(self._suspected)
+        return suspects
 
     # -- the accrual estimator ---------------------------------------------
     def phi(self, peer: ProcessId, now: float) -> float:
@@ -101,6 +111,9 @@ class PhiAccrualDetector:
         return -math.log10(p_later)
 
     def _interval_estimate(self, peer: ProcessId) -> tuple[float, float]:
+        estimate = self._estimates.get(peer)
+        if estimate is not None:
+            return estimate
         window = self._windows[peer]
         if len(window) < 2:
             # Bootstrap: assume the configured period with generous spread,
@@ -108,7 +121,8 @@ class PhiAccrualDetector:
             return self.period, self.period / 2.0
         mean = sum(window) / len(window)
         variance = sum((x - mean) ** 2 for x in window) / (len(window) - 1)
-        return mean, math.sqrt(variance)
+        estimate = self._estimates[peer] = mean, math.sqrt(variance)
+        return estimate
 
     # -- core interface ----------------------------------------------------
     def start(self, now: float) -> list[Effect]:
@@ -125,8 +139,11 @@ class PhiAccrualDetector:
         last = self._last_arrival.get(sender)
         if last is not None:
             self._windows[sender].append(now - last)
+            self._estimates.pop(sender, None)
         self._last_arrival[sender] = now
-        self._suspected.discard(sender)
+        if sender in self._suspected:
+            self._suspected.discard(sender)
+            self._suspects = None
         return []
 
     def on_wakeup(self, now: float) -> list[Effect]:
@@ -141,8 +158,8 @@ class PhiAccrualDetector:
     def next_wakeup(self) -> float | None:
         if not self._started:
             return None
-        candidates = [t for t in (self._next_beat, self._next_eval) if t is not None]
-        return min(candidates, default=None)
+        # started, so both timers are armed
+        return self._next_beat if self._next_beat <= self._next_eval else self._next_eval
 
     # ------------------------------------------------------------------
     def _evaluate(self, now: float) -> None:
@@ -151,6 +168,7 @@ class PhiAccrualDetector:
                 continue
             if self.phi(peer, now) >= self.threshold:
                 self._suspected.add(peer)
+                self._suspects = None
 
     def _emit_beat(self, now: float) -> list[Effect]:
         self._seq += 1
@@ -161,4 +179,4 @@ class PhiAccrualDetector:
 def _normal_tail(x: float, mean: float, std: float) -> float:
     """``P(X > x)`` for a normal ``X`` — the accrual ``P_later``."""
     z = (x - mean) / std
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+    return 0.5 * math.erfc(z / _SQRT2)

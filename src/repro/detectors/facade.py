@@ -154,10 +154,11 @@ class QueryRoundFacade:
         return effects
 
     def next_wakeup(self) -> float | None:
-        deadlines = [
-            t for t in (self._close_at, self._next_round_at, self._retry_at) if t is not None
-        ]
-        return min(deadlines, default=None)
+        earliest = None
+        for t in (self._close_at, self._next_round_at, self._retry_at):
+            if t is not None and (earliest is None or t < earliest):
+                earliest = t
+        return earliest
 
     # -- round machinery ----------------------------------------------------
     def _begin_round(self, now: float) -> list[Effect]:

@@ -41,6 +41,12 @@ Workloads:
   n=32 membership where every received record is stale (Algorithm 1
   re-ships the full sets each round), exercising the batched
   ``SuspicionState.merge_query`` fast path (events = records merged).
+* ``timed``   — timed-core hosting: one node of a 40-member full mesh
+  (``TimedDriver`` + the ``heartbeat`` core on a live scheduler) is handed
+  its 39 peers' beats once per period (events = beats delivered): the
+  per-message cost every timer-based cell pays n² times a period.  Its
+  committed floor sits above what the per-message deadline scan (now
+  ``tests/reference_baselines.py``) sustained on the same box.
 
 ``repro bench --check`` compares a fresh run against the committed
 per-workload kev/s floors (``benchmarks/bench_floors.json``) and fails
@@ -439,6 +445,55 @@ def bench_merge(n: int) -> float:
     return elapsed
 
 
+def bench_timed(n: int) -> float:
+    """Timed-core hosting: what one delivered heartbeat costs its host.
+
+    One node of a 40-member full mesh is hosted for real — ``SimProcess``,
+    ``TimedDriver`` and the ``heartbeat`` core on a live scheduler — on a
+    topology of its own, so its beats go nowhere; the loop plays the 39
+    peers, handing the driver each one's beat once per period and letting
+    the scheduler fire the node's wake-ups in between.  Each delivery is
+    the whole hosting path: suspect-set snapshot, core, ``next_wakeup()``,
+    re-arm, comparison.  Reported events are beats delivered.  With the
+    core's deadline heap this is O(log n) per beat; the scan it replaced
+    read all 39 deadlines per beat, and the committed floor sits above
+    what that sustained, so reverting the index trips ``bench-gate``.
+    """
+    from ..baselines.heartbeat import Heartbeat, HeartbeatDetector
+    from ..sim.latency import ConstantLatency
+    from ..sim.network import SimNetwork
+    from ..sim.node import SimProcess, TimedDriver
+    from ..sim.rng import RngStreams
+    from ..sim.topology import full_mesh
+
+    size, period = 40, 0.5
+    scheduler = Scheduler()
+    trace = TraceRecorder()
+    network = SimNetwork(
+        scheduler, full_mesh([1]), ConstantLatency(0.001), RngStreams(3), trace=trace
+    )
+    process = SimProcess(1, scheduler, network, trace)
+    core = HeartbeatDetector(
+        1, frozenset(range(1, size + 1)), period=period, timeout=3 * period
+    )
+    driver = TimedDriver(process, core)
+    process.bind(driver)
+    process.start()
+    peers = range(2, size + 1)
+    periods = max(1, n // len(peers))
+
+    def run() -> None:
+        deliver = driver.on_message
+        for seq in range(1, periods + 1):
+            scheduler.run(until=seq * period)  # the node's own beat
+            for peer in peers:
+                deliver(peer, Heartbeat(sender=peer, seq=seq))
+
+    elapsed = _timed(run)
+    bench_timed.events = periods * len(peers)  # type: ignore[attr-defined]
+    return elapsed
+
+
 WORKLOADS: dict[str, Callable[[int], float]] = {
     "chain": bench_chain,
     "fanout": bench_fanout,
@@ -451,6 +506,7 @@ WORKLOADS: dict[str, Callable[[int], float]] = {
     "cells": bench_cells,
     "consensus": bench_consensus,
     "merge": bench_merge,
+    "timed": bench_timed,
 }
 
 

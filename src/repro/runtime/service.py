@@ -12,8 +12,8 @@ asyncio task.  Two drive strategies, picked by the core's protocol shape:
   never correctness.
 * **timed cores** (any :class:`~repro.detectors.facade.DetectorCore`, e.g.
   the heartbeat/gossip/phi baselines) run an event-loop-clocked wake-up
-  loop: sleep until ``next_wakeup()`` or an incoming message, feed the
-  core, execute its effects.
+  loop: sleep until ``next_wakeup()`` (cut short only by a message that
+  pulls that deadline earlier), feed the core, execute its effects.
 
 :meth:`DetectorService.from_registry` builds either kind from a
 :mod:`repro.detectors` registry key, so heartbeat/gossip/phi run over the
@@ -104,6 +104,8 @@ class DetectorService:
         self._peers = list(config.peers_sorted)
         self._quorum_event = asyncio.Event()
         self._wake = asyncio.Event()
+        #: the deadline ``_run_timed`` is sleeping toward (None: open-ended)
+        self._sleeping_until: float | None = None
         self._elector = None
         self._task: asyncio.Task | None = None
         self._watchers: list[asyncio.Queue] = []
@@ -284,14 +286,17 @@ class DetectorService:
         emission, timeout expiry, query-round pacing when a query core is
         wrapped in the unified facade) — the service adds none of its own.
         Messages are handled synchronously by ``_on_message``; it pokes
-        ``_wake`` so the loop re-reads the (possibly moved) next deadline.
+        ``_wake`` only when one pulled the next deadline *earlier* than the
+        one slept toward (the simulator's ``TimedDriver._rearm`` rule).  A
+        deadline that moved later costs nothing: the sleep ends on time,
+        the core finds nothing due, and the loop re-reads the deadline.
         """
         loop = asyncio.get_running_loop()
         before = self.detector.suspects()
         self._execute(self.detector.start(loop.time()))
         self._notify_if_changed(before)
         while True:
-            deadline = self.detector.next_wakeup()
+            deadline = self._sleeping_until = self.detector.next_wakeup()
             if deadline is None:
                 await self._wake.wait()
                 self._wake.clear()
@@ -302,7 +307,7 @@ class DetectorService:
                     async with asyncio.timeout(delay):
                         await self._wake.wait()
                     self._wake.clear()
-                    continue  # a message moved the deadlines; recompute
+                    continue  # a message pulled the deadline earlier; recompute
                 except TimeoutError:
                     pass
             before = self.detector.suspects()
@@ -316,7 +321,11 @@ class DetectorService:
             before = self.detector.suspects()
             self._execute(self.detector.on_message(now, src, message))
             self._notify_if_changed(before)
-            self._wake.set()
+            deadline = self.detector.next_wakeup()
+            if deadline is not None and (
+                self._sleeping_until is None or deadline < self._sleeping_until
+            ):
+                self._wake.set()
             return
         if isinstance(message, Query):
             # Queries run the batched T2 merge and may change the suspect
@@ -348,7 +357,7 @@ class DetectorService:
 
     def _notify_if_changed(self, before: frozenset[ProcessId]) -> None:
         after = self.detector.suspects()
-        if after == before:
+        if after is before or after == before:
             return
         for queue in self._watchers:
             queue.put_nowait(after)

@@ -510,38 +510,50 @@ class TimedDriver:
         return self.core.suspects()
 
     def on_message(self, src: ProcessId, message: object) -> None:
-        before = self.core.suspects()
-        effects = self.core.on_message(self.process.scheduler.now, src, message)
-        self.process.execute(effects)
+        core = self.core
+        before = core.suspects()
+        effects = core.on_message(self.process.scheduler.now, src, message)
+        if effects:
+            self.process.execute(effects)
         self._rearm()
-        self._note_suspicion_change(before)
+        # Cores may hand back the identical frozenset while nothing changed
+        # (the built-in ones do): one pointer comparison per message.  A
+        # core that builds a fresh set per call falls through to equality.
+        after = core.suspects()
+        if after is not before and after != before:
+            self._record_suspicion_change(before, after)
 
     def _wakeup(self) -> None:
         self._timer = None
         if not self.process.alive or not self.process.attached:
             return
-        before = self.core.suspects()
-        effects = self.core.on_wakeup(self.process.scheduler.now)
-        self.process.execute(effects)
+        core = self.core
+        before = core.suspects()
+        effects = core.on_wakeup(self.process.scheduler.now)
+        if effects:
+            self.process.execute(effects)
         self._rearm()
-        self._note_suspicion_change(before)
+        after = core.suspects()
+        if after is not before and after != before:
+            self._record_suspicion_change(before, after)
 
     def _rearm(self) -> None:
         deadline = self.core.next_wakeup()
         if deadline is None:
             self._cancel_timer()
             return
+        timer = self._timer
+        live = timer is not None and not timer.cancelled
+        if live and timer.time <= deadline:
+            return  # nearly every message leaves here, the clock unread
         target = max(deadline, self.process.scheduler.now)
-        if self._timer is not None and not self._timer.cancelled:
-            if self._timer.time <= target:
+        if live:
+            if timer.time <= target:
                 return  # existing timer fires first; it will re-arm
-            self._timer.cancel()
+            timer.cancel()
         self._timer = self.process.scheduler.schedule_at(target, self._wakeup)
 
-    def _note_suspicion_change(self, before: frozenset) -> None:
-        after = self.core.suspects()
-        if before == after:
-            return
+    def _record_suspicion_change(self, before: frozenset, after: frozenset) -> None:
         self.process.trace.record_suspicion_change(
             self.process.scheduler.now, self.process.pid, before, after
         )

@@ -10,7 +10,7 @@ paper's algorithm.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core import DetectorConfig, QueryRoundOutcome, TimeFreeDetector
 from repro.ids import ProcessId
@@ -26,6 +26,17 @@ def make_detectors(
         config = DetectorConfig(process_id=pid, membership=membership, f=f)
         detectors[pid] = TimeFreeDetector(config)
     return detectors
+
+
+def counting(fn: Callable) -> Callable:
+    """``fn``, counting its calls in ``.calls`` (for cost pins: counts, not timings)."""
+
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return fn(*args, **kwargs)
+
+    wrapper.calls = 0
+    return wrapper
 
 
 class InstantExchange:

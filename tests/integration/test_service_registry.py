@@ -14,6 +14,7 @@ from repro.core.protocol import DetectorConfig
 from repro.errors import ConfigurationError
 from repro.runtime import DetectorService, LocalCluster, MemoryHub, ServicePacing
 from repro.sim.latency import ConstantLatency
+from tests.helpers import counting
 
 # Real-time knobs: fast cadence keeps each scenario to well under a second
 # of wall-clock time (these are live asyncio services, not simulations).
@@ -82,6 +83,41 @@ class TestTimedCoresOverMemoryTransport:
             return first
 
         assert 3 in run(scenario())
+
+
+class TestTimedLoopWakeups:
+    def test_the_loop_wakes_per_deadline_not_per_message(self):
+        """``_rearm``'s rule in the runtime host: a beat that only moves a
+        peer's timer later must not interrupt the sleep toward the next
+        emission.  Counts, not timings: sleeps entered against beats sent
+        and messages received."""
+
+        async def scenario():
+            hub, services = make_services(
+                "heartbeat", {"period": 0.05, "timeout": 0.4}, n=6, f=1
+            )
+            for service in services:
+                service._wake.wait = counting(service._wake.wait)
+                service.detector.on_message = counting(service.detector.on_message)
+            for service in services:
+                await service.start()
+            await asyncio.sleep(0.5)
+            quiet = [service.suspects() for service in services]
+            beats = [service.detector._seq for service in services]
+            sleeps = [service._wake.wait.calls for service in services]
+            received = [service.detector.on_message.calls for service in services]
+            for service in services:
+                await service.stop()
+            return quiet, beats, sleeps, received
+
+        quiet, beats, sleeps, received = run(scenario())
+        assert quiet == [frozenset()] * 6
+        for index in range(6):
+            assert beats[index] >= 4 and received[index] >= 4 * 5
+            # one sleep per emission (no timer expired: the cluster is quiet),
+            # plus the one it was cancelled in
+            assert sleeps[index] <= beats[index] + 1, (sleeps, beats)
+            assert sleeps[index] < received[index] / 2, (sleeps, received)
 
 
 class TestFromRegistryValidation:

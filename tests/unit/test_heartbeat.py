@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.heartbeat import Heartbeat, HeartbeatDetector
 from repro.core.effects import Broadcast
 from repro.errors import ConfigurationError
+from tests.helpers import counting
 
 
 def make(pid=1, n=3, **kwargs):
@@ -126,3 +127,54 @@ class TestAdaptiveTimeout:
         detector.on_wakeup(2.0)
         detector.on_message(2.5, 2, Heartbeat(sender=2, seq=1))
         assert detector.timeout_of(2) == 2.0
+
+
+class TestCost:
+    """Counts, not timings: what hosting this core costs per message."""
+
+    def test_in_order_beats_keep_the_deadline_heap_small(self, monkeypatch):
+        from repro.baselines import timers
+
+        push, pop = counting(timers.heappush), counting(timers.heappop)
+        monkeypatch.setattr(timers, "heappush", push)
+        monkeypatch.setattr(timers, "heappop", pop)
+        n = 64
+        detector = make(n=n, period=1.0, timeout=2.0)
+        detector.start(0.0)
+        deadlines = {peer: 2.0 for peer in range(2, n + 1)}
+        for i in range(1000):
+            peer, now = 2 + i % (n - 1), 0.0005 * i
+            detector.on_message(now, peer, Heartbeat(sender=peer, seq=1 + i // (n - 1)))
+            deadlines[peer] = now + 2.0
+            # what a host reads after every message, against a fresh scan
+            assert detector.next_wakeup() == min(1.0, *deadlines.values())
+        assert len(detector._timers._heap) <= 2 * n
+        assert pop.calls <= push.calls <= 1000
+
+    def test_a_long_lived_early_timer_cannot_grow_the_heap(self):
+        # Peer 3 stays silent with the earliest timer, so peer 2's superseded
+        # entries never surface; re-arming must bound the heap by itself.
+        detector = make(n=3, period=1.0, timeout=1000.0)
+        detector.start(0.0)
+        for seq in range(1, 200):
+            detector.on_message(float(seq), 2, Heartbeat(sender=2, seq=seq))
+            assert len(detector._timers._heap) <= 2 * 2
+        assert detector.next_wakeup() == 1.0  # still the first beat: never woken
+
+    def test_suspects_is_one_object_until_the_set_changes(self):
+        detector = make(period=1.0, timeout=2.0)
+        detector.start(0.0)
+        nobody = detector.suspects()
+        detector.on_message(0.0, 3, Heartbeat(sender=3, seq=5))
+        detector.on_message(0.5, 2, Heartbeat(sender=2, seq=1))
+        detector.on_wakeup(1.0)
+        assert detector.suspects() is nobody
+        detector.on_wakeup(2.2)  # 3 timed out at 2.0; 2 holds until 2.5
+        three = detector.suspects()
+        assert three == frozenset({3}) and three is not nobody
+        detector.on_message(2.3, 3, Heartbeat(sender=3, seq=4))  # stale: no change
+        assert detector.suspects() is three
+        detector.on_message(2.4, 3, Heartbeat(sender=3, seq=6))
+        cleared = detector.suspects()
+        assert cleared == frozenset() and cleared is not three
+        assert detector.suspects() is cleared

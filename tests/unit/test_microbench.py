@@ -37,6 +37,19 @@ class TestRegistry:
         )["floors_kev_per_s"]
         assert floors["consensus"] > 0
 
+    def test_timed_workload_delivers_every_beat_and_has_a_floor(self):
+        import json
+        from pathlib import Path
+
+        payload = run_microbench(events=EVENTS, only=("timed",))
+        (cell,) = payload["cells"]
+        # 39 peers' beats per period, whole periods only
+        assert cell["value"]["events"] == EVENTS // 39 * 39
+        floors = json.loads(
+            Path("benchmarks/bench_floors.json").read_text(encoding="utf-8")
+        )["floors_kev_per_s"]
+        assert floors["timed"] > 0
+
     def test_unknown_workload_is_a_clear_error(self):
         with pytest.raises(ConfigurationError, match="no_such_workload"):
             run_microbench(events=EVENTS, only=("no_such_workload",))

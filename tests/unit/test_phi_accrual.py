@@ -7,6 +7,7 @@ import pytest
 from repro.baselines.heartbeat import Heartbeat
 from repro.baselines.phi_accrual import PhiAccrualDetector
 from repro.errors import ConfigurationError
+from tests.helpers import counting
 
 
 def make(pid=1, n=3, **kwargs):
@@ -58,6 +59,19 @@ class TestPhiValue:
         # Same absolute silence means much more for the fast cadence.
         silence = 4.0
         assert fast.phi(2, now=29.0 + silence) > slow.phi(2, now=87.0 + silence)
+
+    def test_the_kept_estimate_follows_the_window(self):
+        detector = make(n=2, period=1.0, window_size=3)
+        now = 0.0
+        for seq, gap in enumerate([0.5, 1.0, 0.25, 2.0, 0.75, 0.75], start=1):
+            now += gap
+            detector.on_message(now, 2, Heartbeat(sender=2, seq=seq))
+            detector.phi(2, now + 0.4)  # reads (and keeps) the estimate
+            window = list(detector._windows[2])
+            if len(window) >= 2:
+                mean = sum(window) / len(window)
+                std = math.sqrt(sum((x - mean) ** 2 for x in window) / (len(window) - 1))
+                assert detector._interval_estimate(2) == (mean, std)
 
     def test_phi_infinite_for_enormous_silence(self):
         detector = make(min_std=0.01)
@@ -136,3 +150,43 @@ class TestBeatsAndWakeups:
         detector.on_message(2.0, 2, Heartbeat(sender=2, seq=4))
         # Only one arrival counted: no inter-arrival interval yet recorded.
         assert len(detector._windows[2]) == 0
+
+
+class TestCost:
+    """Counts, not timings: what hosting this core costs per evaluation."""
+
+    def test_one_estimate_per_appended_sample_not_per_evaluation(self, monkeypatch):
+        sqrt = counting(math.sqrt)
+        monkeypatch.setattr(math, "sqrt", sqrt)
+        n, periods = 6, 30
+        detector = make(n=n, period=1.0)
+        detector.start(0.0)
+        appended = evaluations = 0
+        for k in range(periods):
+            for peer in range(2, n + 1):
+                detector.on_message(k + 0.01 * peer, peer, Heartbeat(sender=peer, seq=k + 1))
+                appended += k > 0
+            for quarter in (0.25, 0.5, 0.75, 1.0):  # eval_fraction's four per period
+                detector.on_wakeup(k + quarter)
+                evaluations += n - 1
+        assert detector.suspects() == frozenset()
+        assert evaluations == 4 * periods * (n - 1)
+        assert sqrt.calls <= appended + (n - 1) < evaluations / 3
+
+    def test_suspects_is_one_object_until_the_set_changes(self):
+        detector = make(threshold=8.0)
+        detector.start(0.0)
+        feed_regular_beats(detector, 2, count=20, period=1.0)
+        nobody = detector.suspects()
+        detector.on_wakeup(19.5)
+        assert detector.suspects() is nobody
+        detector.on_wakeup(100.0)
+        two = detector.suspects()
+        assert two == frozenset({2}) and two is not nobody
+        detector.on_wakeup(101.0)
+        detector.on_message(101.5, 2, Heartbeat(sender=2, seq=3))  # stale: no change
+        assert detector.suspects() is two
+        detector.on_message(102.0, 2, Heartbeat(sender=2, seq=21))
+        cleared = detector.suspects()
+        assert cleared == frozenset() and cleared is not two
+        assert detector.suspects() is cleared
