@@ -45,34 +45,24 @@ Deploy any registered family — say phi-accrual — the same way::
                            detector_params={"period": 0.05, "threshold": 4.0})
 """
 
-from .core import (
-    DetectorConfig,
-    FailureDetector,
-    FDClass,
-    Query,
-    QueryRoundOutcome,
-    Response,
-    TimeFreeDetector,
-)
-from .errors import ReproError
-from .ids import ProcessId, make_membership
-from .runtime import DetectorService, LocalCluster, ServicePacing
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "DetectorConfig",
-    "DetectorService",
-    "FDClass",
-    "FailureDetector",
-    "LocalCluster",
-    "ProcessId",
-    "Query",
-    "QueryRoundOutcome",
-    "ReproError",
-    "Response",
-    "ServicePacing",
-    "TimeFreeDetector",
-    "__version__",
-    "make_membership",
-]
+#: submodule -> its public names, resolved on access (:mod:`repro._lazy`)
+_EXPORTS = {
+    ".core": (
+        "DetectorConfig",
+        "FDClass",
+        "FailureDetector",
+        "Query",
+        "QueryRoundOutcome",
+        "Response",
+        "TimeFreeDetector",
+    ),
+    ".errors": ("ReproError",),
+    ".ids": ("ProcessId", "make_membership"),
+    ".runtime": ("DetectorService", "LocalCluster", "ServicePacing"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

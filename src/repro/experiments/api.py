@@ -504,17 +504,19 @@ def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
-def _ensure_builtin() -> None:
-    """Import the built-in experiment modules (they register on import),
-    then any ``REPRO_PLUGINS`` modules — so out-of-tree experiments reach
-    every registry consumer (CLI listings, ``run_all``, distributed
-    workers) exactly like built-ins.  Plugins load *after* built-ins so a
-    plugin can resolve built-in specs at import time."""
+def _ensure_builtin(only: str | None = None) -> None:
+    """Import the built-in experiment modules (they register on import;
+    all of them, or the one registering ``only``), then any
+    ``REPRO_PLUGINS`` modules — so out-of-tree experiments reach every
+    registry consumer (CLI listings, ``run_all``, distributed workers)
+    exactly like built-ins.  Plugins load *after* built-ins so a plugin can
+    resolve built-in specs at import time."""
     import importlib
 
     from ..harness.plugins import load_plugins
 
-    for exp_id, module in _BUILTIN_MODULES.items():
+    for exp_id in _BUILTIN_MODULES if only is None else (only,):
+        module = _BUILTIN_MODULES[exp_id]
         if exp_id not in _REGISTRY:
             importlib.import_module(f".{module}", package=__package__)
             if exp_id not in _REGISTRY:
@@ -526,9 +528,16 @@ def _ensure_builtin() -> None:
 
 
 def get_experiment(exp_id: str) -> ExperimentSpec:
-    """The spec registered under ``exp_id`` (case-insensitive)."""
-    _ensure_builtin()
-    spec = _REGISTRY.get(exp_id.lower() if isinstance(exp_id, str) else exp_id)
+    """The spec registered under ``exp_id`` (case-insensitive).
+
+    A built-in id imports its own module only (a process that runs one
+    grid should not pay for the other twelve); any other id imports
+    everything, so a plugin can rely on the built-ins and the error below
+    names every valid id.
+    """
+    key = exp_id.lower() if isinstance(exp_id, str) else exp_id
+    _ensure_builtin(key if key in _BUILTIN_MODULES else None)
+    spec = _REGISTRY.get(key)
     if spec is None:
         raise ConfigurationError(
             f"unknown experiment {exp_id!r}; choose from {sorted(_REGISTRY)}"

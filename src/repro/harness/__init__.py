@@ -15,66 +15,30 @@ grid run twice produces byte-identical artifacts — the second run entirely
 from cache.
 """
 
-from .artifacts import artifact_name, artifact_payload, write_artifact
-from .cache import CacheStats, PruneReport, ResultCache, cache_key
-from .grid import (
-    GridStatus,
-    WorkerReport,
-    assemble_artifact,
-    ensure_manifest,
-    grid_reap,
-    grid_status,
-    run_grid_worker,
-)
-from .lease import FileLedger, LeaseLedger, LedgerCounts, SqliteLedger, open_ledger
-from .plugins import entry_point_modules, load_plugins, plugin_modules, plugin_sources
-from .registry import all_specs, get_spec
-from .runner import CellOutcome, GridResult, evaluate_cell, run_cells, run_grid
-from .spec import ScenarioSpec, cell_seed, with_detectors, with_overrides
-from .streaming import (
-    StreamedGridRun,
-    StreamStats,
-    run_grid_streaming,
-    stream_outcomes,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "CellOutcome",
-    "FileLedger",
-    "GridResult",
-    "GridStatus",
-    "LeaseLedger",
-    "LedgerCounts",
-    "PruneReport",
-    "ResultCache",
-    "ScenarioSpec",
-    "SqliteLedger",
-    "StreamStats",
-    "StreamedGridRun",
-    "WorkerReport",
-    "all_specs",
-    "artifact_name",
-    "artifact_payload",
-    "assemble_artifact",
-    "cache_key",
-    "cell_seed",
-    "ensure_manifest",
-    "entry_point_modules",
-    "evaluate_cell",
-    "get_spec",
-    "grid_reap",
-    "grid_status",
-    "load_plugins",
-    "open_ledger",
-    "plugin_modules",
-    "plugin_sources",
-    "run_cells",
-    "run_grid",
-    "run_grid_streaming",
-    "run_grid_worker",
-    "stream_outcomes",
-    "with_detectors",
-    "with_overrides",
-    "write_artifact",
-]
+#: submodule -> its public names, resolved on access (:mod:`repro._lazy`)
+_EXPORTS = {
+    ".artifacts": ("artifact_name", "artifact_payload", "write_artifact"),
+    ".cache": ("CacheStats", "PruneReport", "ResultCache", "cache_key"),
+    ".grid": (
+        "GridStatus",
+        "WorkerReport",
+        "assemble_artifact",
+        "ensure_manifest",
+        "grid_reap",
+        "grid_status",
+        "run_grid_worker",
+    ),
+    ".lease": ("FileLedger", "LeaseLedger", "LedgerCounts", "SqliteLedger", "open_ledger"),
+    ".plugins": (
+        "entry_point_modules", "load_plugins", "plugin_modules", "plugin_sources",
+    ),
+    ".registry": ("all_specs", "get_spec"),
+    ".runner": ("CellOutcome", "GridResult", "evaluate_cell", "run_cells", "run_grid"),
+    ".spec": ("ScenarioSpec", "cell_seed", "with_detectors", "with_overrides"),
+    ".streaming": (
+        "StreamedGridRun", "StreamStats", "run_grid_streaming", "stream_outcomes",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -61,7 +61,7 @@ import time
 from ..errors import ConfigurationError
 from .artifacts import write_artifact
 from .cache import ResultCache
-from .registry import all_specs
+from .registry import all_specs, get_spec
 from .runner import run_grid
 from .spec import cell_seed, with_detectors, with_overrides
 
@@ -307,12 +307,17 @@ def _parse_param_overrides(pairs: list[str]) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    specs = all_specs()
-    wanted = [exp.lower() for exp in args.experiments] or list(specs)
-    unknown = sorted(set(wanted) - set(specs))
-    if unknown:
+    wanted = [exp.lower() for exp in args.experiments]
+    try:
+        # Named grids import only their own experiment modules; the whole
+        # registry loads for no ids at all and to report an unknown one.
+        specs = {exp_id: get_spec(exp_id) for exp_id in wanted} or all_specs()
+    except ConfigurationError:
+        specs = all_specs()
+        unknown = sorted(set(wanted) - set(specs))
         print(f"unknown experiment ids: {unknown}; choose from {sorted(specs)}", file=sys.stderr)
         return 2
+    wanted = wanted or list(specs)
     distributed = args.workers_dir is not None
     if distributed:
         if args.steal == (args.worker_id is not None):

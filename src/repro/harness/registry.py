@@ -30,6 +30,7 @@ def all_specs() -> dict[str, ScenarioSpec]:
 
 
 def get_spec(exp_id: str) -> ScenarioSpec:
+    """One experiment's spec; a built-in id imports that experiment only."""
     from ..experiments.api import get_experiment
 
     return get_experiment(exp_id)

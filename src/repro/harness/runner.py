@@ -15,7 +15,6 @@ both, not just in the cached one).
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -162,8 +161,12 @@ def _evaluate_cells(
 
     if misses:
         if workers > 1:
+            # Loaded by the first parallel grid, not at import: a serial run
+            # or a `--steal` worker never needs multiprocessing (~30 ms).
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures: list[tuple[int, Future]] = [
+                futures = [
                     (
                         index,
                         pool.submit(

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -90,7 +89,11 @@ def stream_outcomes(
         params = spec.params_cls()
     cells = spec.grid(params)
     seeds = [cell_seed(spec.exp_id, coords, params.seed) for coords in cells]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # as in runner.py
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         for start in range(0, len(cells), window):
             chunk = list(range(start, min(start + window, len(cells))))

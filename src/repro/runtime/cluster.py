@@ -19,14 +19,16 @@ Any registered detector family deploys the same way::
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core.protocol import DetectorConfig
 from ..errors import ConfigurationError
 from ..ids import ProcessId, make_membership
-from ..sim.latency import LatencyModel
 from .memory import MemoryHub
 from .service import DetectorService, ServicePacing
+
+if TYPE_CHECKING:
+    from ..sim.latency import LatencyModel
 
 __all__ = ["LocalCluster"]
 

@@ -13,6 +13,8 @@ import asyncio
 
 from ..errors import TransportError
 from ..ids import ProcessId
+# All the runtime uses of the simulator (repro.sim resolves its names
+# lazily, so these two modules are all of it that gets loaded).
 from ..sim.latency import ConstantLatency, LatencyModel
 from ..sim.rng import RngStreams
 from .transport import Transport

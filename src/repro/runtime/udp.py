@@ -68,6 +68,14 @@ class UdpTransport(Transport):
         self._udp, _ = await loop.create_datagram_endpoint(
             lambda: _DatagramProtocol(self), local_addr=self._bind
         )
+        # asyncio hands recvfrom() a fresh 256 KiB buffer per datagram, and
+        # glibc serves a block that size by mmap/munmap or from the heap
+        # depending on what the process allocated earlier (its imports, in
+        # effect): two page faults per datagram and half the round rate in
+        # the unlucky state.  No UDP datagram exceeds 64 KiB, and a block
+        # that size is below the mmap threshold in every state.
+        if hasattr(self._udp, "max_size"):  # selector and proactor transports
+            self._udp.max_size = 64 * 1024
 
     async def close(self) -> None:
         if self._udp is not None:

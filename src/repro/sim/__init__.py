@@ -15,61 +15,32 @@ seed produces the *identical* trace (event order, timestamps, suspicions) on
 every run — property-tested in ``tests/property/test_determinism.py``.
 """
 
-from .cluster import SimCluster, heartbeat_driver_factory, time_free_driver_factory
-from .engine import EventHandle, Scheduler
-from .faults import CrashFault, FaultPlan, MobilityFault
-from .latency import (
-    BiasedLatency,
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-    LogNormalLatency,
-    PairwiseLatency,
-    ParetoLatency,
-    RegimeShiftLatency,
-    TimeAwareLatency,
-    UniformLatency,
-)
-from .monitors import MessagePatternMonitor
-from .network import SimNetwork
-from .node import QueryPacing, QueryResponseDriver, SimProcess, TimedDriver
-from .rng import RngStreams
-from .topology import Topology, full_mesh, grid, manet_topology, random_geometric, ring
-from .trace import RoundRecord, SuspicionChange, TraceRecorder
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BiasedLatency",
-    "ConstantLatency",
-    "CrashFault",
-    "EventHandle",
-    "ExponentialLatency",
-    "FaultPlan",
-    "LatencyModel",
-    "LogNormalLatency",
-    "MessagePatternMonitor",
-    "MobilityFault",
-    "PairwiseLatency",
-    "ParetoLatency",
-    "QueryPacing",
-    "RegimeShiftLatency",
-    "TimeAwareLatency",
-    "QueryResponseDriver",
-    "RngStreams",
-    "RoundRecord",
-    "Scheduler",
-    "SimCluster",
-    "SimNetwork",
-    "SimProcess",
-    "SuspicionChange",
-    "TimedDriver",
-    "Topology",
-    "TraceRecorder",
-    "UniformLatency",
-    "full_mesh",
-    "grid",
-    "heartbeat_driver_factory",
-    "manet_topology",
-    "random_geometric",
-    "ring",
-    "time_free_driver_factory",
-]
+#: submodule -> its public names, resolved on access (:mod:`repro._lazy`)
+_EXPORTS = {
+    ".cluster": ("SimCluster", "heartbeat_driver_factory", "time_free_driver_factory"),
+    ".engine": ("EventHandle", "Scheduler"),
+    ".faults": ("CrashFault", "FaultPlan", "MobilityFault"),
+    ".latency": (
+        "BiasedLatency",
+        "ConstantLatency",
+        "ExponentialLatency",
+        "LatencyModel",
+        "LogNormalLatency",
+        "PairwiseLatency",
+        "ParetoLatency",
+        "RegimeShiftLatency",
+        "TimeAwareLatency",
+        "UniformLatency",
+    ),
+    ".monitors": ("MessagePatternMonitor",),
+    ".network": ("SimNetwork",),
+    ".node": ("QueryPacing", "QueryResponseDriver", "SimProcess", "TimedDriver"),
+    ".rng": ("RngStreams",),
+    ".topology": (
+        "Topology", "full_mesh", "grid", "manet_topology", "random_geometric", "ring",
+    ),
+    ".trace": ("RoundRecord", "SuspicionChange", "TraceRecorder"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -495,9 +495,10 @@ class TimedDriver:
         self._cancel_timer()
 
     def on_attach(self) -> None:
-        effects = self.core.on_wakeup(self.process.scheduler.now)
-        self.process.execute(effects)
-        self._rearm()
+        # Catching up is a wake-up like any other: a peer whose timer ran
+        # out while the node was away is recorded and announced now (no
+        # later handler would: its `before` already holds the peer).
+        self._wakeup()
 
     def on_recover(self) -> None:
         # Persistent-state restart: resume the timer loop where it stood.

@@ -10,10 +10,36 @@ paper's algorithm.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.core import DetectorConfig, QueryRoundOutcome, TimeFreeDetector
 from repro.ids import ProcessId
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_python(code: str, **env: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this checkout.
+
+    ``repro`` and ``tests`` are importable, ``REPRO_PLUGINS`` is not
+    inherited (pass it in ``env``); a non-zero exit fails the test with the
+    child's stderr.
+    """
+    environ = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+    }
+    environ.pop("REPRO_PLUGINS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**environ, **env},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def make_detectors(

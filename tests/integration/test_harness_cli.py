@@ -12,6 +12,9 @@ import pytest
 from repro.experiments import t2_impact_of_f
 from repro.harness import ResultCache, run_grid, write_artifact
 from repro.harness.cli import main
+from tests.helpers import fresh_python
+
+CANONICAL = ["t1", "t2", "t3", "t4", "f1", "f2", "f3", "e1", "e2", "a1", "a2", "q1", "c1"]
 
 
 class TestCliList:
@@ -34,10 +37,7 @@ class TestCliList:
         body = [line for line in lines[1:] if line.strip()]
         assert len(body) == 13
         ids = [line.split()[0] for line in body]
-        assert ids == [
-            "t1", "t2", "t3", "t4", "f1", "f2", "f3", "e1", "e2", "a1", "a2",
-            "q1", "c1",
-        ]
+        assert ids == CANONICAL
         by_id = dict(zip(ids, body))
         assert "n×detector×trial" in by_id["t1"]
         assert "sweep×stress×detector" in by_id["f2"]
@@ -113,6 +113,72 @@ class TestCliRun:
         first = (out / "BENCH_T2.json").read_bytes()
         assert main(["run", "t2", "--out", str(out), "--quiet", "--seed", "2"]) == 0
         assert (out / "BENCH_T2.json").read_bytes() != first
+
+
+class TestExperimentResolution:
+    """`repro run EXP...` imports only the experiments it names; nothing a
+    caller can see depends on which ones happen to be loaded."""
+
+    def test_unknown_id_exits_two_and_names_every_valid_id(self, tmp_path, capsys):
+        assert main(["run", "t2", "nope", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment ids: ['nope']" in err
+        assert f"choose from {sorted(CANONICAL)}" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_ids_are_case_insensitive_and_keep_the_order_typed(self, capsys):
+        assert main(["run", "t2", "Q1", "t1", "--dry-run"]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith(" ")]
+        assert [line.split(":")[0] for line in headers] == ["t2", "q1", "t1"]
+
+    def test_no_ids_means_all_thirteen_in_canonical_order(self, capsys):
+        from repro.experiments.api import all_experiments
+
+        assert main(["run", "--dry-run"]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith(" ")]
+        assert [line.split(":")[0] for line in headers] == CANONICAL
+        assert list(all_experiments()) == CANONICAL
+
+    def test_manifest_plugin_record_of_a_distributed_run_is_unchanged(self, tmp_path):
+        shared = tmp_path / "shared"
+        argv = ["run", "t2", "-p", "f_values=[1]", "--workers-dir", str(shared),
+                "--steal", "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(argv) == 0
+        manifest = json.loads((shared / "manifest.json").read_text())
+        assert manifest["plugins"] == {"env": [], "entry_points": []}
+
+    @pytest.mark.parametrize("source", ["env", "entry_points"])
+    def test_plugin_id_resolves_where_the_registry_was_never_listed(self, source, tmp_path):
+        # A fresh interpreter: in this one some earlier test has listed the
+        # registry, and a registered `zz` would leak into every later test.
+        code = f"""
+import json
+from repro.experiments import api
+from repro.harness import cli, plugins
+from repro.harness.registry import get_spec
+
+if {source!r} == "entry_points":
+    plugins._scan_entry_points = lambda: (("lab", "tests.grid_plugin"),)
+listing = api.all_experiments
+def all_experiments():
+    raise AssertionError("the whole registry was listed")
+api.all_experiments = all_experiments
+assert cli.main(["run", "ZZ", "--dry-run"]) == 0
+assert get_spec("zz").exp_id == "zz"
+assert get_spec("q1").exp_id == "q1"
+assert cli.main(["run", "zz", "--workers-dir", {str(tmp_path / "shared")!r}, "--steal",
+                 "--out", {str(tmp_path / "out")!r}, "--quiet"]) == 0
+print(json.dumps(json.load(open({str(tmp_path / "shared" / "manifest.json")!r}))["plugins"]))
+print(json.dumps(list(listing())))
+"""
+        plugins = {"REPRO_PLUGINS": "tests.grid_plugin"} if source == "env" else {}
+        lines = fresh_python(code, **plugins).splitlines()
+        assert lines[0] == "zz: 6 cells (nothing executed)"
+        recorded = {"env": [], "entry_points": [], source: ["tests.grid_plugin"]}
+        assert json.loads(lines[-2]) == recorded
+        assert json.loads(lines[-1]) == [*CANONICAL, "zz"]
 
 
 # Small t1 cell so each detector-sweep invocation stays fast.

@@ -254,6 +254,37 @@ class TestUdpTransport:
         assert received_b[0][1].suspected == ((2, 1),)
         assert received_a and received_a[0][1].round_id == 3
 
+    def test_receive_buffer_is_sized_for_a_datagram_and_truncates_none(self):
+        # asyncio's default asks recvfrom() for 256 KiB per datagram, which
+        # glibc may serve by mmap/munmap: two page faults per datagram,
+        # half the round rate, in whichever processes the heap falls that way.
+        async def scenario():
+            from repro.core.messages import Query, encode_message
+
+            received = []
+            receiver = UdpTransport(2, ("127.0.0.1", 0), peers={})
+            receiver.set_handler(lambda src, msg: received.append(msg))
+            await receiver.start()
+            sender = UdpTransport(1, ("127.0.0.1", 0), peers={2: receiver.local_address})
+            await sender.start()
+            # close to the largest payload UDP carries (65 507 bytes)
+            big = Query(sender=1, round_id=1, mistakes=(),
+                        suspected=tuple((pid, pid) for pid in range(5200)))
+            assert 60_000 < len(encode_message(big)) <= 65_507
+            sender.send(2, big)
+            for _ in range(100):
+                if received:
+                    break
+                await asyncio.sleep(0.01)
+            size = receiver._udp.max_size
+            await sender.close()
+            await receiver.close()
+            return size, big, received
+
+        size, big, received = run(scenario())
+        assert size == 64 * 1024
+        assert received == [big]
+
     def test_unknown_peer_send_returns_false(self):
         async def scenario():
             transport = UdpTransport(1, ("127.0.0.1", 0), peers={})

@@ -162,17 +162,6 @@ class TestTimedDriver:
         assert core.wakeups[2:] == [6.0, 7.0]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "TimedDriver.on_attach (and on_recover, which calls it) runs core.on_wakeup "
-        "without the before/after snapshot _wakeup takes, and no later handler "
-        "records the change either (its `before` already holds it).  The two-line "
-        "fix moves chaos/crashrec/BENCH_Q1.json (byte 316) and "
-        "consensus/crashrec/BENCH_C1.json (byte 246): a named regeneration, "
-        "see ROADMAP."
-    ),
-)
 def test_reattach_catch_up_suspicion_is_recorded():
     scheduler, network, trace = make_world()
     process = SimProcess(1, scheduler, network, trace)
