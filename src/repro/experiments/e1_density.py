@@ -84,8 +84,8 @@ class E1Params:
         )
 
 
-#: above this size the Menger certification (one max-flow per node pair
-#: sample) is infeasible; fall back to the cheap necessary conditions
+#: above this size deciding (f+1)-connectivity (one bounded flow per node)
+#: costs more than the cell it guards; fall back to the cheap necessary conditions
 _MENGER_VALIDATION_MAX_N = 500
 
 

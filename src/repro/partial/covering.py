@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from ..errors import TopologyError
 from ..ids import ProcessId
+from ..sim.connectivity import local_node_connectivity
 from ..sim.topology import Topology
 
 __all__ = [
@@ -24,17 +25,8 @@ __all__ = [
 
 def independent_path_count(topology: Topology, a: ProcessId, b: ProcessId) -> int:
     """Number of vertex-independent paths between ``a`` and ``b``."""
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(topology.ids())
-    graph.add_edges_from(topology.edges())
-    if topology.has_edge(a, b):
-        # Local connectivity is defined for non-adjacent pairs; an edge is
-        # itself one independent path plus the non-adjacent count without it.
-        graph.remove_edge(a, b)
-        return 1 + nx.connectivity.local_node_connectivity(graph, a, b)
-    return nx.connectivity.local_node_connectivity(graph, a, b)
+    adjacency = {pid: topology.neighbors(pid) for pid in topology.ids()}
+    return local_node_connectivity(adjacency, a, b)
 
 
 def validate_f_covering(topology: Topology, f: int) -> None:
@@ -43,8 +35,8 @@ def validate_f_covering(topology: Topology, f: int) -> None:
     Also checks the derived density requirement ``d > f + 1`` the report
     states for f-covering networks.
     """
-    connectivity = topology.node_connectivity()
-    if connectivity < f + 1:
+    if not topology.is_f_covering(f):
+        connectivity = topology.node_connectivity()  # exact, for the message only
         raise TopologyError(
             f"network is not {f}-covering: node connectivity {connectivity} < {f + 1}"
         )

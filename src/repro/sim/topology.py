@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Mapping
 
 from ..errors import ConfigurationError, TopologyError
 from ..ids import ProcessId
+from . import connectivity
 
 __all__ = [
     "Topology",
@@ -169,20 +170,13 @@ class Topology:
 
     def node_connectivity(self) -> int:
         """Vertex connectivity (Menger); an f-covering net needs ``>= f + 1``."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self._adjacency)
-        graph.add_edges_from(self.edges())
-        if len(graph) == 1:
-            return 0
-        return nx.node_connectivity(graph)
+        return connectivity.node_connectivity(self._adjacency)
 
     def is_f_covering(self, f: int) -> bool:
         """Definition 3: the network is f-covering iff (f+1)-connected."""
         if f < 0:
             raise ConfigurationError(f"f must be >= 0, got {f}")
-        return self.node_connectivity() >= f + 1
+        return connectivity.is_k_connected(self._adjacency, f + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.partial import (
     validate_mobility_scenario,
 )
 from repro.sim.topology import Topology, full_mesh, ring, star
+from tests.helpers import counting
 
 
 class TestIndependentPaths:
@@ -24,6 +25,16 @@ class TestIndependentPaths:
         topo = star([0, 1, 2, 3])
         assert independent_path_count(topo, 1, 2) == 1
 
+    def test_an_edge_is_one_path_plus_the_count_without_it(self):
+        assert independent_path_count(ring(range(1, 7)), 1, 2) == 2
+        assert independent_path_count(star([0, 1, 2, 3]), 0, 1) == 1
+
+    def test_counting_leaves_the_topology_as_it_was(self):
+        topo = ring(range(1, 7))
+        edges = sorted(topo.edges())
+        independent_path_count(topo, 1, 2)
+        assert sorted(topo.edges()) == edges
+
 
 class TestValidateFCovering:
     def test_mesh_is_covering(self):
@@ -32,6 +43,20 @@ class TestValidateFCovering:
     def test_ring_fails_for_f_two(self):
         with pytest.raises(TopologyError, match="not 2-covering"):
             validate_f_covering(ring(range(1, 8)), f=2)
+
+    def test_error_reports_the_exact_connectivity(self):
+        with pytest.raises(TopologyError) as raised:
+            validate_f_covering(star(range(1, 8)), 1)
+        assert str(raised.value) == "network is not 1-covering: node connectivity 1 < 2"
+
+    def test_exact_connectivity_is_computed_only_for_the_error(self, monkeypatch):
+        exact = counting(Topology.node_connectivity)
+        monkeypatch.setattr(Topology, "node_connectivity", exact)
+        validate_f_covering(full_mesh(range(1, 8)), f=2)
+        assert exact.calls == 0
+        with pytest.raises(TopologyError, match="node connectivity 2 < 3"):
+            validate_f_covering(ring(range(1, 8)), f=2)
+        assert exact.calls == 1
 
     def test_density_requirement(self):
         # A 3-connected graph whose min degree is exactly f + 1 = 3 fails

@@ -4,13 +4,17 @@
 first access (:mod:`repro._lazy`), ``repro run EXP`` imports only the
 experiment it was given, and the process pool loads at the first
 ``workers > 1``.  The first half counts modules in fresh interpreters (sets
-and counts, no clocks: they repeat exactly); the second half checks that
-nothing about the three surfaces is observable except *when* a submodule
-loads.  Run this file after touching any ``__init__.py``.
+and counts, no clocks: they repeat exactly), at import time and after a run,
+and reads every ``import`` statement under ``src/``; the second half checks
+that nothing about the three surfaces is observable except *when* a submodule
+loads.  Run this file after touching any ``__init__.py`` or adding an
+``import`` anywhere under ``src/``.
 """
 
+import ast
 import functools
 import re
+import sys
 from importlib import import_module
 
 import pytest
@@ -78,6 +82,52 @@ def test_pool_is_imported_by_the_first_parallel_grid_and_changes_no_value():
         "assert run_grid(spec, params, workers=2).values == serial\n"
     )
     assert "concurrent.futures.process" in loaded
+
+
+# -- run time: the package is stdlib-only, as pyproject.toml says -----------
+
+def test_a_run_imports_only_the_stdlib_and_stays_small():
+    # e1 certifies a MANET as (f+1)-connected, e2 moves a node: the two grids
+    # that reach every topology routine.  The snapshot keeps whatever the
+    # environment's own .pth files preload out of the comparison.
+    out = fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from repro.harness import get_spec, run_grid\n"
+        "from tests.goldens import smoke_params\n"
+        "for name in ('e1', 'e2'):\n"
+        "    run_grid(get_spec(name), smoke_params()[name], workers=1)\n"
+        "print(len(sys.modules), *sorted(set(sys.modules) - before))\n"
+    )
+    held, *added = out.split()
+    assert "networkx" not in added
+    packages = {name.partition(".")[0] for name in added}
+    assert packages <= sys.stdlib_module_names | {"repro", "tests"}
+    assert int(held) <= 260  # 235; 538 while the f-covering check imported networkx
+
+
+def _absolute_imports(path):
+    """Top-level package of every absolute import in ``path``, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0], node.lineno
+
+
+def test_source_imports_name_only_the_stdlib_and_repro():
+    # function-level imports included: those load at run time, where the
+    # module counts above only see the grids they happen to run
+    sources = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+    assert len(sources) > 80
+    foreign = [
+        f"{path.relative_to(REPO_ROOT)}:{line}: {package}"
+        for path in sources
+        for package, line in _absolute_imports(path)
+        if package not in sys.stdlib_module_names and package != "repro"
+    ]
+    assert not foreign
 
 
 # -- transparency of the lazy surfaces ------------------------------------

@@ -93,6 +93,24 @@ class TestDensityAndConnectivity:
         with pytest.raises(ConfigurationError):
             full_mesh([1, 2]).is_f_covering(-1)
 
+    def test_zero_covering_is_connected_on_at_least_two_nodes(self):
+        assert not Topology([1]).is_f_covering(0)
+        assert Topology([1, 2], [(1, 2)]).is_f_covering(0)
+        assert not Topology([1, 2, 3], [(1, 2)]).is_f_covering(0)
+
+    def test_connectivity_follows_edge_mutation(self):
+        topo = ring(range(1, 7))
+        topo.remove_edge(1, 2)
+        assert topo.node_connectivity() == 1
+        assert not topo.is_f_covering(1)
+        topo.isolate(4)
+        assert topo.node_connectivity() == 0
+
+    def test_a_full_mesh_is_f_covering_up_to_n_minus_two(self):
+        # n <= k is never k-connected: K5 is 4-connected, not 5-connected
+        topo = full_mesh(range(1, 6))
+        assert [topo.is_f_covering(f) for f in range(6)] == [True] * 4 + [False] * 2
+
 
 class TestConstructors:
     def test_full_mesh_edge_count(self):
