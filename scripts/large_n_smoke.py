@@ -6,8 +6,9 @@ cell inside a bounded memory envelope.  The ceiling is enforced with
 ``RLIMIT_AS`` *before* the cell runs, so a memory regression fails
 with ``MemoryError`` instead of quietly leaning on a big runner — a
 per-change suspect snapshot (what the pre-columnar recorder stored, see
-``tests/reference_trace.py``) would alone blow through it.  Peak RSS is
-reported either way.
+``tests/reference_trace.py``) would alone blow through it.  Peak RSS and
+``VmPeak`` (the address space ``RLIMIT_AS`` actually bounds; CI's ceiling is
+set to about 1.5 x the value printed here) are reported either way.
 
 Usage: python scripts/large_n_smoke.py [--exp e1] [--cell 0] [--limit-gb 2.0]
 """
@@ -50,8 +51,20 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"[large-n] ok in {elapsed:.1f}s, peak RSS {peak_mib:.0f} MiB, "
-          f"value keys {sorted(value)}")
+          f"VmPeak {_vm_peak_mib():.0f} MiB, value keys {sorted(value)}")
     return 0
+
+
+def _vm_peak_mib() -> float:
+    """Peak address-space size from ``/proc/self/status`` (Linux; nan elsewhere)."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmPeak:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return float("nan")
 
 
 if __name__ == "__main__":

@@ -140,8 +140,8 @@ class TimeFreeDetector(FailureDetector):
         self._extra_consumer = extra_consumer
         self._round_id = 0
         self._collecting = False
-        self._responders: list[ProcessId] = []
-        self._responder_set: set[ProcessId] = set()
+        #: this round's responders as keys (``QueryDetectorCore``'s responder contract)
+        self._responders: dict[ProcessId, None] = {}
         self._rounds_completed = 0
         #: quorum is config-constant; cached off the property chain because
         #: quorum_reached runs once per received response.
@@ -210,8 +210,7 @@ class TimeFreeDetector(FailureDetector):
         self._collecting = True
         # The node hears its own query and its own response is always among
         # the first n - f (Section 4.1), so it is accounted immediately.
-        self._responders = [self.process_id]
-        self._responder_set = {self.process_id}
+        self._responders = {self.process_id: None}
         query = Query(
             sender=self.process_id,
             round_id=self._round_id,
@@ -228,18 +227,16 @@ class TimeFreeDetector(FailureDetector):
         responses are ignored — each query-response pair is uniquely
         identified by ``round_id``.
 
-        Accounting a response never touches the suspicion state (merging
-        happens on queries only) — drivers rely on this to skip their
-        before/after suspect-set comparison on the response hot path.
+        Accounting a response never touches the suspicion state (the
+        contract on :class:`repro.sim.node.QueryDetectorCore`).
         """
         if self._extra_consumer is not None and response.extra:
             self._extra_consumer(response.sender, response.extra_payload())
         if not self._collecting or response.round_id != self._round_id:
             return False
-        if response.sender in self._responder_set:
+        if response.sender in self._responders:
             return False
-        self._responder_set.add(response.sender)
-        self._responders.append(response.sender)
+        self._responders[response.sender] = None
         return True
 
     def quorum_reached(self) -> bool:
@@ -262,8 +259,8 @@ class TimeFreeDetector(FailureDetector):
                 f"{len(self._responders)}/{self._config.quorum} responses; "
                 "cannot terminate the query before the quorum (line 7)"
             )
-        rec_from = self._responder_set
-        winners = frozenset(self._responders[: self._quorum])
+        rec_from = self._responders
+        responders = tuple(rec_from)
         newly: list[ProcessId] = []
         # Line 9: known processes (here: the static membership) that did not
         # respond and are not already suspected become suspected.  Iterating
@@ -278,8 +275,8 @@ class TimeFreeDetector(FailureDetector):
         counter_after = self._state.end_round()
         outcome = QueryRoundOutcome(
             round_id=self._round_id,
-            responders=tuple(self._responders),
-            winners=winners,
+            responders=responders,
+            winners=frozenset(responders[: self._quorum]),
             newly_suspected=tuple(newly),
             counter_after=counter_after,
             suspects_after=self.suspects(),
@@ -296,8 +293,7 @@ class TimeFreeDetector(FailureDetector):
         orderly shutdown.
         """
         self._collecting = False
-        self._responders = []
-        self._responder_set = set()
+        self._responders = {}
 
     # ------------------------------------------------------------------
     # task T2: serving queries

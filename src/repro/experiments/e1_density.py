@@ -124,13 +124,16 @@ def run_cell(params: E1Params, coords: dict, seed: int) -> dict:
         end=params.crash_window[1],
     )
     setup = setup_for(coords["detector"]).with_(label=_label(coords["detector"]))
+    actual_d = topology.range_density()
     if setup.kind == "partial":
         # The partial detector's quorum is d - f; d must be the topology's
         # actual range density.
-        setup = setup.with_(grace=1.0, d=topology.range_density())
+        setup = setup.with_(grace=1.0, d=actual_d)
+    # run_scenario's hand-over rule: the validated original is dropped here
+    topology = topology.copy()
     cluster = run_scenario(
         setup=setup,
-        topology=topology.copy(),
+        topology=topology,
         f=params.f,
         horizon=params.horizon,
         fault_plan=plan,
@@ -138,7 +141,7 @@ def run_cell(params: E1Params, coords: dict, seed: int) -> dict:
     )
     stats = all_detection_stats(cluster.trace, plan, cluster.membership)
     return {
-        "actual_d": topology.range_density(),
+        "actual_d": actual_d,
         "latencies": [
             latency for stat in stats for latency in stat.latencies.values()
         ],

@@ -132,15 +132,18 @@ def run_cell(params: E2Params, coords: dict, seed: int) -> dict:
             )
         ]
     )
+    d = topology.range_density()
     setup = setup_for(params.detector).with_(
         label=_VARIANTS[coords["variant"]],
         grace=1.0,
-        d=topology.range_density(),
+        d=d,
         mobility=coords["variant"] == "alg2",
     )
+    # run_scenario's hand-over rule: the validated original is dropped here
+    topology = topology.copy()
     cluster = run_scenario(
         setup=setup,
-        topology=topology.copy(),
+        topology=topology,
         f=params.f,
         horizon=params.horizon,
         fault_plan=plan,
@@ -149,7 +152,7 @@ def run_cell(params: E2Params, coords: dict, seed: int) -> dict:
     series = false_suspicion_series(cluster.trace, _sample_times(params), plan)
     return {
         "mover": mover,
-        "d": topology.range_density(),
+        "d": d,
         "series": [[t, count] for t, count in series],
     }
 

@@ -348,7 +348,13 @@ def run_scenario(
     loss_rate: float = 0.0,
     start_stagger: float | None = None,
 ) -> SimCluster:
-    """Build the cluster, run it to ``horizon``, return it (trace inside)."""
+    """Build the cluster, run it to ``horizon``, return it (trace inside).
+
+    Hand-over rule (docs/scenarios.md): ``topology`` becomes the cluster's graph
+    (mobility faults rewire it) and should be the caller's only live one.  A cell
+    reads what it reports about the graph it validated first, then passes
+    ``Topology.copy()`` (the edge replay the goldens' bytes rest on) and drops it.
+    """
     setup = setup_for(setup)
     if latency is None:
         latency = ExponentialLatency(mean=0.001)  # the paper's δ ≈ 1 ms

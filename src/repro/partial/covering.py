@@ -77,7 +77,7 @@ def validate_f_covering_fast(topology: Topology, f: int) -> None:
             f"network is not {f}-covering: it is disconnected "
             f"({len(seen)}/{len(ids)} nodes reachable)"
         )
-    min_degree = min(len(topology.neighbors(pid)) for pid in ids)
+    min_degree = min(topology.degree(pid) for pid in ids)
     if min_degree < f + 1:
         raise TopologyError(
             f"network cannot be {f}-covering: minimum degree {min_degree} < {f + 1}"

@@ -65,8 +65,8 @@ class PartialDetectorConfig:
 class PartialTimeFreeDetector(FailureDetector):
     """Sans-I/O detector for unknown, partially-connected networks.
 
-    Satisfies the same driver protocol as the core detector, so
-    :class:`repro.sim.node.QueryResponseDriver` hosts both.
+    Satisfies :class:`repro.sim.node.QueryDetectorCore` (the responder
+    contract is stated there), so ``QueryResponseDriver`` hosts both cores.
     """
 
     def __init__(self, config: PartialDetectorConfig, *, mobility: bool = True) -> None:
@@ -76,8 +76,7 @@ class PartialTimeFreeDetector(FailureDetector):
         self._mobility = mobility
         self._round_id = 0
         self._collecting = False
-        self._responders: list[ProcessId] = []
-        self._responder_set: set[ProcessId] = set()
+        self._responders: dict[ProcessId, None] = {}
         self._rounds_completed = 0
         # Config-constant, cached off the property chain (checked per response).
         self._quorum = config.quorum
@@ -128,8 +127,7 @@ class PartialTimeFreeDetector(FailureDetector):
             )
         self._round_id += 1
         self._collecting = True
-        self._responders = [self.process_id]
-        self._responder_set = {self.process_id}
+        self._responders = {self.process_id: None}
         query = Query(
             sender=self.process_id,
             round_id=self._round_id,
@@ -141,10 +139,9 @@ class PartialTimeFreeDetector(FailureDetector):
     def on_response(self, response: Response) -> bool:
         if not self._collecting or response.round_id != self._round_id:
             return False
-        if response.sender in self._responder_set:
+        if response.sender in self._responders:
             return False
-        self._responder_set.add(response.sender)
-        self._responders.append(response.sender)
+        self._responders[response.sender] = None
         return True
 
     def quorum_reached(self) -> bool:
@@ -161,18 +158,18 @@ class PartialTimeFreeDetector(FailureDetector):
         newly: list[ProcessId] = []
         # Line 9: only *known* processes can be suspected.  In steady state
         # every known process responded, so the common case sorts nothing.
-        missing = self._known - self._responder_set
+        missing = self._known.difference(self._responders)
         if missing:
             for pj in sorted(missing, key=repr):
                 result = self._state.suspect_locally(pj)
                 if result.outcome is MergeOutcome.SUSPICION_ADOPTED:
                     newly.append(pj)
         counter_after = self._state.end_round()
-        winners = frozenset(self._responders[: self._quorum])
+        responders = tuple(self._responders)
         outcome = QueryRoundOutcome(
             round_id=self._round_id,
-            responders=tuple(self._responders),
-            winners=winners,
+            responders=responders,
+            winners=frozenset(responders[: self._quorum]),
             newly_suspected=tuple(newly),
             counter_after=counter_after,
             suspects_after=self.suspects(),
@@ -183,8 +180,7 @@ class PartialTimeFreeDetector(FailureDetector):
 
     def abort_round(self) -> None:
         self._collecting = False
-        self._responders = []
-        self._responder_set = set()
+        self._responders = {}
 
     # -- task T2 -----------------------------------------------------------
     def on_query(self, query: Query) -> SendTo | None:

@@ -83,10 +83,13 @@ class QueryDetectorCore(Protocol):
     Satisfied by :class:`repro.core.protocol.TimeFreeDetector` and
     :class:`repro.partial.protocol.PartialTimeFreeDetector`.
 
-    Contract: :meth:`on_response` never changes the suspect set — merging
-    happens in :meth:`on_query` (batched) and :meth:`finish_round` only.
-    Drivers and the runtime service exploit this to skip suspicion-change
-    detection on the response hot path.
+    Responder contract, shared by both cores: a round's responders live in
+    one structure ordered by first arrival, the issuing process first (hence
+    ``QueryRoundOutcome.responders`` and ``winners``, its first ``quorum``);
+    duplicates and other rounds' responses do not count; :meth:`abort_round`
+    empties it.  :meth:`on_response` never changes the suspect set (merging
+    happens in :meth:`on_query` and :meth:`finish_round` only), so drivers and
+    the runtime service skip suspicion-change detection on the response path.
     """
 
     @property

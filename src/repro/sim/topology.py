@@ -48,9 +48,7 @@ class Topology:
         transmission_range: float | None = None,
     ) -> None:
         self._adjacency: dict[ProcessId, set[ProcessId]] = {pid: set() for pid in ids}
-        #: per-node caches of the neighborhood, rebuilt lazily after edge
-        #: mutations (the network's hot path reads them once per message).
-        self._frozen_cache: dict[ProcessId, frozenset[ProcessId]] = {}
+        #: per-node broadcast order, rebuilt lazily after edge mutations
         self._sorted_cache: dict[ProcessId, tuple[ProcessId, ...]] = {}
         if not self._adjacency:
             raise ConfigurationError("topology must contain at least one node")
@@ -71,15 +69,11 @@ class Topology:
         return pid in self._adjacency
 
     def neighbors(self, pid: ProcessId) -> frozenset[ProcessId]:
-        cached = self._frozen_cache.get(pid)
-        if cached is not None:
-            return cached
+        """A snapshot of the neighborhood, built per call (no per-message path reads it)."""
         try:
-            nbrs = self._adjacency[pid]
+            return frozenset(self._adjacency[pid])
         except KeyError:
             raise TopologyError(f"unknown node {pid!r}") from None
-        cached = self._frozen_cache[pid] = frozenset(nbrs)
-        return cached
 
     def sorted_neighbors(self, pid: ProcessId) -> tuple[ProcessId, ...]:
         """The neighborhood in canonical (repr) order, cached.
@@ -99,9 +93,8 @@ class Topology:
         return cached
 
     def _invalidate(self, a: ProcessId, b: ProcessId) -> None:
-        for cache in (self._frozen_cache, self._sorted_cache):
-            cache.pop(a, None)
-            cache.pop(b, None)
+        self._sorted_cache.pop(a, None)
+        self._sorted_cache.pop(b, None)
 
     def degree(self, pid: ProcessId) -> int:
         return len(self._adjacency[pid])

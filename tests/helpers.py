@@ -10,6 +10,7 @@ paper's algorithm.
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -20,6 +21,12 @@ from repro.core import DetectorConfig, QueryRoundOutcome, TimeFreeDetector
 from repro.ids import ProcessId
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: ``repro run t2`` overrides for CLI tests that assert on flags, exit codes,
+#: cache counts and byte-identity, not on t2's numbers: still four cells (the
+#: default grid's size, so "4/4 done" and "(4 cached)" read the same) at n = 8,
+#: 0.04 s from a cold cache where the default n = 30 grid takes 1.3 s
+SMALL_T2 = ["-p", "n=8", "-p", "f_values=[1,2,3,4]", "-p", "horizon=12.0", "-p", "crash_at=4.0"]
 
 
 def fresh_python(code: str, **env: str) -> str:
@@ -40,6 +47,11 @@ def fresh_python(code: str, **env: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def live_instances(cls: type) -> int:
+    """Instances of exactly ``cls`` the collector tracks (callers collect first, or not)."""
+    return sum(type(obj) is cls for obj in gc.get_objects())
 
 
 def make_detectors(

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.harness.cache import cache_key
 from repro.harness.cli import main
 from repro.harness.registry import all_specs, get_spec
 from tests.goldens import smoke_params
+from tests.helpers import SMALL_T2
 from tests.integration.test_experiment_conformance import _smoke_run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -159,9 +161,13 @@ class TestWorkerLossResume:
         """SIGKILL a real worker subprocess mid-cell; a second worker
         inherits the expired lease and the artifact is byte-identical to
         an uninterrupted single-host run."""
-        from tests.grid_plugin import ZzParams
+        from tests import grid_plugin
 
-        params = ZzParams(sleep=0.4)
+        # The sleep exists to hold the victim subprocess inside a cell; the
+        # value never depends on it, so the two in-process runs (the reference
+        # and the rescuer) skip it: 11 cells x 0.4 s this test used to wait for.
+        monkeypatch.setattr(grid_plugin, "time", SimpleNamespace(sleep=lambda seconds: None))
+        params = grid_plugin.ZzParams(sleep=0.4)
         golden = single_host_artifact("zz", params, tmp_path / "golden").read_bytes()
         workers = tmp_path / "workers"
         env = dict(
@@ -250,13 +256,13 @@ class TestJoinValidation:
 class TestCliDistributed:
     def test_steal_run_status_and_reap(self, tmp_path, capsys):
         out = tmp_path / "single"
-        assert main(["run", "t2", "--out", str(out), "--quiet"]) == 0
+        assert main(["run", "t2", *SMALL_T2, "--out", str(out), "--quiet"]) == 0
         golden = (out / "BENCH_T2.json").read_bytes()
         capsys.readouterr()
 
         workers = tmp_path / "workers"
         dist = tmp_path / "dist"
-        assert main(["run", "t2", "--workers-dir", str(workers), "--steal",
+        assert main(["run", "t2", *SMALL_T2, "--workers-dir", str(workers), "--steal",
                      "--out", str(dist), "--quiet"]) == 0
         summary = capsys.readouterr().out
         assert "grid 4/4 done" in summary
@@ -272,11 +278,11 @@ class TestCliDistributed:
 
     def test_static_shards_via_cli(self, tmp_path, capsys):
         out = tmp_path / "single"
-        assert main(["run", "t2", "--out", str(out), "--quiet"]) == 0
+        assert main(["run", "t2", *SMALL_T2, "--out", str(out), "--quiet"]) == 0
         golden = (out / "BENCH_T2.json").read_bytes()
         workers = tmp_path / "workers"
         dist = tmp_path / "dist"
-        base = ["run", "t2", "--workers-dir", str(workers),
+        base = ["run", "t2", *SMALL_T2, "--workers-dir", str(workers),
                 "--out", str(dist), "--quiet"]
         assert main(base + ["--worker-id", "1/2"]) == 0
         assert not (dist / "BENCH_T2.json").exists()

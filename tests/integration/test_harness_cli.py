@@ -12,7 +12,7 @@ import pytest
 from repro.experiments import t2_impact_of_f
 from repro.harness import ResultCache, run_grid, write_artifact
 from repro.harness.cli import main
-from tests.helpers import fresh_python
+from tests.helpers import SMALL_T2, fresh_python
 
 CANONICAL = ["t1", "t2", "t3", "t4", "f1", "f2", "f3", "e1", "e2", "a1", "a2", "q1", "c1"]
 
@@ -91,7 +91,7 @@ class TestCliRun:
 
     def test_run_writes_artifact_and_caches(self, tmp_path, capsys):
         out = tmp_path / "results"
-        argv = ["run", "t2", "--workers", "2", "--out", str(out), "--quiet"]
+        argv = ["run", "t2", *SMALL_T2, "--workers", "2", "--out", str(out), "--quiet"]
         assert main(argv) == 0
         artifact = out / "BENCH_T2.json"
         first = artifact.read_bytes()
@@ -109,9 +109,10 @@ class TestCliRun:
 
     def test_seed_override_changes_results(self, tmp_path):
         out = tmp_path / "results"
-        assert main(["run", "t2", "--out", str(out), "--quiet"]) == 0
+        argv = ["run", "t2", *SMALL_T2, "--out", str(out), "--quiet"]
+        assert main(argv) == 0
         first = (out / "BENCH_T2.json").read_bytes()
-        assert main(["run", "t2", "--out", str(out), "--quiet", "--seed", "2"]) == 0
+        assert main(argv + ["--seed", "2"]) == 0
         assert (out / "BENCH_T2.json").read_bytes() != first
 
 

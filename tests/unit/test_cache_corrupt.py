@@ -15,6 +15,7 @@ from repro.harness.cli import main
 from repro.harness.registry import get_spec
 from repro.harness.spec import cell_seed
 from tests.goldens import smoke_params
+from tests.helpers import SMALL_T2
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ class TestCli:
 
     def test_run_summary_reports_recomputed_corrupt_entries(self, tmp_path, capsys):
         out = tmp_path / "results"
-        argv = ["run", "t2", "--out", str(out), "--quiet"]
+        argv = ["run", "t2", *SMALL_T2, "--out", str(out), "--quiet"]
         assert main(argv) == 0
         capsys.readouterr()
         # Corrupt every cached entry, then rerun: the summary must say so.

@@ -252,6 +252,19 @@ class TestNeighborCaches:
         assert topo.sorted_neighbors(1) == (3,)
         assert topo.neighbors(2) == frozenset({3})
 
+    def test_neighbors_is_built_per_call_from_the_live_adjacency(self):
+        topo = full_mesh([1, 2, 3, 4])
+        # one adjacency set per node and the broadcast order: no frozenset copy
+        assert set(vars(topo)) == {"_adjacency", "_sorted_cache", "positions", "transmission_range"}
+        assert topo.neighbors(1) == topo.neighbors(1) == frozenset({2, 3, 4})
+        assert topo.neighbors(1) is not topo.neighbors(1)
+        topo.remove_edge(1, 2)
+        assert topo.neighbors(1) == frozenset({3, 4})
+        former = topo.isolate(1)
+        assert former == frozenset({3, 4}) and topo.neighbors(1) == frozenset()
+        topo.add_edge(1, 2)
+        assert topo.neighbors(1) == frozenset({2}) and topo.neighbors(2) == frozenset({1, 3, 4})
+
     def test_caches_invalidated_through_isolate_and_connect(self):
         topo = full_mesh([1, 2, 3, 4])
         former = topo.isolate(2)
