@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check relative markdown links (and their #anchors) in the docs tree.
 
-Scans README.md and docs/*.md for inline links, resolves relative targets
+Scans README.md and docs/**/*.md for inline links, resolves relative targets
 against the linking file, and fails when a target file — or a heading
 anchor within it — does not exist.  External (http/mailto) links are not
 fetched: CI must not flake on the network.  Stdlib only.
@@ -45,7 +45,7 @@ def anchors_in(path: Path, cache: dict[Path, set[str]]) -> set[str]:
 
 
 def check(root: Path) -> list[str]:
-    sources = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+    sources = [root / "README.md", *sorted((root / "docs").rglob("*.md"))]
     errors: list[str] = []
     cache: dict[Path, set[str]] = {}
     for source in sources:
@@ -80,7 +80,7 @@ def main() -> int:
     errors = check(root)
     for error in errors:
         print(error, file=sys.stderr)
-    sources = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+    sources = [root / "README.md", *sorted((root / "docs").rglob("*.md"))]
     checked = sum(1 for p in sources if p.is_file())
     print(f"checked {checked} file(s): {len(errors)} broken link(s)")
     return 1 if errors else 0

@@ -132,6 +132,13 @@ class ConsensusNodeDriver:
     def suspects(self) -> frozenset:
         return self.fd_driver.suspects()
 
+    def release(self) -> None:
+        """Drop the edges back to this node's detector driver and to the harness."""
+        self.fd_driver.suspicion_listeners.clear()
+        getattr(self.fd_driver, "round_listeners", []).clear()
+        self._participant_factory = self._proposal_for = None  # type: ignore[assignment]
+        self._on_propose = self._on_decide = None
+
     # -- consensus plumbing ---------------------------------------------------
     def _deliver(self, instance: int, src: ProcessId, payload: Any) -> None:
         participant = self.participants.get(instance)
@@ -424,6 +431,10 @@ class ConsensusHarness:
             instances=[self._outcomes[k] for k in sorted(self._outcomes)],
         )
         self._drivers: dict[ProcessId, ConsensusNodeDriver] = {}
+        #: every driver built, including those a volatile restart replaced
+        #: in `_drivers` (their callbacks may still be scheduled): released
+        #: after the run
+        self._built: list[ConsensusNodeDriver] = []
 
         def composite_factory(process: SimProcess, cluster: SimCluster):
             fd_driver = fd_factory(process, cluster)
@@ -459,6 +470,7 @@ class ConsensusHarness:
                         )
                     )
             self._drivers[process.pid] = driver
+            self._built.append(driver)
             return driver
 
         self.cluster = SimCluster(
@@ -496,6 +508,12 @@ class ConsensusHarness:
             self.result.decision_times.setdefault(pid, time)
 
     def run(self, until: float) -> ConsensusRunResult:
+        """Run to ``until`` and fill the ledger; a harness runs once.
+
+        The cluster is closed and every driver released once the
+        participants are read, so nothing the run built outlives it in a
+        reference cycle.
+        """
         self.cluster.run(until=until)
         for pid, driver in self._drivers.items():
             for instance, participant in driver.participants.items():
@@ -507,4 +525,7 @@ class ConsensusHarness:
                 if participant.decision_round is not None:
                     outcome.decision_rounds[pid] = participant.decision_round
         self.result.rounds_executed = dict(self._outcomes[1].rounds_executed)
+        self.cluster.close()
+        for driver in self._built:
+            driver.release()
         return self.result

@@ -350,6 +350,8 @@ def run_scenario(
 ) -> SimCluster:
     """Build the cluster, run it to ``horizon``, return it (trace inside).
 
+    The cluster comes back closed (:meth:`SimCluster.close`): its trace,
+    ``drivers`` and ``suspects_of`` read as before, and it cannot run again.
     Hand-over rule (docs/scenarios.md): ``topology`` becomes the cluster's graph
     (mobility faults rewire it) and should be the caller's only live one.  A cell
     reads what it reports about the graph it validated first, then passes
@@ -372,4 +374,5 @@ def run_scenario(
         start_stagger=start_stagger,
     )
     cluster.run(until=horizon)
+    cluster.close()
     return cluster

@@ -73,7 +73,8 @@ class SimCluster:
             trace=self.trace,
             bursts=self.fault_plan.bursts,
         )
-        self._driver_factory = driver_factory
+        #: None once :meth:`close` has run
+        self._driver_factory: DriverFactory | None = driver_factory
         self.processes: dict[ProcessId, SimProcess] = {}
         self.drivers: dict[ProcessId, object] = {}
         for pid in sorted(self.membership, key=repr):
@@ -194,7 +195,24 @@ class SimCluster:
     # ------------------------------------------------------------------
     def run(self, until: float) -> None:
         """Advance virtual time to ``until``."""
+        if self._driver_factory is None:
+            raise SimulationError("the cluster is closed: it cannot run again")
         self.scheduler.run(until=until)
+
+    def close(self) -> None:
+        """Tear the cluster down once it has run; a second call is a no-op.
+
+        Breaks its reference cycles (process <-> driver, the network's
+        handler maps, pending events' callbacks, and a driver factory that
+        may close over its caller), so a finished cluster is freed by
+        refcounting.  The trace, ``membership``, ``correct_processes()``,
+        ``drivers`` and ``suspects_of`` stay readable; :meth:`run` raises.
+        """
+        self.scheduler.clear()
+        self.network.unregister_all()
+        for process in self.processes.values():
+            process.driver = None
+        self._driver_factory = None
 
     def suspects_of(self, pid: ProcessId) -> frozenset[ProcessId]:
         return self.drivers[pid].suspects()  # type: ignore[attr-defined]

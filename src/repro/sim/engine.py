@@ -458,6 +458,26 @@ class Scheduler:
         """Make the running :meth:`run` return after the current event."""
         self._stopped = True
 
+    def clear(self) -> None:
+        """Drop every pending event; :attr:`now` and :attr:`events_processed` stay.
+
+        Pending events end cancelled without a generation bump, so their
+        outstanding handles read neither fired nor cancellable.  Emptying the
+        free list too leaves no ``_Event`` (each holds ``owner``) reachable
+        from here: a finished simulation is then freed by refcounting alone.
+        """
+        if self._active is not None:
+            raise SimulationError("clear() while run() is draining a slot")
+        for slot in (*self._l0, *self._l1, [entry[2] for entry in self._spill]):
+            for event in slot:
+                event.state = _CANCELLED
+                event.callback = None  # type: ignore[assignment]
+                event.args = ()
+            slot.clear()
+        self._spill.clear()
+        self._free.clear()
+        self._live = self._dead = self._l0_count = self._l1_count = 0
+
     # -- internal maintenance -------------------------------------------
     def _recycle(self, event: _Event) -> None:
         event.gen += 1

@@ -108,6 +108,11 @@ class SimNetwork:
         if pid not in self._detached:
             self._live_handlers[pid] = handler
 
+    def unregister_all(self) -> None:
+        """Drop every delivery callback (they are bound methods of drivers)."""
+        self._handlers.clear()
+        self._live_handlers.clear()
+
     # -- mobility ---------------------------------------------------------
     def detach(self, pid: ProcessId) -> None:
         """The node leaves the network (mobility): no send, no receive."""

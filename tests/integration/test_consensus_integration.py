@@ -3,7 +3,7 @@
 import pytest
 
 from repro.consensus import ConsensusHarness
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim import ExponentialLatency
 from repro.sim.faults import CrashFault, FaultPlan
 
@@ -104,3 +104,20 @@ class TestConfigValidation:
     def test_missing_proposits_rejected(self):
         with pytest.raises(ConfigurationError):
             ConsensusHarness(n=3, f=1, proposals={1: "a"})
+
+
+class TestTeardown:
+    def test_a_harness_runs_once(self):
+        runner = harness()
+        result = runner.run(until=5.0)
+        assert result.all_correct_decided
+        assert runner.cluster.trace.messages_total > 0
+        with pytest.raises(SimulationError, match="closed"):
+            runner.run(until=10.0)
+
+    def test_every_node_driver_is_released(self):
+        runner = harness()
+        runner.run(until=5.0)
+        for driver in runner._built:
+            assert driver.fd_driver.suspicion_listeners == []
+            assert driver._proposal_for is None and driver._on_decide is None

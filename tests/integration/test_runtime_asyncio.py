@@ -6,6 +6,7 @@ which the GIL makes unreliable (quantitative timing lives on the DES).
 """
 
 import asyncio
+import gc
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.runtime import (
     UdpTransport,
 )
 from repro.sim.latency import ConstantLatency
+from tests.helpers import live_instances
 
 
 def run(coro):
@@ -434,3 +436,27 @@ class TestUdpTransport:
         assert after_query == 1
         assert encoded == [query, response]
         assert received == [query] * 6 + [response]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a stopped LocalCluster is cyclic garbage: with the collector off its "
+    "DetectorServices outlive it (n = 6 over MemoryHub: 6 services and ≈ 150 "
+    "objects that only gc.collect() frees; asyncio.run alone leaves none); its "
+    "edges are not attributed yet (ROADMAP, runtime robustness)",
+)
+def test_stopped_cluster_is_freed_without_gc():
+    async def scenario():
+        cluster = LocalCluster(n=6, f=1, latency=ConstantLatency(0.001), seed=5)
+        await cluster.start()
+        await asyncio.sleep(0.2)
+        await cluster.stop()
+
+    gc.collect()
+    before = live_instances(DetectorService)
+    gc.disable()
+    try:
+        run(scenario())
+        assert live_instances(DetectorService) == before
+    finally:
+        gc.enable()

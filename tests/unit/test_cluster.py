@@ -4,13 +4,16 @@ import gc
 
 import pytest
 
+from repro.consensus import ConsensusHarness
 from repro.errors import ConfigurationError, SimulationError
-from repro.harness import get_spec
+from repro.experiments.scenarios import run_scenario, setup_for
+from repro.harness import get_spec, run_grid
 from repro.sim import ConstantLatency, QueryPacing, SimCluster, SimProcess
 from repro.sim.cluster import time_free_driver_factory
+from repro.sim.engine import Scheduler
 from repro.sim.faults import CrashFault, FaultPlan, MobilityFault
 from repro.sim.topology import Topology, full_mesh, random_geometric
-from tests.goldens import smoke_params
+from tests.goldens import chaos_params, consensus_params, smoke_params
 from tests.helpers import ScriptedUniform, live_instances
 
 
@@ -151,20 +154,80 @@ class TestElectorDiscovery:
         assert set(cluster.electors()) == cluster.membership
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a finished SimCluster is cyclic garbage (process <-> driver, "
-    "SimNetwork._live_handlers' bound methods, pending events' callbacks): "
-    "refcounting frees nothing when run_cell returns, so a serial grid holds the "
-    "previous cell until a gen-2 collection runs (ROADMAP, correctness findings)",
-)
-def test_finished_cluster_is_freed_without_gc():
-    spec, params = get_spec("e1"), smoke_params()["e1"]
+def lossy_cell():
+    """An a2-shaped ``run_scenario`` (retries, loss, a crash)."""
+    setup = setup_for("time-free").with_(grace=0.2, idle=0.1, retry=0.3)
+    return run_scenario(
+        setup=setup, n=6, f=1, horizon=6.0, seed=3, loss_rate=0.2,
+        fault_plan=FaultPlan.of(crashes=[CrashFault(6, 2.0)]),
+    )
+
+
+def trace_state(trace):
+    return (
+        trace.suspicion_changes, trace.rounds, trace.crashes,
+        trace.messages_by_kind, trace.messages_total, trace.messages_dropped,
+    )
+
+
+class TestClose:
+    def test_what_a_cell_reads_survives_close(self, monkeypatch):
+        closed = lossy_cell()
+        monkeypatch.setattr(SimCluster, "close", lambda self: None)
+        twin = lossy_cell()
+        assert twin.scheduler.pending_events() > 0  # the twin really is open
+        assert closed.scheduler.pending_events() == 0
+        assert trace_state(closed.trace) == trace_state(twin.trace)
+        assert closed.correct_processes() == twin.correct_processes()
+        assert closed.membership == twin.membership
+        retries = {pid: d.retries_sent for pid, d in closed.drivers.items()}
+        assert retries == {pid: d.retries_sent for pid, d in twin.drivers.items()}
+        assert sum(retries.values()) > 0
+        for pid in closed.membership:
+            assert closed.suspects_of(pid) == twin.suspects_of(pid)
+        assert closed.scheduler.now == twin.scheduler.now
+        assert closed.scheduler.events_processed == twin.scheduler.events_processed
+
+    def test_second_close_is_a_no_op(self):
+        cluster = lossy_cell()
+        state = trace_state(cluster.trace)
+        cluster.close()
+        assert trace_state(cluster.trace) == state
+        assert cluster.scheduler.pending_events() == 0
+
+    def test_a_closed_cluster_does_not_run(self):
+        cluster = lossy_cell()
+        with pytest.raises(SimulationError, match="closed"):
+            cluster.run(until=10.0)
+        assert cluster.scheduler.now == 6.0
+
+
+#: the 22 golden grids, as (experiment, smoke params)
+GOLDEN_JOBS = [
+    *(pytest.param(exp_id, p, id=exp_id) for exp_id, p in smoke_params().items()),
+    *(pytest.param("q1", p, id=f"q1-{name}") for name, p in chaos_params().items()),
+    *(pytest.param("c1", p, id=f"c1-{name}") for name, p in consensus_params().items()),
+]
+
+
+@pytest.fixture(scope="module")
+def imports_warm():
+    # A process's first grid imports plugin discovery (importlib.metadata,
+    # socket, datetime), which leaves a few hundred cyclic objects of its own.
+    run_grid(get_spec("t1"), smoke_params()["t1"])
+
+
+@pytest.mark.parametrize("exp_id, params", GOLDEN_JOBS)
+def test_finished_cluster_is_freed_without_gc(imports_warm, exp_id, params):
+    """Refcounting alone frees every cell of a golden grid: no cyclic garbage."""
+    kinds = (SimProcess, SimCluster, Scheduler, ConsensusHarness)
+    spec = get_spec(exp_id)
     gc.collect()
-    before = live_instances(SimProcess)
+    before = [live_instances(kind) for kind in kinds]
     gc.disable()
     try:
-        spec.run_cell(params, spec.grid(params)[0], 0)  # the value is dropped here
-        assert live_instances(SimProcess) == before
+        run_grid(spec, params)
+        assert [live_instances(kind) for kind in kinds] == before
+        assert gc.collect() == 0
     finally:
         gc.enable()

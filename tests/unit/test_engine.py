@@ -179,6 +179,76 @@ class TestCancellation:
         assert fired == []
 
 
+class TestClear:
+    """`clear()` ends a simulation: nothing pending, nothing reachable, the clock kept."""
+
+    def loaded(self):
+        from repro.sim.engine import _QUANTUM, _L0_SIZE, _SPAN
+
+        scheduler = Scheduler()
+        fired = []
+        scheduler.schedule_at(0.5, fired.append, "early")
+        scheduler.run(until=1.0)
+        # One pending event per tier (level 0, level 1, spill) plus a cancelled one.
+        offsets = (_QUANTUM * 3, _QUANTUM * _L0_SIZE * 4, _QUANTUM * _SPAN * 3)
+        handles = [scheduler.schedule_after(dt, fired.append, dt) for dt in offsets]
+        handles[0].cancel()
+        handles.append(scheduler.schedule_at(scheduler.now, fired.append, "now"))
+        return scheduler, fired, handles
+
+    def test_nothing_is_pending_or_recycled(self):
+        scheduler, fired, _handles = self.loaded()
+        scheduler.clear()
+        assert scheduler.pending_events() == 0
+        assert scheduler._free == [] and scheduler._spill == []
+        assert scheduler._l0_count == scheduler._l1_count == scheduler._dead == 0
+        assert not any(scheduler._l0) and not any(scheduler._l1)
+        assert scheduler.run() == 0
+        assert fired == ["early"]
+
+    def test_outstanding_handles_neither_cancel_nor_fire(self):
+        scheduler, _fired, handles = self.loaded()
+        scheduler.clear()
+        assert [handle.cancel() for handle in handles] == [False] * len(handles)
+        assert [handle.fired for handle in handles] == [False] * len(handles)
+        assert scheduler.pending_events() == 0
+        scheduler.schedule_at(2.0, lambda: None)
+        assert scheduler.pending_events() == 1
+
+    def test_clock_and_counter_are_kept(self):
+        scheduler, _fired, _handles = self.loaded()
+        scheduler.clear()
+        assert scheduler.now == 1.0
+        assert scheduler.events_processed == 1
+
+    def test_events_scheduled_after_a_clear_fire_in_time_seq_order(self):
+        from repro.sim.engine import _QUANTUM, _SPAN
+
+        scheduler, fired, _handles = self.loaded()
+        scheduler.clear()
+        del fired[:]
+        times = [1.0, 3.0, 1.0 + _QUANTUM * _SPAN * 2, 1.0, 1.5, 3.0]
+        for index, time in enumerate(times):
+            scheduler.schedule_at(time, fired.append, index)
+        scheduler.run()
+        assert fired == sorted(range(len(times)), key=lambda i: (times[i], i))
+        assert scheduler.events_processed == 1 + len(times)
+
+    def test_clear_while_draining_is_refused(self):
+        scheduler = Scheduler()
+        errors = []
+
+        def clear_now():
+            try:
+                scheduler.clear()
+            except SimulationError as error:
+                errors.append(error)
+
+        scheduler.schedule_at(1.0, clear_now)
+        scheduler.run()
+        assert len(errors) == 1
+
+
 @pytest.fixture(params=[Scheduler, ReferenceHeapScheduler], ids=["wheel", "heap"])
 def factory(request):
     return request.param
