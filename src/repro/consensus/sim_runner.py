@@ -134,8 +134,7 @@ class ConsensusNodeDriver:
 
     def release(self) -> None:
         """Drop the edges back to this node's detector driver and to the harness."""
-        self.fd_driver.suspicion_listeners.clear()
-        getattr(self.fd_driver, "round_listeners", []).clear()
+        self.fd_driver.release()
         self._participant_factory = self._proposal_for = None  # type: ignore[assignment]
         self._on_propose = self._on_decide = None
 
@@ -431,10 +430,6 @@ class ConsensusHarness:
             instances=[self._outcomes[k] for k in sorted(self._outcomes)],
         )
         self._drivers: dict[ProcessId, ConsensusNodeDriver] = {}
-        #: every driver built, including those a volatile restart replaced
-        #: in `_drivers` (their callbacks may still be scheduled): released
-        #: after the run
-        self._built: list[ConsensusNodeDriver] = []
 
         def composite_factory(process: SimProcess, cluster: SimCluster):
             fd_driver = fd_factory(process, cluster)
@@ -470,7 +465,6 @@ class ConsensusHarness:
                         )
                     )
             self._drivers[process.pid] = driver
-            self._built.append(driver)
             return driver
 
         self.cluster = SimCluster(
@@ -510,9 +504,9 @@ class ConsensusHarness:
     def run(self, until: float) -> ConsensusRunResult:
         """Run to ``until`` and fill the ledger; a harness runs once.
 
-        The cluster is closed and every driver released once the
-        participants are read, so nothing the run built outlives it in a
-        reference cycle.
+        The cluster is closed (which releases every node driver it built,
+        replaced ones included) once the participants are read, so nothing
+        the run built outlives it in a reference cycle.
         """
         self.cluster.run(until=until)
         for pid, driver in self._drivers.items():
@@ -526,6 +520,4 @@ class ConsensusHarness:
                     outcome.decision_rounds[pid] = participant.decision_round
         self.result.rounds_executed = dict(self._outcomes[1].rounds_executed)
         self.cluster.close()
-        for driver in self._built:
-            driver.release()
         return self.result

@@ -93,9 +93,9 @@ def make_leader_detector(
     """Build a detector/elector pair wired together via the piggyback slot.
 
     The caller drives the detector as usual and must forward every
-    :class:`QueryRoundOutcome` to ``elector.observe_round``; the simulator's
-    :class:`repro.sim.node.QueryResponseDriver` does this automatically when
-    given the elector.
+    :class:`QueryRoundOutcome` to ``elector.observe_round``;
+    :class:`repro.detectors.facade.QueryRoundFacade` does this automatically
+    when given the elector.
     """
     config = DetectorConfig.for_process(process_id, membership, f)
     if config.n < 2:

@@ -31,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from ..errors import ProtocolError
+from ..errors import ConfigurationError, ProtocolError
 from ..ids import ProcessId, validate_membership
 from .classes import FailureDetector
 from .effects import Broadcast, SendTo
 from .messages import Query, Response
 from .tags import MergeOutcome, SuspicionState
 
-__all__ = ["DetectorConfig", "QueryRoundOutcome", "TimeFreeDetector"]
+__all__ = ["DetectorConfig", "QueryPacing", "QueryRoundOutcome", "TimeFreeDetector"]
 
 #: Optional piggyback hooks: a provider returns a JSON-safe dict attached to
 #: outgoing messages; a consumer receives ``(sender, payload)`` for incoming
@@ -117,14 +117,44 @@ class QueryRoundOutcome:
     suspects_after: frozenset[ProcessId]
 
 
+@dataclass(frozen=True)
+class QueryPacing:
+    """Pacing policy for query rounds (Section 6 of the paper).
+
+    ``grace`` — Δ: how long to keep collecting responses after the quorum
+    is reached before closing the round (extra responses shrink false
+    suspicions; correctness is unaffected).  ``idle`` — delay between a
+    round's end and the next query broadcast.
+
+    ``retry`` — optional *lossy-channel* extension: if the quorum has not
+    been reached this long after the query broadcast, rebroadcast the same
+    query (same round id; duplicate responses are deduplicated and record
+    merging is idempotent).  The paper's model assumes reliable channels
+    and never needs this; with message loss a single lost query could
+    stall the round forever.  Note what the timer is and is not: it only
+    re-transmits — no suspicion is ever raised from its expiry, so
+    failure detection itself remains time-free.
+    """
+
+    grace: float = 1.0
+    idle: float = 0.0
+    retry: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.grace < 0 or self.idle < 0:
+            raise ConfigurationError(f"pacing delays must be >= 0: {self}")
+        if self.retry is not None and self.retry <= 0:
+            raise ConfigurationError(f"retry must be > 0 when set: {self}")
+
+
 class TimeFreeDetector(FailureDetector):
     """Sans-I/O implementation of the paper's Algorithm 1 (classes ◇S).
 
     The detector must be *driven*: the substrate calls :meth:`start_round`,
     routes messages to :meth:`on_query` / :meth:`on_response`, decides when
     the round is over (at quorum, or later if pacing) and calls
-    :meth:`finish_round`.  See :class:`repro.sim.node.QueryResponseDriver`
-    and :class:`repro.runtime.service.DetectorService`.
+    :meth:`finish_round`.  :class:`repro.detectors.facade.QueryRoundFacade`
+    is that driving loop, hosted by the simulator and the asyncio runtime.
     """
 
     def __init__(

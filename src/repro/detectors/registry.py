@@ -98,35 +98,28 @@ def sim_driver_factory(
     key: str,
     f: int,
     params: Any | None = None,
-    *,
-    unified: bool = False,
     **overrides: Any,
 ) -> Callable:
     """A :class:`~repro.sim.cluster.SimCluster` driver factory for ``key``.
 
-    Query families are hosted on the native
-    :class:`~repro.sim.node.QueryResponseDriver` (full round/trace
-    fidelity: RoundRecords, Omega round observation, retry accounting);
-    timed families on :class:`~repro.sim.node.TimedDriver`.  With
-    ``unified=True`` every family — including query families, via
-    :class:`~repro.detectors.facade.QueryRoundFacade` — is hosted on
-    :class:`~repro.sim.node.TimedDriver` through the unified facade; the
-    suspect-convergence behaviour is identical, only the per-round trace
-    records are not emitted.
+    Every family is hosted on :class:`~repro.sim.node.TimedDriver`: timed
+    cores as they are, query cores behind
+    :class:`~repro.detectors.facade.QueryRoundFacade` (built as a
+    :class:`~repro.sim.node.QueryResponseDriver`, which writes each round's
+    ``RoundRecord``, feeds the Omega elector and counts retries).
     """
     spec = get_detector(key)
     resolved = spec.make_params(params, **overrides)
     spec.check_required(resolved)
 
-    from ..sim.node import QueryPacing, QueryResponseDriver, TimedDriver
+    from ..core.protocol import QueryPacing
+    from ..sim.node import QueryResponseDriver, TimedDriver
 
     def factory(process, cluster):
         context = DetectorContext(
             process_id=process.pid, membership=cluster.membership, f=f
         )
         built = spec.build(context, resolved)
-        if unified:
-            return TimedDriver(process, built.unified())
         if spec.mode is DetectorMode.QUERY:
             pacing = QueryPacing(**pacing_fields(resolved))
             return QueryResponseDriver(process, built.core, pacing, elector=built.elector)

@@ -116,7 +116,7 @@ class BuiltDetector:
         """
         if self.spec.mode is DetectorMode.TIMED:
             return self.core
-        from ..sim.node import QueryPacing
+        from ..core.protocol import QueryPacing
         from .facade import QueryRoundFacade
 
         pacing = QueryPacing(**pacing_fields(self.params))

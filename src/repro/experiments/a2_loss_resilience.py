@@ -70,7 +70,7 @@ def run_cell(params: A2Params, coords: dict, seed: int) -> dict:
     active = {r.querier for r in cluster.trace.rounds if r.finished_at >= cutoff}
     frozen = len([pid for pid in correct if pid not in active])
     retransmissions = sum(
-        getattr(driver, "retries_sent", 0) for driver in cluster.drivers.values()
+        getattr(driver.core, "retries_sent", 0) for driver in cluster.drivers.values()
     )
     crash = detection_stats(cluster.trace, victim, params.crash_at, correct)
     return {

@@ -66,7 +66,7 @@ class PartialTimeFreeDetector(FailureDetector):
     """Sans-I/O detector for unknown, partially-connected networks.
 
     Satisfies :class:`repro.sim.node.QueryDetectorCore` (the responder
-    contract is stated there), so ``QueryResponseDriver`` hosts both cores.
+    contract is stated there), so ``QueryRoundFacade`` drives both cores.
     """
 
     def __init__(self, config: PartialDetectorConfig, *, mobility: bool = True) -> None:

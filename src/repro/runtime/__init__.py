@@ -8,9 +8,9 @@ transports —
   injected delay/loss, for tests and single-process demos;
 * :class:`~repro.runtime.udp.UdpTransport` — JSON datagrams over UDP for
   actual multi-process clusters;
-* :class:`~repro.runtime.service.DetectorService` — the query-response loop
-  as an asyncio task, exposing ``suspects()`` and an async ``watch()``
-  stream of suspicion changes;
+* :class:`~repro.runtime.service.DetectorService` — any registered core
+  hosted on the event loop with callbacks, exposing ``suspects()`` and an
+  async ``watch()`` stream of suspicion changes;
 * :class:`~repro.runtime.cluster.LocalCluster` — n services over a memory
   hub in one call (the quickstart entry point).
 

@@ -99,9 +99,7 @@ class LocalCluster:
         if pid not in self.services:
             raise ConfigurationError(f"unknown process {pid!r}")
         self.hub.crash(pid)
-        service = self.services[pid]
-        if service._task is not None:
-            service._task.cancel()
+        self.services[pid]._halt()
 
     def suspects_of(self, pid: ProcessId) -> frozenset[ProcessId]:
         return self.services[pid].suspects()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 
 from ..core.omega import OmegaElector
-from ..core.protocol import DetectorConfig, QueryRoundOutcome, TimeFreeDetector
+from ..core.protocol import DetectorConfig, TimeFreeDetector
 from ..ids import ProcessId
 from .service import DetectorService, ServicePacing
 from .transport import Transport
@@ -33,14 +33,19 @@ class LeaderElectorService(DetectorService):
         *,
         pacing: ServicePacing = ServicePacing(),
     ) -> None:
-        super().__init__(config, transport, pacing=pacing)
+        from ..detectors.facade import QueryRoundFacade
+
         self.elector = OmegaElector(config)
-        # Rebuild the detector with the elector's piggyback hooks; the base
-        # constructor created a plain one.
-        self.detector = TimeFreeDetector(
+        detector = TimeFreeDetector(
             config,
             extra_provider=self.elector.payload,
             extra_consumer=self.elector.consume,
+        )
+        super().__init__(
+            config,
+            transport,
+            pacing=pacing,
+            core=QueryRoundFacade(detector, pacing, elector=self.elector),
         )
         self._leader_watchers: list[asyncio.Queue] = []
         self._last_leader: ProcessId | None = None
@@ -73,13 +78,14 @@ class LeaderElectorService(DetectorService):
             self._leader_watchers.remove(queue)
 
     # ------------------------------------------------------------------
-    def _after_round(self, outcome: QueryRoundOutcome) -> None:
-        self.elector.observe_round(outcome)
-        self._notify_leader_change()
-
     def _on_message(self, src: ProcessId, message: object) -> None:
         super()._on_message(src, message)
         # Gossiped accusations may have shifted the argmin.
+        self._notify_leader_change()
+
+    def _wakeup(self) -> None:
+        super()._wakeup()
+        # A closed round accuses the processes that missed it.
         self._notify_leader_change()
 
     def _notify_leader_change(self) -> None:

@@ -77,6 +77,8 @@ class SimCluster:
         self._driver_factory: DriverFactory | None = driver_factory
         self.processes: dict[ProcessId, SimProcess] = {}
         self.drivers: dict[ProcessId, object] = {}
+        #: drivers a volatile restart replaced in `drivers`, released by close()
+        self._replaced: list[object] = []
         for pid in sorted(self.membership, key=repr):
             process = SimProcess(pid, self.scheduler, self.network, self.trace)
             driver = driver_factory(process, self)
@@ -150,6 +152,7 @@ class SimCluster:
             # Volatile state: rebuild the detector from scratch and rebind.
             driver = self._driver_factory(process, self)
             process.rebind_driver(driver)
+            self._replaced.append(self.drivers[fault.process])
             self.drivers[fault.process] = driver
             process.recover(fresh=True)
 
@@ -203,15 +206,21 @@ class SimCluster:
         """Tear the cluster down once it has run; a second call is a no-op.
 
         Breaks its reference cycles (process <-> driver, the network's
-        handler maps, pending events' callbacks, and a driver factory that
-        may close over its caller), so a finished cluster is freed by
-        refcounting.  The trace, ``membership``, ``correct_processes()``,
-        ``drivers`` and ``suspects_of`` stay readable; :meth:`run` raises.
+        handler maps, pending events' callbacks, a driver factory that may
+        close over its caller, and the listeners every driver ever built
+        hangs on its core), so a finished cluster is freed by refcounting.
+        The trace, ``membership``, ``correct_processes()``, ``drivers`` and
+        ``suspects_of`` stay readable; :meth:`run` raises.
         """
         self.scheduler.clear()
         self.network.unregister_all()
         for process in self.processes.values():
             process.driver = None
+        for driver in (*self.drivers.values(), *self._replaced):
+            release = getattr(driver, "release", None)
+            if release is not None:
+                release()
+        self._replaced.clear()
         self._driver_factory = None
 
     def suspects_of(self, pid: ProcessId) -> frozenset[ProcessId]:

@@ -192,7 +192,9 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current virtual time (read-only to callers; a plain attribute, so
+        #: the hosts' per-message clock read costs no property frame)
+        self.now = 0.0
         self._seq = 0
         self._events_processed = 0
         self._stopped = False
@@ -224,11 +226,6 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
         """Total events fired over this scheduler's lifetime."""
         return self._events_processed
@@ -245,9 +242,9 @@ class Scheduler:
         never cancel should prefer :meth:`schedule_fire`, which skips the
         handle entirely.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule an event at {time} before current time {self._now}"
+                f"cannot schedule an event at {time} before current time {self.now}"
             )
         free = self._free
         seq = self._seq
@@ -298,7 +295,7 @@ class Scheduler:
         """Schedule ``callback(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        time = self._now + delay
+        time = self.now + delay
         free = self._free
         seq = self._seq
         if free:
@@ -347,9 +344,9 @@ class Scheduler:
         ordering — but skips the handle allocation.  The data plane's
         message deliveries use this.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule an event at {time} before current time {self._now}"
+                f"cannot schedule an event at {time} before current time {self.now}"
             )
         free = self._free
         seq = self._seq
@@ -402,7 +399,7 @@ class Scheduler:
         fan-out (network broadcast).
         """
         staged = list(items)
-        now = self._now
+        now = self.now
         for time, _callback, _args in staged:
             if time < now:
                 raise SimulationError(
@@ -598,8 +595,8 @@ class Scheduler:
         — safety valve against runaway event loops.  With neither bound
         the loop runs until the queue drains.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"cannot run until {until}, already at {self._now}")
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until {until}, already at {self.now}")
         if self._active is not None:
             raise SimulationError("run() is not reentrant: already draining a slot")
         self._stopped = False
@@ -752,7 +749,7 @@ class Scheduler:
                         break
                     event.state = _FIRED
                     self._live -= 1
-                    self._now = time
+                    self.now = time
                     callback = event.callback
                     args = event.args
                     # Recycle before the callback runs, so a re-scheduling
@@ -790,8 +787,8 @@ class Scheduler:
         # pending events earlier than `until` may remain — jumping the
         # clock over them would make time run backwards on the next call.
         if until is not None and not self._stopped and not truncated:
-            if self._now < until:
-                self._now = until
+            if self.now < until:
+                self.now = until
         return processed
 
     def _putback(

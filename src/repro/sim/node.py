@@ -1,33 +1,34 @@
-"""Simulated processes and the drivers that host detector cores on them.
+"""Simulated processes and the driver that hosts detector cores on them.
 
 A :class:`SimProcess` is one node: it owns liveness/attachment flags and
-relays delivered messages to its *driver*.  Drivers adapt a sans-I/O protocol
-core to the simulator:
+relays delivered messages to its *driver*.  One driver,
+:class:`TimedDriver`, adapts every registered family to the simulator: it
+hosts any :class:`~repro.detectors.facade.DetectorCore` — a timer-based
+baseline (heartbeat, gossip, phi-accrual) as it is, a query-response core
+behind :class:`~repro.detectors.facade.QueryRoundFacade`, task T1's one
+round loop.  :class:`QueryResponseDriver` is the name the query families
+are built under: a ``TimedDriver`` whose constructor wraps the core in the
+facade.
 
-* :class:`QueryResponseDriver` runs the time-free detector's task T1 loop —
-  broadcast a query, wait for the ``n - f`` quorum, keep collecting extras
-  for a *grace* period (the paper's Δ pacing between lines 7 and 8), close
-  the round, repeat.  No failure decision ever involves a timer: the grace
-  delay only paces queries and widens ``rec_from``; detection remains purely
-  message-pattern based.
-* :class:`TimedDriver` hosts timer-based baseline detectors (heartbeat,
-  gossip, phi-accrual), which genuinely need scheduled wake-ups.
-
-Both drivers snapshot the suspect list around every hand-off and record the
-deltas in the trace, and both notify registered listeners — the consensus
-layer subscribes to suspicion changes, the Omega elector to round outcomes.
+The driver records every suspect-set change in the trace and announces it
+to ``suspicion_listeners`` (the consensus layer subscribes); for a query
+core it writes each round's :class:`~repro.sim.trace.RoundRecord` before
+the facade's other ``round_listeners`` (the Omega elector's consumers,
+the message-pattern monitor) see the outcome.  The host contract is in
+``docs/architecture.md``, "Hosting a core: the contract".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import inf as _INF
 from typing import Callable, Protocol, runtime_checkable
 
 from ..core.effects import Broadcast, Effect, SendTo
 from ..core.messages import Query, Response
 from ..core.omega import OmegaElector
-from ..core.protocol import QueryRoundOutcome
-from ..errors import ConfigurationError, SimulationError
+from ..core.protocol import QueryPacing, QueryRoundOutcome
+from ..detectors.facade import DetectorCore, QueryRoundFacade
+from ..errors import SimulationError
 from ..ids import ProcessId
 from .engine import EventHandle, Scheduler
 from .network import SimNetwork
@@ -43,42 +44,14 @@ __all__ = [
 ]
 
 SuspicionListener = Callable[[ProcessId, frozenset], None]
-RoundListener = Callable[[ProcessId, QueryRoundOutcome], None]
 
-
-@dataclass(frozen=True)
-class QueryPacing:
-    """Pacing policy for query rounds (Section 6 of the paper).
-
-    ``grace`` — Δ: how long to keep collecting responses after the quorum
-    is reached before closing the round (extra responses shrink false
-    suspicions; correctness is unaffected).  ``idle`` — delay between a
-    round's end and the next query broadcast.
-
-    ``retry`` — optional *lossy-channel* extension: if the quorum has not
-    been reached this long after the query broadcast, rebroadcast the same
-    query (same round id; duplicate responses are deduplicated and record
-    merging is idempotent).  The paper's model assumes reliable channels
-    and never needs this; with message loss a single lost query could
-    stall the round forever.  Note what the timer is and is not: it only
-    re-transmits — no suspicion is ever raised from its expiry, so
-    failure detection itself remains time-free.
-    """
-
-    grace: float = 1.0
-    idle: float = 0.0
-    retry: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.grace < 0 or self.idle < 0:
-            raise ConfigurationError(f"pacing delays must be >= 0: {self}")
-        if self.retry is not None and self.retry <= 0:
-            raise ConfigurationError(f"retry must be > 0 when set: {self}")
+#: what :class:`TimedDriver` hosts: the event-in / effects-out interface
+TimedProtocolCore = DetectorCore
 
 
 @runtime_checkable
 class QueryDetectorCore(Protocol):
-    """What :class:`QueryResponseDriver` needs from a detector core.
+    """What :class:`~repro.detectors.facade.QueryRoundFacade` needs from a core.
 
     Satisfied by :class:`repro.core.protocol.TimeFreeDetector` and
     :class:`repro.partial.protocol.PartialTimeFreeDetector`.
@@ -88,8 +61,9 @@ class QueryDetectorCore(Protocol):
     ``QueryRoundOutcome.responders`` and ``winners``, its first ``quorum``);
     duplicates and other rounds' responses do not count; :meth:`abort_round`
     empties it.  :meth:`on_response` never changes the suspect set (merging
-    happens in :meth:`on_query` and :meth:`finish_round` only), so drivers and
-    the runtime service skip suspicion-change detection on the response path.
+    happens in :meth:`on_query` and :meth:`finish_round` only), so the facade
+    answers a response with ``None`` and the hosts skip the suspect-set
+    comparison on the response path.
     """
 
     @property
@@ -109,24 +83,6 @@ class QueryDetectorCore(Protocol):
     def finish_round(self) -> QueryRoundOutcome: ...
 
     def abort_round(self) -> None: ...
-
-    def suspects(self) -> frozenset: ...
-
-
-@runtime_checkable
-class TimedProtocolCore(Protocol):
-    """What :class:`TimedDriver` needs from a timer-based detector core."""
-
-    @property
-    def process_id(self) -> ProcessId: ...
-
-    def start(self, now: float) -> list[Effect]: ...
-
-    def on_message(self, now: float, sender: ProcessId, message: object) -> list[Effect]: ...
-
-    def on_wakeup(self, now: float) -> list[Effect]: ...
-
-    def next_wakeup(self) -> float | None: ...
 
     def suspects(self) -> frozenset: ...
 
@@ -258,9 +214,7 @@ class SimProcess:
         """Put driver/core effects on the wire."""
         if effects is None or not self.alive:
             return
-        if not isinstance(effects, list):
-            effects = [effects]
-        for effect in effects:
+        for effect in effects if isinstance(effects, list) else (effects,):
             if isinstance(effect, Broadcast):
                 self.network.broadcast(self.pid, effect.message)
             elif isinstance(effect, SendTo):
@@ -287,208 +241,39 @@ class _Driver(Protocol):
     def suspects(self) -> frozenset: ...
 
 
-class QueryResponseDriver:
-    """Task T1's infinite loop, executed on the simulator."""
-
-    def __init__(
-        self,
-        process: SimProcess,
-        detector: QueryDetectorCore,
-        pacing: QueryPacing = QueryPacing(),
-        *,
-        elector: OmegaElector | None = None,
-    ) -> None:
-        self.process = process
-        self.detector = detector
-        self.pacing = pacing
-        self.elector = elector
-        self.suspicion_listeners: list[SuspicionListener] = []
-        self.round_listeners: list[RoundListener] = []
-        self._round_started_at: float | None = None
-        self._quorum_at: float | None = None
-        self._close_handle: EventHandle | None = None
-        self._next_round_handle: EventHandle | None = None
-        self._retry_handle: EventHandle | None = None
-        self._current_broadcast: Broadcast | None = None
-        self.retries_sent = 0
-
-    # -- lifecycle ------------------------------------------------------------
-    def on_start(self) -> None:
-        self._begin_round()
-
-    def on_crash(self) -> None:
-        self._cancel_pending()
-
-    def on_detach(self) -> None:
-        # A moving node stops executing: drop the in-flight round entirely.
-        self._cancel_pending()
-        if self.detector.collecting:
-            self.detector.abort_round()
-
-    def on_attach(self) -> None:
-        self._begin_round()
-
-    def on_recover(self) -> None:
-        # Persistent-state restart: whatever round was in flight at the
-        # crash is stale — abort it and open a fresh one.
-        self._cancel_pending()
-        if self.detector.collecting:
-            self.detector.abort_round()
-        self._begin_round()
-
-    def on_leave(self) -> None:
-        self._cancel_pending()
-        if self.detector.collecting:
-            self.detector.abort_round()
-
-    def suspects(self) -> frozenset:
-        return self.detector.suspects()
-
-    # -- round machinery --------------------------------------------------------
-    def _begin_round(self) -> None:
-        self._next_round_handle = None
-        if not self.process.alive or not self.process.attached:
-            return
-        broadcast = self.detector.start_round()
-        self._round_started_at = self.process.scheduler.now
-        self._quorum_at = None
-        self._current_broadcast = broadcast
-        self.process.execute(broadcast)
-        self._arm_retry()
-        # Degenerate quorums (n - f == 1) are satisfied by the process's own
-        # response alone.
-        self._maybe_arm_close()
-
-    def on_message(self, src: ProcessId, message: object) -> None:
-        kind = type(message)
-        if kind is Query or isinstance(message, Query):
-            # Only queries can move the suspicion state (the batched T2
-            # merge runs inside on_query), so the before/after snapshot is
-            # taken on this branch alone.
-            detector = self.detector
-            process = self.process
-            before = detector.suspects()
-            response = detector.on_query(message)
-            if response is not None and process.alive:
-                # on_query returns a SendTo (or None); route it straight to
-                # the network instead of through the generic effect walk.
-                process.network.send(
-                    process.pid, response.destination, response.message
-                )
-            self._note_suspicion_change(before)
-        elif kind is Response or isinstance(message, Response):
-            # Response accounting never touches the suspect set (a
-            # QueryDetectorCore guarantee) — no snapshots, no comparison.
-            self.detector.on_response(message)
-            self._maybe_arm_close()
-        else:
-            raise SimulationError(
-                f"{self.process.pid!r} received foreign message {message!r}"
-            )
-
-    def _maybe_arm_close(self) -> None:
-        # `_quorum_at` first: after the quorum is armed, every further
-        # response lands here and must leave on one attribute check.
-        if (
-            self._quorum_at is None
-            and self.detector.collecting
-            and self.detector.quorum_reached()
-        ):
-            self._quorum_at = self.process.scheduler.now
-            self._cancel_retry()
-            self._close_handle = self.process.scheduler.schedule_after(
-                self.pacing.grace, self._close_round
-            )
-
-    # -- lossy-channel retransmission (extension; see QueryPacing.retry) ----
-    def _arm_retry(self) -> None:
-        if self.pacing.retry is None:
-            return
-        self._retry_handle = self.process.scheduler.schedule_after(
-            self.pacing.retry, self._retry_query
-        )
-
-    def _retry_query(self) -> None:
-        self._retry_handle = None
-        if not self.process.alive or not self.process.attached:
-            return
-        if not self.detector.collecting or self.detector.quorum_reached():
-            return
-        if self._current_broadcast is not None:
-            self.retries_sent += 1
-            self.process.execute(self._current_broadcast)
-        self._arm_retry()
-
-    def _cancel_retry(self) -> None:
-        if self._retry_handle is not None:
-            self._retry_handle.cancel()
-            self._retry_handle = None
-
-    def _close_round(self) -> None:
-        self._close_handle = None
-        if not self.process.alive or not self.process.attached:
-            return
-        if not self.detector.collecting:
-            return
-        before = self.detector.suspects()
-        outcome = self.detector.finish_round()
-        now = self.process.scheduler.now
-        self.process.trace.record_round(
-            RoundRecord(
-                querier=self.process.pid,
-                round_id=outcome.round_id,
-                started_at=self._round_started_at if self._round_started_at is not None else now,
-                quorum_at=self._quorum_at if self._quorum_at is not None else now,
-                finished_at=now,
-                responders=outcome.responders,
-                winners=outcome.winners,
-            )
-        )
-        if self.elector is not None:
-            self.elector.observe_round(outcome)
-        for listener in self.round_listeners:
-            listener(self.process.pid, outcome)
-        self._note_suspicion_change(before)
-        self._next_round_handle = self.process.scheduler.schedule_after(
-            self.pacing.idle, self._begin_round
-        )
-
-    # -- bookkeeping ---------------------------------------------------------
-    def _note_suspicion_change(self, before: frozenset) -> None:
-        after = self.detector.suspects()
-        # The suspect set is served from a mutation-invalidated cache, so an
-        # unchanged state hands back the *identical* frozenset — the common
-        # case is one pointer comparison, no set equality walk.
-        if before is after or before == after:
-            return
-        self.process.trace.record_suspicion_change(
-            self.process.scheduler.now, self.process.pid, before, after
-        )
-        for listener in self.suspicion_listeners:
-            listener(self.process.pid, after)
-
-    def _cancel_pending(self) -> None:
-        for handle in (self._close_handle, self._next_round_handle, self._retry_handle):
-            if handle is not None:
-                handle.cancel()
-        self._close_handle = None
-        self._next_round_handle = None
-        self._retry_handle = None
-
-
 class TimedDriver:
-    """Hosts timer-based baseline detectors (heartbeat family)."""
+    """Hosts any :class:`TimedProtocolCore` — every registered family.
+
+    A query core arrives wrapped in a
+    :class:`~repro.detectors.facade.QueryRoundFacade` (see
+    :class:`QueryResponseDriver`); its ``round_listeners`` and ``elector``
+    are exposed here, and the driver's own listener, first in that list,
+    writes the round's :class:`~repro.sim.trace.RoundRecord` from the
+    facade's start, quorum and close times.  ``round_listeners`` and
+    ``elector`` are ``None`` for a timer-based core.
+    """
 
     def __init__(self, process: SimProcess, core: TimedProtocolCore) -> None:
         self.process = process
         self.core = core
         self.suspicion_listeners: list[SuspicionListener] = []
+        self.round_listeners: list | None = getattr(core, "round_listeners", None)
+        self.elector: OmegaElector | None = getattr(core, "elector", None)
+        if self.round_listeners is not None:
+            self.round_listeners.insert(0, self._record_round)
         self._timer: EventHandle | None = None
+        #: when the pending timer fires (inf: no timer)
+        self._timer_at = _INF
+        #: the suspect set as last recorded
+        self._suspects = core.suspects()
+        self._started = False
 
     def on_start(self) -> None:
-        effects = self.core.start(self.process.scheduler.now)
-        self.process.execute(effects)
-        self._rearm()
+        # A node that is down at its start time starts when it is back.
+        process = self.process
+        if process.alive and process.attached:
+            self._started = True
+            self._step(self.core.start(process.scheduler.now))
 
     def on_crash(self) -> None:
         self._cancel_timer()
@@ -498,13 +283,18 @@ class TimedDriver:
         self._cancel_timer()
 
     def on_attach(self) -> None:
-        # Catching up is a wake-up like any other: a peer whose timer ran
-        # out while the node was away is recorded and announced now (no
-        # later handler would: its `before` already holds the peer).
-        self._wakeup()
+        if not self._started:
+            self.on_start()
+            return
+        # The attach hook, if the core has one (the query facade opens a
+        # fresh round).  Otherwise catching up is a wake-up like any other:
+        # a peer whose timer ran out while the node was away is recorded
+        # and announced now.
+        attach = getattr(self.core, "on_attach", self.core.on_wakeup)
+        self._step(attach(self.process.scheduler.now))
 
     def on_recover(self) -> None:
-        # Persistent-state restart: resume the timer loop where it stood.
+        # Persistent-state restart: resume where the node stood, as on attach.
         self.on_attach()
 
     def on_leave(self) -> None:
@@ -513,58 +303,102 @@ class TimedDriver:
     def suspects(self) -> frozenset:
         return self.core.suspects()
 
+    def release(self) -> None:
+        """Drop the listeners: the round listeners live on the core and
+        point back here (:meth:`SimCluster.close` calls this)."""
+        self.suspicion_listeners.clear()
+        if self.round_listeners is not None:
+            self.round_listeners.clear()
+
     def on_message(self, src: ProcessId, message: object) -> None:
-        core = self.core
-        before = core.suspects()
-        effects = core.on_message(self.process.scheduler.now, src, message)
-        if effects:
-            self.process.execute(effects)
-        self._rearm()
-        # Cores may hand back the identical frozenset while nothing changed
-        # (the built-in ones do): one pointer comparison per message.  A
-        # core that builds a fresh set per call falls through to equality.
-        after = core.suspects()
-        if after is not before and after != before:
-            self._record_suspicion_change(before, after)
+        effects = self.core.on_message(self.process.scheduler.now, src, message)
+        if effects is not None:  # None: no effects, deadline and suspects unmoved
+            self._step(effects)
 
     def _wakeup(self) -> None:
         self._timer = None
+        self._timer_at = _INF
         if not self.process.alive or not self.process.attached:
             return
+        self._step(self.core.on_wakeup(self.process.scheduler.now))
+
+    def _step(self, effects: list[Effect] | Effect | None) -> None:
+        """After a core call: execute, re-arm, record a suspect-set change."""
         core = self.core
-        before = core.suspects()
-        effects = core.on_wakeup(self.process.scheduler.now)
-        if effects:
-            self.process.execute(effects)
-        self._rearm()
-        after = core.suspects()
-        if after is not before and after != before:
-            self._record_suspicion_change(before, after)
+        process = self.process
+        if type(effects) is SendTo:
+            # A query's answer, the commonest effect: straight to the wire.
+            if process.alive:
+                process.network.send(process.pid, effects.destination, effects.message)
+        elif effects:
+            process.execute(effects)
+        deadline = core.next_wakeup()
+        if deadline is not None and deadline < self._timer_at:
+            self._arm(deadline)
+        # Cores may hand back the identical frozenset while nothing changed
+        # (the built-in ones do): one pointer comparison per call.  A core
+        # that builds a fresh set per call falls through to equality.
+        suspects = core.suspects()
+        before = self._suspects
+        if suspects is not before and suspects != before:
+            self._suspects = suspects
+            process.trace.record_suspicion_change(
+                process.scheduler.now, process.pid, before, suspects
+            )
+            for listener in self.suspicion_listeners:
+                listener(process.pid, suspects)
 
-    def _rearm(self) -> None:
-        deadline = self.core.next_wakeup()
-        if deadline is None:
-            self._cancel_timer()
-            return
-        timer = self._timer
-        live = timer is not None and not timer.cancelled
-        if live and timer.time <= deadline:
-            return  # nearly every message leaves here, the clock unread
-        target = max(deadline, self.process.scheduler.now)
-        if live:
-            if timer.time <= target:
-                return  # existing timer fires first; it will re-arm
-            timer.cancel()
-        self._timer = self.process.scheduler.schedule_at(target, self._wakeup)
+    def _arm(self, deadline: float) -> None:
+        """Move the timer to ``deadline``, earlier than the pending one.
 
-    def _record_suspicion_change(self, before: frozenset, after: frozenset) -> None:
-        self.process.trace.record_suspicion_change(
-            self.process.scheduler.now, self.process.pid, before, after
-        )
-        for listener in self.suspicion_listeners:
-            listener(self.process.pid, after)
+        A deadline that moved later, or went away, leaves the pending timer
+        alone: it fires on time, finds nothing due, and re-arms from there.
+        """
+        scheduler = self.process.scheduler
+        if deadline < scheduler.now:
+            deadline = scheduler.now
+            if self._timer_at <= deadline:
+                return  # the pending timer fires first; it will re-arm
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer_at = deadline
+        self._timer = scheduler.schedule_at(deadline, self._wakeup)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+            self._timer_at = _INF
+
+    def _record_round(self, pid: ProcessId, outcome: QueryRoundOutcome) -> None:
+        core = self.core
+        self.process.trace.record_round(
+            RoundRecord(
+                querier=pid,
+                round_id=outcome.round_id,
+                started_at=core.started_at,
+                quorum_at=core.quorum_at,
+                finished_at=self.process.scheduler.now,
+                responders=outcome.responders,
+                winners=outcome.winners,
+            )
+        )
+
+
+class QueryResponseDriver(TimedDriver):
+    """A query-response core on the simulator: a :class:`TimedDriver` hosting
+    ``detector`` behind a :class:`~repro.detectors.facade.QueryRoundFacade`.
+
+    ``detector`` stays reachable for inspection.
+    """
+
+    def __init__(
+        self,
+        process: SimProcess,
+        detector: QueryDetectorCore,
+        pacing: QueryPacing = QueryPacing(),
+        *,
+        elector: OmegaElector | None = None,
+    ) -> None:
+        self.detector = detector
+        super().__init__(process, QueryRoundFacade(detector, pacing, elector=elector))

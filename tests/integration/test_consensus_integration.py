@@ -118,6 +118,7 @@ class TestTeardown:
     def test_every_node_driver_is_released(self):
         runner = harness()
         runner.run(until=5.0)
-        for driver in runner._built:
+        for driver in runner.cluster.drivers.values():
             assert driver.fd_driver.suspicion_listeners == []
+            assert driver.fd_driver.round_listeners == []
             assert driver._proposal_for is None and driver._on_decide is None

@@ -10,11 +10,10 @@ style — must pass the same black-box battery on the simulator:
 * **output discipline**: suspect sets are frozensets over the membership,
   never containing the local process.
 
-The battery runs each family twice: on its native driver
-(QueryResponseDriver / TimedDriver) and hosted on TimedDriver through the
-unified facade (``sim_driver_factory(..., unified=True)``), which is what
-keeps the facade honest — same convergence behaviour through one code
-path for all six families.
+Every family runs on the one simulator host, ``TimedDriver`` (query
+families behind ``QueryRoundFacade``); that this host runs task T1 exactly
+as the scheduler-callback driver it replaced did is the differential in
+``tests/property/test_round_loop_differential.py``.
 
 New families registered by plugins are picked up automatically (the
 parametrization reads the registry).
@@ -40,12 +39,10 @@ def family_params(key: str) -> dict:
     return {"d": N} if key == "partial" else {}
 
 
-def build_cluster(key: str, *, unified: bool, fault_plan=None) -> SimCluster:
+def build_cluster(key: str, *, fault_plan=None) -> SimCluster:
     return SimCluster(
         n=N,
-        driver_factory=sim_driver_factory(
-            key, F, unified=unified, **family_params(key)
-        ),
+        driver_factory=sim_driver_factory(key, F, **family_params(key)),
         latency=ConstantLatency(0.001),
         seed=11,
         fault_plan=fault_plan,
@@ -62,28 +59,23 @@ def key(request):
     return request.param
 
 
-@pytest.fixture(params=[False, True], ids=["native", "unified"])
-def unified(request):
-    return request.param
-
-
 class TestConformance:
-    def test_calm_run_raises_no_lasting_suspicions(self, key, unified):
-        cluster = build_cluster(key, unified=unified)
+    def test_calm_run_raises_no_lasting_suspicions(self, key):
+        cluster = build_cluster(key)
         cluster.run(until=HORIZON)
         for pid in cluster.membership:
-            assert cluster.suspects_of(pid) == frozenset(), (key, unified, pid)
+            assert cluster.suspects_of(pid) == frozenset(), (key, pid)
 
-    def test_crash_is_eventually_suspected_by_every_correct_process(self, key, unified):
+    def test_crash_is_eventually_suspected_by_every_correct_process(self, key):
         plan = FaultPlan.of(crashes=[CrashFault(VICTIM, CRASH_AT)])
-        cluster = build_cluster(key, unified=unified, fault_plan=plan)
+        cluster = build_cluster(key, fault_plan=plan)
         cluster.run(until=HORIZON)
         for pid in cluster.correct_processes():
-            assert VICTIM in cluster.suspects_of(pid), (key, unified, pid)
+            assert VICTIM in cluster.suspects_of(pid), (key, pid)
 
-    def test_suspect_sets_are_wellformed(self, key, unified):
+    def test_suspect_sets_are_wellformed(self, key):
         plan = FaultPlan.of(crashes=[CrashFault(VICTIM, CRASH_AT)])
-        cluster = build_cluster(key, unified=unified, fault_plan=plan)
+        cluster = build_cluster(key, fault_plan=plan)
         cluster.run(until=HORIZON)
         for pid in cluster.correct_processes():
             suspects = cluster.suspects_of(pid)
@@ -95,25 +87,25 @@ class TestConformance:
 class TestConvergenceTime:
     """Detection-latency sanity: each family's well-known bound holds."""
 
-    def first_detection(self, key, unified) -> float:
+    def first_detection(self, key) -> float:
         plan = FaultPlan.of(crashes=[CrashFault(VICTIM, CRASH_AT)])
-        cluster = build_cluster(key, unified=unified, fault_plan=plan)
+        cluster = build_cluster(key, fault_plan=plan)
         cluster.run(until=HORIZON)
         times = [
             change.time
             for change in cluster.trace.suspicion_changes
             if VICTIM in change.added
         ]
-        assert times, (key, unified)
+        assert times, key
         return min(times) - CRASH_AT
 
-    def test_timer_families_sit_in_the_timeout_band(self, unified):
+    def test_timer_families_sit_in_the_timeout_band(self):
         for key in ("heartbeat", "heartbeat-adaptive", "gossip"):
-            latency = self.first_detection(key, unified)
+            latency = self.first_detection(key)
             # [Θ - Δ, Θ] = [1, 2] s, plus stagger slack.
             assert 0.9 <= latency <= 3.1, (key, latency)
 
-    def test_query_families_track_the_grace(self, unified):
+    def test_query_families_track_the_grace(self):
         for key in ("time-free", "partial"):
-            latency = self.first_detection(key, unified)
+            latency = self.first_detection(key)
             assert latency <= 2.5, (key, latency)

@@ -29,7 +29,7 @@ class TestRetryOnSimulator:
     def test_no_retries_on_reliable_channels(self):
         cluster = self.build(loss_rate=0.0, retry=0.5)
         cluster.run(until=20.0)
-        assert all(driver.retries_sent == 0 for driver in cluster.drivers.values())
+        assert all(driver.core.retries_sent == 0 for driver in cluster.drivers.values())
 
     def test_rounds_stall_under_loss_without_retry(self):
         cluster = self.build(loss_rate=0.25, retry=None)
@@ -45,7 +45,7 @@ class TestRetryOnSimulator:
         assert {r.querier for r in late} == cluster.correct_processes()
         stats = detection_stats(cluster.trace, 8, 10.0, cluster.correct_processes())
         assert stats.detected_by_all
-        assert any(driver.retries_sent > 0 for driver in cluster.drivers.values())
+        assert any(driver.core.retries_sent > 0 for driver in cluster.drivers.values())
 
     def test_retry_validation(self):
         with pytest.raises(ConfigurationError):

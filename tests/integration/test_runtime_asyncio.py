@@ -438,14 +438,11 @@ class TestUdpTransport:
         assert received == [query] * 6 + [response]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a stopped LocalCluster is cyclic garbage: with the collector off its "
-    "DetectorServices outlive it (n = 6 over MemoryHub: 6 services and ≈ 150 "
-    "objects that only gc.collect() frees; asyncio.run alone leaves none); its "
-    "edges are not attributed yet (ROADMAP, runtime robustness)",
-)
 def test_stopped_cluster_is_freed_without_gc():
+    """stop() drops the transport's handler and the core's round listeners,
+    the two edges that led back into a service: with the collector off, a
+    stopped cluster's services are freed by refcounting."""
+
     async def scenario():
         cluster = LocalCluster(n=6, f=1, latency=ConstantLatency(0.001), seed=5)
         await cluster.start()

@@ -7,6 +7,7 @@ time-free detector, and detects a crash.
 """
 
 import asyncio
+import collections
 
 import pytest
 
@@ -88,36 +89,46 @@ class TestTimedCoresOverMemoryTransport:
 class TestTimedLoopWakeups:
     def test_the_loop_wakes_per_deadline_not_per_message(self):
         """``_rearm``'s rule in the runtime host: a beat that only moves a
-        peer's timer later must not interrupt the sleep toward the next
-        emission.  Counts, not timings: sleeps entered against beats sent
-        and messages received."""
+        peer's timer later must not re-arm the timer set for the next
+        emission.  Counts, not timings: timers the services hand the event
+        loop against beats sent and messages received."""
 
         async def scenario():
+            loop = asyncio.get_running_loop()
+            armed = collections.Counter()
+            call_at = loop.call_at
+
+            def counting_call_at(when, callback, *args, **kwargs):
+                owner = getattr(callback, "__self__", None)
+                if isinstance(owner, DetectorService):
+                    armed[owner.process_id] += 1
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = counting_call_at
             hub, services = make_services(
                 "heartbeat", {"period": 0.05, "timeout": 0.4}, n=6, f=1
             )
             for service in services:
-                service._wake.wait = counting(service._wake.wait)
                 service.detector.on_message = counting(service.detector.on_message)
             for service in services:
                 await service.start()
             await asyncio.sleep(0.5)
             quiet = [service.suspects() for service in services]
             beats = [service.detector._seq for service in services]
-            sleeps = [service._wake.wait.calls for service in services]
+            timers = [armed[service.process_id] for service in services]
             received = [service.detector.on_message.calls for service in services]
             for service in services:
                 await service.stop()
-            return quiet, beats, sleeps, received
+            return quiet, beats, timers, received
 
-        quiet, beats, sleeps, received = run(scenario())
+        quiet, beats, timers, received = run(scenario())
         assert quiet == [frozenset()] * 6
         for index in range(6):
             assert beats[index] >= 4 and received[index] >= 4 * 5
-            # one sleep per emission (no timer expired: the cluster is quiet),
-            # plus the one it was cancelled in
-            assert sleeps[index] <= beats[index] + 1, (sleeps, beats)
-            assert sleeps[index] < received[index] / 2, (sleeps, received)
+            # one timer per emission (no peer timer expired: the cluster is
+            # quiet), plus the one armed at start
+            assert timers[index] <= beats[index] + 1, (timers, beats)
+            assert timers[index] < received[index] / 2, (timers, received)
 
 
 class TestFromRegistryValidation:

@@ -180,8 +180,8 @@ class TestClose:
         assert trace_state(closed.trace) == trace_state(twin.trace)
         assert closed.correct_processes() == twin.correct_processes()
         assert closed.membership == twin.membership
-        retries = {pid: d.retries_sent for pid, d in closed.drivers.items()}
-        assert retries == {pid: d.retries_sent for pid, d in twin.drivers.items()}
+        retries = {pid: d.core.retries_sent for pid, d in closed.drivers.items()}
+        assert retries == {pid: d.core.retries_sent for pid, d in twin.drivers.items()}
         assert sum(retries.values()) > 0
         for pid in closed.membership:
             assert closed.suspects_of(pid) == twin.suspects_of(pid)

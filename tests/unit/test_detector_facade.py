@@ -47,9 +47,12 @@ class TestRoundLifecycle:
         facade = make_facade(grace=0.5)
         facade.start(0.0)
         respond(facade, 2, round_id=1)
-        effects = facade.on_wakeup(0.5)
-        # idle=0: the next round's query goes out immediately.
+        assert facade.on_wakeup(0.5) == []
         assert facade.rounds_completed == 1
+        # idle=0: the next round is due at once, in a wake-up of its own —
+        # what the close's listeners send goes out before the next query.
+        assert facade.next_wakeup() == 0.5
+        effects = facade.on_wakeup(0.5)
         assert [type(e) for e in effects] == [Broadcast]
         assert effects[0].message.round_id == 2
 
@@ -85,16 +88,36 @@ class TestRoundLifecycle:
         facade = make_facade()
         facade.start(0.0)
         query = Query(sender=2, round_id=7, suspected=(), mistakes=())
-        effects = facade.on_message(0.0, 2, query)
-        assert len(effects) == 1
-        assert isinstance(effects[0], SendTo)
-        assert effects[0].destination == 2
-        assert effects[0].message.round_id == 7
+        effect = facade.on_message(0.0, 2, query)
+        assert isinstance(effect, SendTo)
+        assert effect.destination == 2
+        assert effect.message.round_id == 7
+
+    def test_a_response_below_the_quorum_is_nothing_for_the_host(self):
+        facade = make_facade(n=4, f=1)  # quorum 3
+        facade.start(0.0)
+        assert respond(facade, 2, round_id=1) is None
+        assert respond(facade, 3, round_id=1) == []  # the quorum: a deadline
+        assert respond(facade, 4, round_id=1) is None
 
     def test_foreign_message_is_ignored(self):
         facade = make_facade()
         facade.start(0.0)
-        assert facade.on_message(0.0, 2, object()) == []
+        assert facade.on_message(0.0, 2, object()) is None
+        assert facade.next_wakeup() is None and facade.suspects() == frozenset()
+
+
+class TestAttach:
+    def test_attach_abandons_the_stale_round_for_a_fresh_one(self):
+        facade = make_facade(grace=0.5, retry=0.4)
+        facade.start(0.0)
+        effects = facade.on_attach(3.0)
+        assert [e.message.round_id for e in effects] == [2]
+        assert facade.started_at == 3.0
+        assert facade.next_wakeup() == pytest.approx(3.4)
+        # the stale round's answer no longer counts toward a quorum
+        assert respond(facade, 2, round_id=1) is None
+        assert facade.quorum_at is None
 
 
 class TestRetry:

@@ -50,7 +50,7 @@ class TestDriverFactoryCompat:
     def test_time_free_builds_query_driver(self):
         driver = driver_of(TIME_FREE)
         assert isinstance(driver, QueryResponseDriver)
-        assert driver.pacing.grace == 1.0
+        assert driver.core.pacing.grace == 1.0
         assert driver.elector is None
 
     def test_with_omega_attaches_elector(self):
@@ -86,7 +86,7 @@ class TestDriverFactoryCompat:
 
     def test_retry_knob_reaches_the_driver(self):
         driver = driver_of(TIME_FREE.with_(retry=0.5))
-        assert driver.pacing.retry == 0.5
+        assert driver.core.pacing.retry == 0.5
 
 
 class TestSetupFor:

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.heartbeat import HeartbeatDetector
 from repro.core.protocol import DetectorConfig, TimeFreeDetector
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim.cluster import SimCluster, time_free_driver_factory
 from repro.sim.engine import Scheduler
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import SimNetwork
@@ -34,19 +35,29 @@ def make_qr_node(scheduler, network, trace, pid=1, n=3, f=1, pacing=None):
 
 
 class TestQueryResponseDriver:
-    def test_foreign_message_raises(self):
-        scheduler, network, trace = make_world()
-        process, driver = make_qr_node(scheduler, network, trace)
-        with pytest.raises(SimulationError):
-            driver.on_message(2, object())
-
-    def test_detach_aborts_collecting_round(self):
+    def test_foreign_message_is_ignored(self):
+        # The one policy of both hosts: a message the core does not speak
+        # changes nothing and raises nothing.
         scheduler, network, trace = make_world()
         process, driver = make_qr_node(scheduler, network, trace)
         process.start()
-        assert driver.detector.collecting
-        process.detach()
-        assert not driver.detector.collecting
+        driver.on_message(2, object())
+        scheduler.run(until=1.0)
+        assert trace.messages_total == 2  # the query only
+        assert trace.suspicion_changes == []
+
+    def test_a_round_in_flight_at_detach_never_closes(self):
+        cluster = SimCluster(
+            n=3,
+            driver_factory=time_free_driver_factory(1, QueryPacing(grace=0.05)),
+            latency=ConstantLatency(0.01),
+        )
+        # node 1's first query is out; the answers land while it is away
+        cluster.scheduler.schedule_at(0.005, cluster.processes[1].detach)
+        cluster.scheduler.schedule_at(1.0, cluster.processes[1].attach)
+        cluster.run(until=1.5)
+        first = cluster.trace.rounds_of(1)[0]
+        assert (first.round_id, first.started_at) == (2, 1.0)
 
     def test_attach_restarts_rounds(self):
         scheduler, network, trace = make_world()
@@ -179,3 +190,19 @@ def test_reattach_catch_up_suspicion_is_recorded():
     assert driver.suspects() == frozenset({2, 3})
     assert trace.suspects_at(1, 5.5) == frozenset({2, 3})
     assert heard == [frozenset({2, 3})]
+
+
+def test_a_node_down_at_its_start_time_starts_when_it_is_back():
+    scheduler, network, trace = make_world()
+    process = SimProcess(1, scheduler, network, trace)
+    core = HeartbeatDetector(1, frozenset({1, 2, 3}), period=1.0, timeout=2.0)
+    driver = TimedDriver(process, core)
+    process.bind(driver)
+    process.crash()
+    process.start()  # slept through: the core is not started at t=0
+    scheduler.schedule_at(5.0, process.recover)  # persistent state
+    scheduler.run(until=5.5)
+    # Started at 5.0, its peers' timers run from there: no suspicion of a
+    # peer it never had the chance to hear, and its own beats go out.
+    assert driver.suspects() == frozenset()
+    assert trace.messages_total == 2

@@ -14,13 +14,15 @@ import inspect
 import pytest
 
 from repro.core import messages
+from repro.detectors.facade import QueryRoundFacade
 from repro.experiments import e1_density, e2_mobility
 from repro.runtime import udp
 from repro.runtime.memory import MemoryHub
 from repro.runtime.transport import Transport
 from repro.runtime.udp import UdpTransport
-from repro.sim import topology
+from repro.sim import node, topology
 from repro.sim.engine import Scheduler
+from repro.sim.node import TimedDriver
 from repro.sim.trace import TraceRecorder
 
 
@@ -84,3 +86,25 @@ def test_recorder_views_are_properties_the_tracer_can_rebuild(view):
     prop = vars(TraceRecorder)[view]
     assert isinstance(prop, property)
     assert inspect.isfunction(prop.fget)
+
+
+def test_the_query_driver_name_still_resolves():
+    # layers.py looks both driver classes up by name on every --trace run;
+    # a missing name raises there and fails the whole benchmark
+    assert inspect.isclass(node.QueryResponseDriver)
+    assert issubclass(node.QueryResponseDriver, TimedDriver)
+
+
+@pytest.mark.parametrize(
+    "method",
+    ["on_message", "on_start", "on_crash", "on_detach", "on_attach", "on_recover", "on_leave"],
+)
+def test_the_host_boundaries_are_defined_on_timed_driver_itself(method):
+    # sim.node:handler and sim.node:lifecycle: every family runs through them
+    assert inspect.isfunction(vars(TimedDriver)[method])
+
+
+@pytest.mark.parametrize("method", ["start", "on_message", "on_wakeup"])
+def test_the_round_loop_is_defined_on_the_facade_itself(method):
+    # detectors.facade_s: the one query-round loop every query family runs
+    assert inspect.isfunction(vars(QueryRoundFacade)[method])

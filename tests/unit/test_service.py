@@ -8,6 +8,7 @@ from repro.core.protocol import DetectorConfig
 from repro.errors import ConfigurationError
 from repro.runtime import DetectorService, MemoryHub, ServicePacing
 from repro.sim.latency import ConstantLatency
+from tests.helpers import counting
 
 
 def run(coro):
@@ -40,19 +41,23 @@ class TestPacingValidation:
 
 class TestLifecycle:
     def test_double_start_is_idempotent(self):
+        """A second start() sends nothing and opens no second round."""
+
         async def scenario():
             hub = MemoryHub(latency=ConstantLatency(0.001))
             services = [make_service(pid, hub=hub) for pid in (1, 2, 3)]
             for service in services:
                 await service.start()
-            first_task = services[0]._task
+            round_id = services[0].detector.core.round_id
+            hub.submit = counting(hub.submit)
             await services[0].start()
-            same = services[0]._task is first_task
+            result = (services[0].running, hub.submit.calls,
+                      services[0].detector.core.round_id == round_id)
             for service in services:
                 await service.stop()
-            return same
+            return result
 
-        assert run(scenario()) is True
+        assert run(scenario()) == (True, 0, True)
 
     def test_stop_before_start_is_safe(self):
         async def scenario():
