@@ -18,7 +18,7 @@ Run with::
 """
 
 from repro.experiments.report import Table
-from repro.experiments.scenarios import GOSSIP, HEARTBEAT, PHI, TIME_FREE, run_scenario
+from repro.experiments.scenarios import run_scenario, table_label
 from repro.metrics import detection_stats, message_load, mistake_stats
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.latency import BiasedLatency, ExponentialLatency, RegimeShiftLatency
@@ -57,9 +57,9 @@ def main() -> None:
         ],
     )
     plan = FaultPlan.of(crashes=[CrashFault(VICTIM, CRASH_AT)])
-    for setup in (TIME_FREE, HEARTBEAT, GOSSIP, PHI):
+    for detector in ("time-free", "heartbeat", "gossip", "phi"):
         cluster = run_scenario(
-            setup=setup,
+            detector=detector,
             n=N,
             f=F,
             horizon=HORIZON,
@@ -77,7 +77,7 @@ def main() -> None:
         )
         load = message_load(cluster.trace, horizon=HORIZON, n=N)
         table.add_row(
-            setup.label,
+            table_label(detector),
             crash.mean_latency,
             crash.detected_by_all,
             rp_false,

@@ -3,8 +3,8 @@
 Reproduction of **"Asynchronous Implementation of Failure Detectors"**
 (DSN 2003): unreliable failure detectors of class ◇S built from a
 query-response message pattern instead of timeouts, for asynchronous
-crash-prone message-passing systems.  See DESIGN.md for the paper-identity
-note and the full system inventory.
+crash-prone message-passing systems.  See the README's "Experiments"
+section for what each registered experiment reproduces.
 
 Quick tour
 ----------

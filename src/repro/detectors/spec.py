@@ -129,7 +129,7 @@ class DetectorSpec:
 
     ``key``
         Stable lower-case registry key (``"time-free"``, ``"phi"`` ...):
-        what ``repro run --detector`` and :class:`DetectorSetup` name.
+        what ``repro run --detector`` and every host's ``detector=`` name.
     ``title``
         Human-readable family name for tables and ``repro detectors``.
     ``fd_class``

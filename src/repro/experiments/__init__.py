@@ -1,6 +1,7 @@
 """Experiment definitions: every table and figure, regenerable from code.
 
-One module per experiment id (see DESIGN.md Section 3).  Each exposes a
+One module per experiment id (see the README's "Experiments" section and
+docs/scenarios.md).  Each exposes a
 ``Params`` dataclass (with quick defaults; pass ``full()`` presets for
 paper-scale runs), a declarative ``SPEC``
 (:class:`~repro.experiments.api.ExperimentSpec`: generic axes +

@@ -30,7 +30,7 @@ from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
 from .api import ExperimentSpec, Metric, Monotone, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario
 
 __all__ = ["A1Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -58,10 +58,10 @@ class A1Params:
 def run_cell(params: A1Params, coords: dict, seed: int) -> dict:
     grace = coords["grace"]
     victim = params.n
-    setup = setup_for(params.detector).with_(grace=grace, idle=params.idle)
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
     cluster = run_scenario(
-        setup=setup,
+        detector=params.detector,
+        detector_params={"grace": grace, "idle": params.idle},
         n=params.n,
         f=params.f,
         horizon=params.horizon,

@@ -25,7 +25,7 @@ from ..metrics import detection_stats
 from ..sim.faults import CrashFault, FaultPlan
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario
 
 __all__ = ["A2Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -50,11 +50,9 @@ class A2Params:
 
 def run_cell(params: A2Params, coords: dict, seed: int) -> dict:
     victim = params.n
-    setup = setup_for(params.detector).with_(
-        grace=params.grace, idle=0.1, retry=coords["retry"]
-    )
     cluster = run_scenario(
-        setup=setup,
+        detector=params.detector,
+        detector_params={"grace": params.grace, "idle": 0.1, "retry": coords["retry"]},
         n=params.n,
         f=params.f,
         horizon=params.horizon,

@@ -41,7 +41,7 @@ from .api import (
     stat_mean,
 )
 from .report import Table
-from .scenarios import fault_plan_for, setup_for
+from .scenarios import fault_plan_for, table_label
 
 __all__ = ["C1Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -112,15 +112,15 @@ class C1Params:
 
 def run_cell(params: C1Params, coords: dict, seed: int) -> dict:
     fault = coords["fault"]
-    setup = setup_for(coords["detector"])
-    if "d" in get_detector(setup.kind).required:
-        # Full mesh: every range is the whole system, so the density is n.
-        setup = setup.with_(d=params.n)
-    if setup.retry is None:
+    detector = coords["detector"]
+    spec = get_detector(detector)
+    # Full mesh: every range is the whole system, so the density is n.
+    detector_params = {"d": params.n} if "d" in spec.required else {}
+    if "retry" in spec.param_names():
         # Same remedy as q1's stress cells: query families stall when a
         # partition or a burst eats the quorum; the lossy-channel
-        # rebroadcast resumes them, and the knob is a no-op for timers.
-        setup = setup.with_(retry=2.0)
+        # rebroadcast resumes them.  Timer families have no such knob.
+        detector_params["retry"] = 2.0
     members = tuple(range(1, params.n + 1))
     plan = fault_plan_for(
         fault, members=members, f=params.f, horizon=params.horizon
@@ -129,8 +129,8 @@ def run_cell(params: C1Params, coords: dict, seed: int) -> dict:
         n=params.n,
         f=params.f,
         protocol=params.protocol,
-        detector=setup.kind,
-        detector_params=setup.registry_params(),
+        detector=detector,
+        detector_params=detector_params,
         latency=LogNormalLatency(params.delay_median, params.delay_sigma),
         seed=seed,
         fault_plan=plan,
@@ -192,7 +192,7 @@ def tabulate(params: C1Params, values: list[dict]) -> Table:
             decided = [v for v in cells if v["latency_mean"] is not None]
             table.add_row(
                 fault,
-                setup_for(detector).label,
+                table_label(detector),
                 f"{sum(v['decided'] for v in cells)}/{params.instances * len(cells)}",
                 stat_mean(v["latency_mean"] for v in decided),
                 stat_mean(v["latency_max"] for v in decided),

@@ -32,7 +32,7 @@ from .api import (
     register_experiment,
 )
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario, table_label
 
 __all__ = ["E1Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -41,7 +41,7 @@ _LABELS = {"partial": "time-free (async)", "gossip": "Friedman-Tcharny"}
 
 
 def _label(detector: str) -> str:
-    return _LABELS.get(detector, setup_for(detector).label)
+    return _LABELS.get(detector, table_label(detector))
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,15 @@ def run_cell(params: E1Params, coords: dict, seed: int) -> dict:
         start=params.crash_window[0],
         end=params.crash_window[1],
     )
-    setup = setup_for(coords["detector"]).with_(label=_label(coords["detector"]))
     actual_d = topology.range_density()
-    if setup.kind == "partial":
-        # The partial detector's quorum is d - f; d must be the topology's
-        # actual range density.
-        setup = setup.with_(grace=1.0, d=actual_d)
+    # The partial detector's quorum is d - f; d must be the topology's
+    # actual range density.
+    detector_params = {"d": actual_d} if coords["detector"] == "partial" else {}
     # run_scenario's hand-over rule: the validated original is dropped here
     topology = topology.copy()
     cluster = run_scenario(
-        setup=setup,
+        detector=coords["detector"],
+        detector_params=detector_params,
         topology=topology,
         f=params.f,
         horizon=params.horizon,

@@ -32,11 +32,12 @@ from ..sim.rng import RngStreams
 from ..sim.topology import Topology, manet_topology
 from .api import ExperimentSpec, FixedAxis, Metric, register_experiment
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario
 
 __all__ = ["E2Params", "SPEC", "run_cell", "tabulate", "run"]
 
-_VARIANTS = {"alg2": "algorithm 2", "no-eviction": "ablation: no eviction"}
+#: Algorithm 2, and the ablation without its known-eviction rule
+_VARIANTS = ("alg2", "no-eviction")
 
 
 @dataclass(frozen=True)
@@ -133,16 +134,11 @@ def run_cell(params: E2Params, coords: dict, seed: int) -> dict:
         ]
     )
     d = topology.range_density()
-    setup = setup_for(params.detector).with_(
-        label=_VARIANTS[coords["variant"]],
-        grace=1.0,
-        d=d,
-        mobility=coords["variant"] == "alg2",
-    )
     # run_scenario's hand-over rule: the validated original is dropped here
     topology = topology.copy()
     cluster = run_scenario(
-        setup=setup,
+        detector=params.detector,
+        detector_params={"d": d, "mobility": coords["variant"] == "alg2"},
         topology=topology,
         f=params.f,
         horizon=params.horizon,
@@ -192,7 +188,7 @@ SPEC = register_experiment(
         exp_id="e2",
         title="false-suspicion transient under mobility",
         params_cls=E2Params,
-        axes=(FixedAxis("variant", values=tuple(_VARIANTS)),),
+        axes=(FixedAxis("variant", values=_VARIANTS),),
         run_cell=run_cell,
         metrics=(
             Metric("mover", "the detaching/reattaching process id"),

@@ -26,7 +26,7 @@ from .api import (
     register_experiment,
 )
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario
 
 __all__ = ["F1Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -52,7 +52,7 @@ def run_cell(params: F1Params, coords: dict, seed: int) -> dict:
     victim = params.n  # symmetric under full mesh
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
     cluster = run_scenario(
-        setup=setup_for(coords["detector"]),
+        detector=coords["detector"],
         n=params.n,
         f=params.f,
         horizon=params.horizon,

@@ -44,7 +44,7 @@ from .api import (
     register_experiment,
 )
 from .report import Table
-from .scenarios import DetectorSetup, run_scenario, setup_for
+from .scenarios import run_scenario, table_label
 
 __all__ = [
     "F2Params",
@@ -92,13 +92,8 @@ class F2Params:
         )
 
 
-def _setups(params: F2Params) -> dict[str, DetectorSetup]:
-    return {
-        detector: setup_for(detector).with_(
-            label=_LABELS.get(detector, setup_for(detector).label)
-        )
-        for detector in params.detectors
-    }
+def _label(detector: str) -> str:
+    return _LABELS.get(detector, table_label(detector))
 
 
 def _biased(params: F2Params, base: LatencyModel) -> LatencyModel:
@@ -123,7 +118,7 @@ def run_cell(params: F2Params, coords: dict, seed: int) -> dict:
     else:
         latency = _biased(params, LogNormalLatency(params.delay_median, coords["stress"]))
     cluster = run_scenario(
-        setup=_setups(params)[coords["detector"]],
+        detector=coords["detector"],
         n=params.n,
         f=params.f,
         horizon=params.horizon,
@@ -158,11 +153,10 @@ def _headers() -> list[str]:
 def _fill(
     table: Table, params: F2Params, grid: list[dict], values: list[dict], stress_format
 ) -> Table:
-    setups = _setups(params)
     for coords, value in zip(grid, values):
         table.add_row(
             stress_format(coords["stress"]),
-            setups[coords["detector"]].label,
+            _label(coords["detector"]),
             value["total"],
             value["responsive"],
             value["anchor_ok"],

@@ -24,7 +24,7 @@ from ..metrics import accuracy_stabilization
 from ..sim.latency import BiasedLatency, LogNormalLatency
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario
 
 __all__ = ["F3Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -54,9 +54,6 @@ class F3Params:
 
 
 def run_cell(params: F3Params, coords: dict, seed: int) -> dict:
-    setup = setup_for(params.detector).with_(
-        grace=params.grace, idle=params.idle, label="time-free"
-    )
     latency = BiasedLatency(
         LogNormalLatency(params.delay_median, params.delay_sigma),
         favored=frozenset({params.favored}),
@@ -64,7 +61,8 @@ def run_cell(params: F3Params, coords: dict, seed: int) -> dict:
         bidirectional=True,
     )
     cluster = run_scenario(
-        setup=setup,
+        detector=params.detector,
+        detector_params={"grace": params.grace, "idle": params.idle},
         n=params.n,
         f=params.f,
         horizon=params.horizon,

@@ -50,7 +50,7 @@ from .api import (
     stat_mean,
 )
 from .report import Table
-from .scenarios import fault_plan_for, run_scenario, setup_for
+from .scenarios import fault_plan_for, run_scenario, table_label
 
 __all__ = ["Q1Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -106,16 +106,21 @@ class Q1Params:
 def run_cell(params: Q1Params, coords: dict, seed: int) -> dict:
     detector = coords["detector"]
     victim = params.n  # symmetric under full mesh
-    setup = setup_for(detector)
-    if "d" in get_detector(detector).required:
-        # Full mesh: every range is the whole system, so the density is n.
-        setup = setup.with_(d=params.n)
+    spec = get_detector(detector)
+    # Full mesh: every range is the whole system, so the density is n.
+    detector_params = {"d": params.n} if "d" in spec.required else {}
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
     fault = coords.get("fault")
     if fault is not None:
-        return _run_stress_cell(params, setup, plan, fault, seed)
+        if "retry" in spec.param_names():
+            # Query families stall when a partition or a burst eats the
+            # quorum; the lossy-channel rebroadcast (QueryPacing.retry) is
+            # the standard remedy.  Timer families have no such knob.
+            detector_params["retry"] = 2.0
+        return _run_stress_cell(params, detector, detector_params, plan, fault, seed)
     cluster = run_scenario(
-        setup=setup,
+        detector=detector,
+        detector_params=detector_params,
         n=params.n,
         f=params.f,
         horizon=params.horizon,
@@ -145,7 +150,12 @@ def run_cell(params: Q1Params, coords: dict, seed: int) -> dict:
 
 
 def _run_stress_cell(
-    params: Q1Params, setup, plan: FaultPlan, fault: str, seed: int
+    params: Q1Params,
+    detector: str,
+    detector_params: dict,
+    plan: FaultPlan,
+    fault: str,
+    seed: int,
 ) -> dict:
     """One stress cell: the scripted crash *plus* a named fault scenario,
     scored against epoch ground truth (a suspicion of a down-but-recovering
@@ -161,13 +171,9 @@ def _run_stress_cell(
             exclude=(victim,),
         )
     )
-    if setup.retry is None:
-        # Query families stall when a partition or a burst eats the quorum;
-        # the lossy-channel rebroadcast (QueryPacing.retry) is the standard
-        # remedy and a no-op knob for the timer families.
-        setup = setup.with_(retry=2.0)
     cluster = run_scenario(
-        setup=setup,
+        detector=detector,
+        detector_params=detector_params,
         n=params.n,
         f=params.f,
         horizon=params.horizon,
@@ -231,7 +237,7 @@ def _tabulate_stress(params: Q1Params, values: list[dict]) -> Table:
             monitored = [v for v in trials if v["mistake_rate"] is not None]
             table.add_row(
                 fault,
-                setup_for(detector).label,
+                table_label(detector),
                 stat_mean(v["detect_mean"] for v in detected),
                 stat_mean(v["detect_max"] for v in detected),
                 stat_mean(v["mistake_rate"] * 60.0 for v in monitored),
@@ -272,7 +278,7 @@ def _tabulate_calm(params: Q1Params, values: list[dict]) -> Table:
         detected = [v for v in trials if v["detect_mean"] is not None]
         monitored = [v for v in trials if v["mistake_rate"] is not None]
         table.add_row(
-            setup_for(detector).label,
+            table_label(detector),
             stat_mean(v["detect_mean"] for v in detected),
             stat_mean(v["detect_max"] for v in detected),
             stat_mean(v["mistake_rate"] * 60.0 for v in monitored),

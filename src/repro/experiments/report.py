@@ -1,7 +1,8 @@
 """Plain-text tables for experiment output.
 
 Nothing here depends on plotting; figures are reported as series tables
-(x column + one column per detector), which is what EXPERIMENTS.md embeds.
+(x column + one column per detector), as the README's "Experiments"
+section shows them.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ so an in-repo module cannot register without being discovered).
 ``--full`` runs paper-scale parameters (minutes); the
 default quick presets finish in well under a minute and show the same
 shapes.  ``--only T1,F2`` restricts to a comma-separated subset.
-``--markdown`` emits EXPERIMENTS.md-ready tables.
+``--markdown`` emits the tables as Markdown.
 """
 
 from __future__ import annotations

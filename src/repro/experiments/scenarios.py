@@ -2,33 +2,26 @@
 
 A scenario is: a topology, a latency model, a fault plan, and one detector
 deployed on every node.  :func:`run_scenario` assembles the cluster, runs it
-to the horizon and returns it (trace included).  Detectors are selected by
-**registry key** (see :mod:`repro.detectors`) — pass a key string, or a
-:class:`DetectorSetup` when knobs need overriding — so experiment tables
-can iterate over comparable configurations of any registered family.
+to the horizon and returns it (trace included).  The detector is named the
+way :class:`~repro.consensus.ConsensusHarness` and
+:class:`~repro.runtime.LocalCluster` name it: a **registry key** (see
+:mod:`repro.detectors`) plus a dict of that family's typed params, where a
+knob the family lacks is a :class:`~repro.errors.ConfigurationError`.
 
 Parameter conventions follow the paper family's evaluation: Δ (``period`` /
 query ``grace``) defaults to 1 s, Θ (``timeout``) to 2 s, and the one-hop
 delay δ averages 1 ms.
-
-.. deprecated::
-    :class:`DetectorSetup` predates the :mod:`repro.detectors` registry
-    and is kept as a thin compatibility shim: it is one flat bag of every
-    family's knobs, translated to the family's typed params at
-    ``driver_factory`` time.  New code should address families through
-    the registry (``sim_driver_factory(key, f, **params)``) or pass plain
-    key strings to :func:`run_scenario`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..detectors import get_detector, sim_driver_factory
 from ..errors import ConfigurationError
 from ..ids import ProcessId
-from ..sim.cluster import DriverFactory, SimCluster
+from ..sim.cluster import SimCluster
 from ..sim.faults import (
     CrashFault,
     FaultPlan,
@@ -42,103 +35,29 @@ from ..sim.latency import ExponentialLatency, LatencyModel
 from ..sim.topology import Topology
 
 __all__ = [
-    "DetectorSetup",
     "FaultScenario",
     "run_scenario",
-    "setup_for",
+    "table_label",
     "register_fault_scenario",
     "get_fault_scenario",
     "fault_scenario_keys",
     "fault_plan_for",
-    "TIME_FREE",
-    "HEARTBEAT",
-    "GOSSIP",
-    "PHI",
 ]
 
 
-@dataclass(frozen=True)
-class DetectorSetup:
-    """Which detector to deploy and with what knobs (legacy shim).
-
-    ``kind`` is any :mod:`repro.detectors` registry key (built-in:
-    ``time-free``, ``partial``, ``heartbeat``, ``heartbeat-adaptive``,
-    ``gossip``, ``phi``).  Timer-based kinds use ``period``/``timeout``
-    (and ``phi_threshold``); query-response kinds use ``grace``/``idle``
-    (plus ``d`` for the partial detector and ``retry`` for the
-    lossy-channel extension).  Knobs that do not apply to ``kind`` are
-    ignored, which is what lets one flat setup sweep across families.
-    """
-
-    kind: str
-    label: str = ""
-    grace: float = 1.0
-    idle: float = 0.0
-    retry: float | None = None
-    d: int | None = None
-    period: float = 1.0
-    timeout: float = 2.0
-    phi_threshold: float = 8.0
-    timeout_increment: float = 0.5
-    mobility: bool = True
-    with_omega: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            object.__setattr__(self, "label", self.kind)
-
-    def with_(self, **changes) -> "DetectorSetup":
-        return replace(self, **changes)
-
-    def registry_params(self) -> dict:
-        """This setup's knobs, narrowed to the family's typed params."""
-        spec = get_detector(self.kind)
-        legacy = {
-            "grace": self.grace,
-            "idle": self.idle,
-            "retry": self.retry,
-            "with_omega": self.with_omega,
-            "d": self.d,
-            "mobility": self.mobility,
-            "period": self.period,
-            "timeout": self.timeout,
-            "threshold": self.phi_threshold,
-            "timeout_increment": self.timeout_increment,
-        }
-        return {name: legacy[name] for name in spec.param_names() if name in legacy}
-
-    def driver_factory(self, f: int) -> DriverFactory:
-        return sim_driver_factory(self.kind, f, **self.registry_params())
-
-
-#: Canonical comparable configurations (Δ = 1 s everywhere, Θ = 2 s).
-TIME_FREE = DetectorSetup(kind="time-free", label="time-free (async)", grace=1.0)
-HEARTBEAT = DetectorSetup(kind="heartbeat", label="heartbeat Θ=2s", period=1.0, timeout=2.0)
-GOSSIP = DetectorSetup(kind="gossip", label="gossip FT Θ=2s", period=1.0, timeout=2.0)
-PHI = DetectorSetup(kind="phi", label="phi-accrual", period=1.0, phi_threshold=8.0)
-
-_PRESETS = {
-    TIME_FREE.kind: TIME_FREE,
-    HEARTBEAT.kind: HEARTBEAT,
-    GOSSIP.kind: GOSSIP,
-    PHI.kind: PHI,
+#: table labels of the four comparable families (Δ = 1 s everywhere, Θ = 2 s:
+#: the registry defaults); any other key labels itself
+_TABLE_LABELS = {
+    "time-free": "time-free (async)",
+    "heartbeat": "heartbeat Θ=2s",
+    "gossip": "gossip FT Θ=2s",
+    "phi": "phi-accrual",
 }
 
 
-def setup_for(detector: "str | DetectorSetup") -> DetectorSetup:
-    """Resolve a registry key (or pass through a setup) to a DetectorSetup.
-
-    Keys with a canonical comparable preset (``time-free``, ``heartbeat``,
-    ``gossip``, ``phi``) resolve to it — same Δ/Θ and table labels as
-    always; any other registered key resolves to a default-knob setup.
-    """
-    if isinstance(detector, DetectorSetup):
-        return detector
-    preset = _PRESETS.get(detector)
-    if preset is not None:
-        return preset
-    get_detector(detector)  # raise early on unknown keys
-    return DetectorSetup(kind=detector)
+def table_label(detector: str) -> str:
+    """The row label experiment tables print for a detector registry key."""
+    return _TABLE_LABELS.get(detector, detector)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +256,8 @@ register_fault_scenario(
 
 def run_scenario(
     *,
-    setup: "DetectorSetup | str",
+    detector: str,
+    detector_params: Mapping[str, Any] | None = None,
     f: int,
     horizon: float,
     n: int | None = None,
@@ -350,6 +270,8 @@ def run_scenario(
 ) -> SimCluster:
     """Build the cluster, run it to ``horizon``, return it (trace inside).
 
+    ``detector`` is a registry key and ``detector_params`` that family's
+    typed knobs; one the family lacks raises :class:`ConfigurationError`.
     The cluster comes back closed (:meth:`SimCluster.close`): its trace,
     ``drivers`` and ``suspects_of`` read as before, and it cannot run again.
     Hand-over rule (docs/scenarios.md): ``topology`` becomes the cluster's graph
@@ -357,16 +279,19 @@ def run_scenario(
     reads what it reports about the graph it validated first, then passes
     ``Topology.copy()`` (the edge replay the goldens' bytes rest on) and drops it.
     """
-    setup = setup_for(setup)
+    params = get_detector(detector).make_params(**(detector_params or {}))
     if latency is None:
         latency = ExponentialLatency(mean=0.001)  # the paper's δ ≈ 1 ms
     if start_stagger is None:
-        # Desynchronise rounds/heartbeats by up to one period by default.
-        start_stagger = max(setup.grace, setup.period)
+        # Desynchronise rounds/heartbeats by up to one period by default;
+        # never under 1 s (docs/scenarios.md, "Start stagger").
+        start_stagger = max(
+            1.0, getattr(params, "grace", 0.0), getattr(params, "period", 0.0)
+        )
     cluster = SimCluster(
         n=n,
         topology=topology,
-        driver_factory=setup.driver_factory(f),
+        driver_factory=sim_driver_factory(detector, f, params),
         latency=latency,
         seed=seed,
         fault_plan=fault_plan,

@@ -31,7 +31,7 @@ from .api import (
     stat_mean,
 )
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario
 
 __all__ = ["T1Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -58,7 +58,7 @@ def run_cell(params: T1Params, coords: dict, seed: int) -> dict:
     victim = n  # crash the highest id; ids are symmetric under full mesh
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
     cluster = run_scenario(
-        setup=setup_for(coords["detector"]),
+        detector=coords["detector"],
         n=n,
         f=f,
         horizon=params.horizon,

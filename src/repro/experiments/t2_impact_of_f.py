@@ -19,7 +19,7 @@ from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario
 
 __all__ = ["T2Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -47,7 +47,7 @@ def run_cell(params: T2Params, coords: dict, seed: int) -> dict:
     victim = params.n
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
     cluster = run_scenario(
-        setup=setup_for(params.detector),
+        detector=params.detector,
         n=params.n,
         f=f,
         horizon=params.horizon,

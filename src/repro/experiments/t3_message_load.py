@@ -15,7 +15,7 @@ from ..harness.runner import run_grid
 from ..metrics import message_load
 from .api import Banded, DetectorAxis, ExperimentSpec, Metric, Monotone, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario, setup_for
+from .scenarios import run_scenario, table_label
 
 __all__ = ["T3Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -53,7 +53,7 @@ def run_cell(params: T3Params, coords: dict, seed: int) -> dict:
     n = coords["n"]
     f = max(1, int(n * params.f_fraction))
     cluster = run_scenario(
-        setup=setup_for(coords["detector"]),
+        detector=coords["detector"],
         n=n,
         f=f,
         horizon=params.horizon,
@@ -77,7 +77,7 @@ def tabulate(params: T3Params, values: list[dict]) -> Table:
     for coords, value in zip(SPEC.cells(params), values):
         table.add_row(
             coords["n"],
-            setup_for(coords["detector"]).label,
+            table_label(coords["detector"]),
             value["total"],
             value["dominant"],
             value["dominant_load"],

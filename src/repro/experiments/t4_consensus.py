@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..consensus import ConsensusHarness
+from ..detectors import get_detector
 from ..harness.runner import run_grid
 from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import ExponentialLatency
 from .api import DetectorAxis, ExperimentSpec, FixedAxis, Metric, register_experiment
 from .report import Table
-from .scenarios import DetectorSetup, setup_for
 
 __all__ = ["T4Params", "SPEC", "run_cell", "tabulate", "run"]
 
@@ -53,19 +53,20 @@ class T4Params:
         return cls(n=15, f=7)
 
 
-def _setup(params: T4Params, detector: str) -> DetectorSetup:
-    """Any registered family, with its timing knobs rescaled to Δ."""
+def _label(params: T4Params, detector: str) -> str:
     label_fn = _LABELS.get(detector, lambda delta: f"{detector} Δ={delta}s")
-    return setup_for(detector).with_(
-        grace=params.delta,
-        period=params.delta,
-        timeout=2 * params.delta,
-        label=label_fn(params.delta),
-    )
+    return label_fn(params.delta)
+
+
+def _timing(params: T4Params, detector: str) -> dict:
+    """The family's timing knobs rescaled to Δ: grace / period / timeout =
+    Δ / Δ / 2Δ, each set only where the family has it."""
+    timing = {"grace": params.delta, "period": params.delta, "timeout": 2 * params.delta}
+    names = get_detector(detector).param_names()
+    return {name: value for name, value in timing.items() if name in names}
 
 
 def run_cell(params: T4Params, coords: dict, seed: int) -> dict:
-    setup = _setup(params, coords["detector"])
     if coords["scenario"] == "fault-free":
         plan = FaultPlan.none()
     else:
@@ -75,8 +76,8 @@ def run_cell(params: T4Params, coords: dict, seed: int) -> dict:
         n=params.n,
         f=params.f,
         protocol="ct",
-        detector=setup.kind,
-        detector_params=setup.registry_params(),
+        detector=coords["detector"],
+        detector_params=_timing(params, coords["detector"]),
         latency=ExponentialLatency(params.delay_mean),
         seed=seed,
         fault_plan=plan,
@@ -110,7 +111,7 @@ def tabulate(params: T4Params, values: list[dict]) -> Table:
     )
     for coords, value in zip(SPEC.cells(params), values):
         table.add_row(
-            _setup(params, coords["detector"]).label,
+            _label(params, coords["detector"]),
             coords["scenario"],
             value["all_correct_decided"],
             value["agreement"],

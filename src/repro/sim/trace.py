@@ -24,10 +24,10 @@ The list-of-dataclasses recorder this replaced is the audited oracle in
 both through identical scripts and asserts equal query results, the same
 pattern that pins the timer wheel to the reference heap scheduler.
 
-``trace.suspicion_changes`` / ``trace.rounds`` are served as plain lists:
-a cached view materialized on first access and re-ingested when callers
-replace or truncate it in place (test fixtures do both) — the sim itself
-never touches the views, so runs never pay for materialization.  The
+``trace.suspicion_changes`` / ``trace.rounds`` are read-only tuples,
+materialized on read and rebuilt only when the store has grown since the
+last one; the ``record_*`` methods are the only way into a trace.  The sim
+itself never reads the views, so runs never pay for materialization.  The
 columns assume what the simulator guarantees: records are appended in
 non-decreasing time order.
 """
@@ -186,7 +186,6 @@ class _ColumnarChanges:
         "_observers",
         "_obs",
         "_view",
-        "_view_len",
     )
 
     def __init__(self, interner: _Interner, checkpoint_interval: int) -> None:
@@ -195,12 +194,8 @@ class _ColumnarChanges:
         self._times = array("d")
         self._observers = array("i")
         self._obs: list[_ObserverColumn] = []
-        #: cached materialized list served as ``trace.suspicion_changes``;
-        #: kept append-consistent so held references behave like a live
-        #: list, re-ingested when its length drifts (in-place truncation)
-        #: or it is replaced wholesale
-        self._view: list[SuspicionChange] | None = None
-        self._view_len = 0
+        #: the last tuple served as ``trace.suspicion_changes``
+        self._view: tuple[SuspicionChange, ...] = ()
 
     # -- store maintenance -------------------------------------------------
     def _col_of(self, dense: int) -> _ObserverColumn:
@@ -216,22 +211,6 @@ class _ColumnarChanges:
         col = self._obs[dense]
         return col if col.times else None
 
-    def _sync(self) -> None:
-        view = self._view
-        if view is not None and len(view) != self._view_len:
-            self._reingest(view)
-            self._view_len = len(view)
-
-    def _clear(self) -> None:
-        self._times = array("d")
-        self._observers = array("i")
-        self._obs = []
-
-    def _reingest(self, changes: list[SuspicionChange]) -> None:
-        self._clear()
-        for change in changes:
-            self._ingest_literal(change)
-
     # -- recording ---------------------------------------------------------
     def record(
         self,
@@ -240,7 +219,6 @@ class _ColumnarChanges:
         before: frozenset[ProcessId],
         after: frozenset[ProcessId],
     ) -> SuspicionChange:
-        self._sync()
         intern = self._interner.intern
         dense = intern(observer)
         col = self._col_of(dense)
@@ -260,8 +238,9 @@ class _ColumnarChanges:
             running.difference_update(removed_t)
             running.update(added_t)
         else:
-            # A test-authored jump: the delta replay would diverge from the
-            # literal ``after``, so pin the state with a forced checkpoint.
+            # ``before`` is not the last ``after`` (a volatile restart records
+            # from an empty set): the delta replay would diverge from
+            # ``after``, so pin the state with a forced checkpoint.
             running.clear()
             running.update(map(intern, after))
         col.targets.update(added_t)
@@ -270,54 +249,15 @@ class _ColumnarChanges:
             col.ckpt_counts.append(count)
             col.ckpt_sets.append(frozenset(running))
         col.last_after = after
-        change = SuspicionChange(
+        return SuspicionChange(
             time=time, observer=observer, added=added, removed=removed, suspects=after
         )
-        view = self._view
-        if view is not None:
-            view.append(change)
-            self._view_len += 1
-        return change
-
-    def _ingest_literal(self, change: SuspicionChange) -> None:
-        """Re-ingest a materialized change, trusting its literal fields."""
-        intern = self._interner.intern
-        dense = intern(change.observer)
-        col = self._col_of(dense)
-        added_t = tuple(map(intern, change.added)) if change.added else ()
-        removed_t = tuple(map(intern, change.removed)) if change.removed else ()
-        self._times.append(change.time)
-        self._observers.append(dense)
-        col.times.append(change.time)
-        col.added.append(added_t)
-        col.removed.append(removed_t)
-        running = col.running
-        running.difference_update(removed_t)
-        running.update(added_t)
-        suspects_dense = frozenset(map(intern, change.suspects))
-        consistent = running == suspects_dense
-        if not consistent:
-            running.clear()
-            running.update(suspects_dense)
-        col.targets.update(added_t)
-        count = len(col.times)
-        if not consistent or count % self._ckpt_every == 0:
-            col.ckpt_counts.append(count)
-            col.ckpt_sets.append(frozenset(running))
-        col.last_after = change.suspects
 
     # -- view --------------------------------------------------------------
-    def view(self) -> list[SuspicionChange]:
-        self._sync()
-        if self._view is None:
-            self._view = self._materialize()
-            self._view_len = len(self._view)
+    def view(self) -> tuple[SuspicionChange, ...]:
+        if len(self._view) != len(self._times):
+            self._view = tuple(self._materialize())
         return self._view
-
-    def replace(self, value: list[SuspicionChange]) -> None:
-        self._reingest(value)
-        self._view = value
-        self._view_len = len(value)
 
     def _materialize(self) -> list[SuspicionChange]:
         pids = self._interner.pids
@@ -397,7 +337,6 @@ class _ColumnarChanges:
         return state
 
     def changes_of(self, observer: ProcessId) -> list[SuspicionChange]:
-        self._sync()
         col = self._lookup(observer)
         if col is None:
             return []
@@ -427,7 +366,6 @@ class _ColumnarChanges:
         return out
 
     def suspects_at(self, observer: ProcessId, time: float) -> frozenset[ProcessId]:
-        self._sync()
         col = self._lookup(observer)
         if col is None:
             return _EMPTY
@@ -441,11 +379,9 @@ class _ColumnarChanges:
     def _transitions(col: _ObserverColumn) -> dict[int, array]:
         """Per-target transition index, extended to cover every record.
 
-        Codes pack ``local_position << 2 | kind``.  A literal (test-authored)
-        change may list a target as both added and removed; that folds into
-        one kind-3 code so replay visits the record once, exactly like
-        added/removed membership tests over a list of change objects.
-        ``array('i')`` bounds local positions at 2**29 records per observer.
+        Codes pack ``local_position << 2 | kind``; a record's ``added`` and
+        ``removed`` are disjoint, so each code is one kind.  ``array('i')``
+        bounds local positions at 2**29 records per observer.
         """
         trans = col.transitions
         start = col.trans_len
@@ -461,10 +397,8 @@ class _ColumnarChanges:
                     arr = trans.get(d)
                     if arr is None:
                         arr = trans[d] = array("i")
-                    arr.append(code | (3 if d in removed_t else 1))
+                    arr.append(code | 1)
                 for d in removed_t:
-                    if d in added_t:
-                        continue
                     arr = trans.get(d)
                     if arr is None:
                         arr = trans[d] = array("i")
@@ -475,7 +409,6 @@ class _ColumnarChanges:
     def first_suspicion_time(
         self, observer: ProcessId, target: ProcessId, *, after: float = 0.0
     ) -> float | None:
-        self._sync()
         col = self._lookup(observer)
         if col is None:
             return None
@@ -494,7 +427,6 @@ class _ColumnarChanges:
     def permanent_suspicion_time(
         self, observer: ProcessId, target: ProcessId
     ) -> float | None:
-        self._sync()
         col = self._lookup(observer)
         if col is None:
             return None
@@ -519,7 +451,6 @@ class _ColumnarChanges:
     def suspicion_intervals(
         self, observer: ProcessId, target: ProcessId, *, horizon: float
     ) -> list[tuple[float, float]]:
-        self._sync()
         intervals: list[tuple[float, float]] = []
         start: float | None = None
         col = self._lookup(observer)
@@ -544,7 +475,6 @@ class _ColumnarChanges:
     def false_suspicion_count_at(
         self, time: float, crashed: frozenset[ProcessId]
     ) -> int:
-        self._sync()
         pids = self._interner.pids
         count = 0
         for col in self._obs:
@@ -558,7 +488,6 @@ class _ColumnarChanges:
         return count
 
     def targets_of(self, observer: ProcessId) -> frozenset[ProcessId]:
-        self._sync()
         col = self._lookup(observer)
         if col is None:
             return _EMPTY
@@ -582,16 +511,10 @@ class _ColumnarRounds:
         "_win_off",
         "_by_querier",
         "_view",
-        "_view_len",
     )
 
     def __init__(self, interner: _Interner) -> None:
         self._interner = interner
-        self._clear()
-        self._view: list[RoundRecord] | None = None
-        self._view_len = 0
-
-    def _clear(self) -> None:
         self._querier = array("i")
         self._round_id = array("q")
         self._started = array("d")
@@ -602,16 +525,10 @@ class _ColumnarRounds:
         self._win = array("i")
         self._win_off = array("q", [0])
         self._by_querier: dict[int, list[int]] = {}
+        #: the last tuple served as ``trace.rounds``
+        self._view: tuple[RoundRecord, ...] = ()
 
-    def _sync(self) -> None:
-        view = self._view
-        if view is not None and len(view) != self._view_len:
-            self._clear()
-            for rec in view:
-                self._ingest(rec)
-            self._view_len = len(view)
-
-    def _ingest(self, rec: RoundRecord) -> None:
+    def record(self, rec: RoundRecord) -> None:
         intern = self._interner.intern
         dense = intern(rec.querier)
         index = len(self._round_id)
@@ -630,14 +547,6 @@ class _ColumnarRounds:
         self._win_off.append(len(win))
         self._by_querier.setdefault(dense, []).append(index)
 
-    def record(self, rec: RoundRecord) -> None:
-        self._sync()
-        self._ingest(rec)
-        view = self._view
-        if view is not None:
-            view.append(rec)
-            self._view_len += 1
-
     def _round(self, index: int) -> RoundRecord:
         pids = self._interner.pids
         r0, r1 = self._resp_off[index], self._resp_off[index + 1]
@@ -652,22 +561,12 @@ class _ColumnarRounds:
             winners=frozenset(pids[d] for d in self._win[w0:w1]),
         )
 
-    def view(self) -> list[RoundRecord]:
-        self._sync()
-        if self._view is None:
-            self._view = [self._round(i) for i in range(len(self._round_id))]
-            self._view_len = len(self._view)
+    def view(self) -> tuple[RoundRecord, ...]:
+        if len(self._view) != len(self._round_id):
+            self._view = tuple(map(self._round, range(len(self._round_id))))
         return self._view
 
-    def replace(self, value: list[RoundRecord]) -> None:
-        self._clear()
-        for rec in value:
-            self._ingest(rec)
-        self._view = value
-        self._view_len = len(value)
-
     def rounds_of(self, querier: ProcessId) -> list[RoundRecord]:
-        self._sync()
         dense = self._interner.dense.get(querier)
         if dense is None:
             return []
@@ -720,20 +619,14 @@ class TraceRecorder:
 
     # -- stored timelines --------------------------------------------------
     @property
-    def suspicion_changes(self) -> list[SuspicionChange]:
+    def suspicion_changes(self) -> tuple[SuspicionChange, ...]:
+        """Every recorded change in order (read-only; see module doc)."""
         return self._changes.view()
 
-    @suspicion_changes.setter
-    def suspicion_changes(self, value: list[SuspicionChange]) -> None:
-        self._changes.replace(value)
-
     @property
-    def rounds(self) -> list[RoundRecord]:
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        """Every recorded round in order (read-only; see module doc)."""
         return self._rounds.view()
-
-    @rounds.setter
-    def rounds(self, value: list[RoundRecord]) -> None:
-        self._rounds.replace(value)
 
     # -- recording ---------------------------------------------------------
     def record_suspicion_change(

@@ -1,7 +1,7 @@
 """Simulator determinism: same seed in, identical trace out.
 
 Reproducibility is the simulator's core contract — every experiment table
-in EXPERIMENTS.md depends on it.
+(README, "Experiments"; docs/scenarios.md) depends on it.
 """
 
 from hypothesis import given, settings

@@ -5,11 +5,10 @@ kept for differential debugging (see docs/trace.md) — the same pattern as
 the scheduler's reference heap loop in ``test_wheel_vs_heap``.  Hypothesis
 drives both recorders through identical operation scripts — interleaved
 ``record_suspicion_change`` appends (including *inconsistent* jumps whose
-``before`` is not the previous ``after``, which force checkpoints in the
-columnar store), wholesale ``suspicion_changes`` / ``rounds`` list
-replacement with test-authored literals (overlapping added/removed sets,
-delta-inconsistent ``suspects`` snapshots), in-place truncation of a held
-view list, and round records — and every query observable must match:
+``before`` is not the previous ``after``, as a volatile restart records,
+which force checkpoints in the columnar store) and ``record_round`` calls;
+``record_*`` is the only way into a trace, so those are the whole script
+language — and every query observable must match:
 ``suspicion_changes``, ``changes_of``, ``suspects_at``, ``targets_of``,
 ``first_suspicion_time`` (several ``after`` cuts), ``permanent_suspicion_time``,
 ``suspicion_intervals``, ``false_suspicion_count_at``, ``rounds`` and
@@ -29,7 +28,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.trace import RoundRecord, SuspicionChange, TraceRecorder
+from repro.sim.trace import RoundRecord, TraceRecorder
 from tests.reference_trace import ReferenceTraceRecorder
 
 OBSERVERS = tuple(range(1, 6))
@@ -44,34 +43,12 @@ _OPS = st.lists(
         st.tuples(st.just("record"), st.sampled_from(OBSERVERS), _DT, _SET),
         # inconsistent jump: arbitrary before, exercises forced checkpoints
         st.tuples(st.just("jump"), st.sampled_from(OBSERVERS), _DT, _SET, _SET),
-        # wholesale replacement with literal (possibly delta-inconsistent,
-        # possibly added/removed-overlapping) changes
-        st.tuples(
-            st.just("replace"),
-            st.lists(
-                st.tuples(st.sampled_from(OBSERVERS), _DT, _SET, _SET, _SET),
-                max_size=6,
-            ),
-        ),
-        # in-place truncation of the held view list
-        st.tuples(st.just("truncate"), st.integers(min_value=0, max_value=16)),
         st.tuples(
             st.just("round"),
             st.sampled_from(OBSERVERS),
             _DT,
             st.lists(st.sampled_from(TARGETS), max_size=3),
             _SET,
-        ),
-        st.tuples(
-            st.just("replace_rounds"),
-            st.lists(
-                st.tuples(
-                    st.sampled_from(OBSERVERS),
-                    _DT,
-                    st.lists(st.sampled_from(TARGETS), max_size=3),
-                ),
-                max_size=4,
-            ),
         ),
     ),
     min_size=1,
@@ -96,33 +73,6 @@ def _apply(trace: TraceRecorder, ops) -> None:
             now += dt
             trace.record_suspicion_change(now, observer, before, after)
             current[observer] = after
-        elif kind == "replace":
-            _, rows = op
-            changes = []
-            t = 0.0
-            for observer, dt, added, removed, suspects in rows:
-                t += dt
-                changes.append(
-                    SuspicionChange(
-                        time=t,
-                        observer=observer,
-                        added=added,
-                        removed=removed,
-                        suspects=suspects,
-                    )
-                )
-            trace.suspicion_changes = changes
-            now = max(now, t)
-            current = {pid: frozenset() for pid in OBSERVERS}
-            for change in changes:
-                current[change.observer] = change.suspects
-        elif kind == "truncate":
-            _, keep = op
-            view = trace.suspicion_changes
-            del view[keep:]
-            current = {pid: frozenset() for pid in OBSERVERS}
-            for change in view:
-                current[change.observer] = change.suspects
         elif kind == "round":
             _, querier, dt, responders, winners = op
             now += dt
@@ -138,30 +88,12 @@ def _apply(trace: TraceRecorder, ops) -> None:
                     winners=frozenset(winners),
                 )
             )
-        elif kind == "replace_rounds":
-            _, rows = op
-            rounds = []
-            t = 0.0
-            for querier, dt, responders in rows:
-                t += dt
-                rounds.append(
-                    RoundRecord(
-                        querier=querier,
-                        round_id=len(rounds),
-                        started_at=t,
-                        quorum_at=t,
-                        finished_at=t + 0.5,
-                        responders=tuple(responders),
-                        winners=frozenset(responders),
-                    )
-                )
-            trace.rounds = rounds
 
 
 def _observe(trace: TraceRecorder) -> list:
     """Every query observable, in a comparable structure."""
     times = (0.0, 0.1, 0.75, 2.0, 5.0, 100.0)
-    out: list = [list(trace.suspicion_changes), list(trace.rounds)]
+    out: list = [trace.suspicion_changes, trace.rounds]
     for observer in OBSERVERS:
         out.append(trace.changes_of(observer))
         out.append(trace.targets_of(observer))

@@ -40,18 +40,13 @@ class _Timeline:
 class _ObjectChanges:
     """The original list-of-objects store with a lazy per-observer index."""
 
-    __slots__ = ("changes", "_index", "_indexed", "_indexed_source")
+    __slots__ = ("changes", "_index", "_indexed")
 
     def __init__(self) -> None:
         self.changes: list[SuspicionChange] = []
         #: lazy per-observer index over ``changes``
         self._index: dict[ProcessId, _Timeline] = {}
         self._indexed = 0
-        #: the exact list object the index was built from — holding the
-        #: reference means a wholesale ``suspicion_changes`` replacement
-        #: (test fixtures do this) is always caught by identity, even at
-        #: equal length
-        self._indexed_source: list | None = None
 
     def record(
         self,
@@ -70,21 +65,12 @@ class _ObjectChanges:
         self.changes.append(change)
         return change
 
-    def view(self) -> list[SuspicionChange]:
-        return self.changes
-
-    def replace(self, value: list[SuspicionChange]) -> None:
-        self.changes = value
+    def view(self) -> tuple[SuspicionChange, ...]:
+        return tuple(self.changes)
 
     def _ensure_index(self) -> dict[ProcessId, _Timeline]:
         index = self._index
         changes = self.changes
-        if changes is not self._indexed_source or len(changes) < self._indexed:
-            # The list was replaced wholesale or truncated in place (test
-            # fixtures do both): drop the stale index and rebuild.
-            index.clear()
-            self._indexed = 0
-            self._indexed_source = changes
         count = len(changes)
         if count == self._indexed:
             return index
@@ -185,30 +171,22 @@ class _ObjectChanges:
 class _ObjectRounds:
     """The original round list with a lazy per-querier index."""
 
-    __slots__ = ("rounds", "_index", "_indexed", "_indexed_source")
+    __slots__ = ("rounds", "_index", "_indexed")
 
     def __init__(self) -> None:
         self.rounds: list[RoundRecord] = []
         self._index: dict[ProcessId, list[RoundRecord]] = {}
         self._indexed = 0
-        self._indexed_source: list | None = None
 
     def record(self, rec: RoundRecord) -> None:
         self.rounds.append(rec)
 
-    def view(self) -> list[RoundRecord]:
-        return self.rounds
-
-    def replace(self, value: list[RoundRecord]) -> None:
-        self.rounds = value
+    def view(self) -> tuple[RoundRecord, ...]:
+        return tuple(self.rounds)
 
     def _ensure_index(self) -> dict[ProcessId, list[RoundRecord]]:
         index = self._index
         rounds = self.rounds
-        if rounds is not self._indexed_source or len(rounds) < self._indexed:
-            index.clear()
-            self._indexed = 0
-            self._indexed_source = rounds
         count = len(rounds)
         if count == self._indexed:
             return index

@@ -6,7 +6,7 @@ import pytest
 
 from repro.consensus import ConsensusHarness
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.scenarios import run_scenario, setup_for
+from repro.experiments.scenarios import run_scenario
 from repro.harness import get_spec, run_grid
 from repro.sim import ConstantLatency, QueryPacing, SimCluster, SimProcess
 from repro.sim.cluster import time_free_driver_factory
@@ -156,9 +156,9 @@ class TestElectorDiscovery:
 
 def lossy_cell():
     """An a2-shaped ``run_scenario`` (retries, loss, a crash)."""
-    setup = setup_for("time-free").with_(grace=0.2, idle=0.1, retry=0.3)
     return run_scenario(
-        setup=setup, n=6, f=1, horizon=6.0, seed=3, loss_rate=0.2,
+        detector="time-free", detector_params={"grace": 0.2, "idle": 0.1, "retry": 0.3},
+        n=6, f=1, horizon=6.0, seed=3, loss_rate=0.2,
         fault_plan=FaultPlan.of(crashes=[CrashFault(6, 2.0)]),
     )
 

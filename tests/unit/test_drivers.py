@@ -44,7 +44,7 @@ class TestQueryResponseDriver:
         driver.on_message(2, object())
         scheduler.run(until=1.0)
         assert trace.messages_total == 2  # the query only
-        assert trace.suspicion_changes == []
+        assert trace.suspicion_changes == ()
 
     def test_a_round_in_flight_at_detach_never_closes(self):
         cluster = SimCluster(

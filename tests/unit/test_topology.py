@@ -273,3 +273,20 @@ class TestNeighborCaches:
         topo.connect(2, former)
         assert topo.sorted_neighbors(2) == (1, 3, 4)
         assert topo.sorted_neighbors(1) == (2, 3, 4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the seed clique sits on a circle of diameter exactly r, and rounding "
+        "puts some antipodal seeds at 100.00000000000003 > r; the fix (radius "
+        "scaled by 1 - 2**-40) is one named regeneration of BENCH_E1.json"
+    ),
+)
+@pytest.mark.parametrize("seeds", [6, 12, 14, 16, 18, 20, 22])
+def test_seed_clique_is_a_clique(seeds):
+    topo = manet_topology(
+        n=seeds, f=seeds - 2, min_neighbors=seeds - 1, rng=random.Random(1)
+    )
+    for pid in topo.ids():
+        assert topo.neighbors(pid) == topo.ids() - {pid}

@@ -30,7 +30,7 @@ class TestSuspicionChanges:
     def test_no_op_change_is_dropped(self, trace):
         result = trace.record_suspicion_change(1.0, 1, frozenset({2}), frozenset({2}))
         assert result is None
-        assert trace.suspicion_changes == []
+        assert trace.suspicion_changes == ()
 
     def test_delta_computation(self, trace):
         change = trace.record_suspicion_change(
@@ -63,20 +63,29 @@ class TestSuspicionChanges:
         assert trace.targets_of(1) == frozenset({5, 6})
         assert trace.targets_of(2) == frozenset()
 
-    def test_view_list_is_live(self, trace):
-        """A held suspicion_changes reference sees later records appended."""
-        view = trace.suspicion_changes
-        assert view == []
+    @pytest.mark.parametrize("view", ["suspicion_changes", "rounds"])
+    def test_views_are_read_only_tuples(self, trace, view):
+        """``record_*`` is the only way in: a view cannot be assigned."""
         record_seq(trace, 1, (1.0, {5}))
-        assert len(view) == 1
-        assert view is trace.suspicion_changes
+        assert isinstance(getattr(trace, view), tuple)
+        with pytest.raises(AttributeError):
+            setattr(trace, view, [])
 
-    def test_truncating_the_view_is_honored(self, trace):
-        record_seq(trace, 1, (1.0, {5}), (2.0, {5, 6}), (3.0, set()))
-        del trace.suspicion_changes[1:]
-        assert len(trace.suspicion_changes) == 1
-        assert trace.suspects_at(1, 99.0) == frozenset({5})
-        assert trace.targets_of(1) == frozenset({5})
+    def test_view_grows_with_the_store(self, trace):
+        record_seq(trace, 1, (1.0, {5}))
+        first = trace.suspicion_changes
+        trace.record_suspicion_change(2.0, 1, frozenset({5}), frozenset())
+        assert trace.suspicion_changes[:1] == first
+        assert len(first) == 1 and len(trace.suspicion_changes) == 2
+
+
+def test_columnar_view_is_rebuilt_only_after_growth():
+    trace = TraceRecorder()
+    record_seq(trace, 1, (1.0, {5}))
+    first = trace.suspicion_changes
+    assert trace.suspicion_changes is first
+    trace.record_suspicion_change(2.0, 1, frozenset({5}), frozenset())
+    assert trace.suspicion_changes is not first
 
 
 class TestPermanentSuspicion:

@@ -182,49 +182,6 @@ def test_index_stays_correct_across_interleaved_appends_and_reads(seed, recorder
             )
 
 
-def test_index_rebuilds_after_wholesale_list_replacement(recorder):
-    """Fixtures may replace ``suspicion_changes`` outright; detect shrinkage."""
-    trace, ids, end = random_trace(99, observers=3, changes=30, recorder=recorder)
-    trace.changes_of(1)  # force the index
-    kept = trace.suspicion_changes[:5]
-    trace.suspicion_changes = kept
-    assert trace.changes_of(1) == _ref_changes_of(trace, 1)
-    assert trace.suspects_at(1, end) == _ref_suspects_at(trace, 1, end)
-
-
-def test_index_rebuilds_after_same_length_list_replacement(recorder):
-    """Replacement is detected by identity, not just by length changes."""
-    import dataclasses
-
-    trace, ids, end = random_trace(17, observers=3, changes=30, recorder=recorder)
-    trace.changes_of(1)  # force the index on the original list
-    replacement = list(trace.suspicion_changes)
-    replacement[0] = dataclasses.replace(
-        replacement[0],
-        suspects=frozenset({99}),
-        added=frozenset({99}),
-        removed=frozenset(),
-    )
-    trace.suspicion_changes = replacement  # same length, different content
-    for obs in ids:
-        assert trace.changes_of(obs) == _ref_changes_of(trace, obs)
-        assert trace.suspects_at(obs, end) == _ref_suspects_at(trace, obs, end)
-    assert trace.first_suspicion_time(replacement[0].observer, 99) == (
-        _ref_first_suspicion_time(trace, replacement[0].observer, 99)
-    )
-
-
-def test_index_rebuilds_after_in_place_truncation(recorder):
-    trace, ids, end = random_trace(23, observers=3, changes=30, recorder=recorder)
-    trace.changes_of(1)  # force the index
-    del trace.suspicion_changes[10:]
-    for obs in ids:
-        assert trace.changes_of(obs) == _ref_changes_of(trace, obs)
-        assert trace.permanent_suspicion_time(obs, 1) == (
-            _ref_permanent_suspicion_time(trace, obs, 1)
-        )
-
-
 def test_rounds_index_matches_linear_scan(recorder):
     from repro.sim.trace import RoundRecord
 
