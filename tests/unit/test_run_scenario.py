@@ -41,6 +41,48 @@ def test_typed_params_reach_the_driver():
     assert driver.core.pacing.retry == 0.5
 
 
+def driver_of(detector, **params):
+    cluster = run_scenario(
+        detector=detector, detector_params=params, f=1, n=5, horizon=0.1
+    )
+    return cluster.drivers[1]
+
+
+class TestDriverFromKey:
+    """Each family's typed knobs reach the simulated driver ``run_scenario`` builds."""
+
+    def test_time_free_builds_query_driver(self):
+        driver = driver_of("time-free")
+        assert isinstance(driver, QueryResponseDriver)
+        assert driver.core.pacing.grace == 1.0
+        assert driver.elector is None
+
+    def test_with_omega_attaches_elector(self):
+        assert driver_of("time-free", with_omega=True).elector is not None
+
+    def test_heartbeat_builds_timed_driver_with_knobs(self):
+        driver = driver_of("heartbeat", timeout=3.0)
+        assert isinstance(driver, TimedDriver)
+        assert driver.core.timeout_of(2) == 3.0
+        assert driver.core.adaptive is False
+
+    def test_adaptive_heartbeat_kind(self):
+        driver = driver_of("heartbeat-adaptive", timeout_increment=0.1)
+        assert driver.core.adaptive is True
+        assert driver.core.timeout_increment == 0.1
+
+    def test_gossip_and_phi_kinds(self):
+        assert driver_of("gossip").core.name == "gossip-heartbeat"
+        assert driver_of("phi", threshold=5.0).core.threshold == 5.0
+
+    def test_partial_kind_builds_query_driver(self):
+        assert isinstance(driver_of("partial", d=5), QueryResponseDriver)
+
+    def test_the_flat_phi_threshold_name_is_an_error(self):
+        with pytest.raises(ConfigurationError, match=r"\['phi_threshold'\]"):
+            driver_of("phi", phi_threshold=5.0)
+
+
 def test_a_knob_the_family_lacks_is_an_error():
     with pytest.raises(ConfigurationError, match=r"unknown parameter\(s\) \['grace'\]"):
         run_scenario(detector="heartbeat", detector_params={"grace": 0.5}, f=1, n=4, horizon=1.0)
