@@ -18,11 +18,14 @@ Run the detector as a real asyncio service::
     cluster.crash(3)
     await cluster.until_all_suspect(3)
 
-Reproduce an experiment on the deterministic simulator::
+Reproduce an experiment on the deterministic simulator, from the shell
+(``python -m repro run t1``) or in code::
 
-    from repro.experiments import t1_detection_vs_n
+    from repro.experiments.api import get_experiment
+    from repro.harness import run_grid
 
-    print(t1_detection_vs_n.run())
+    spec = get_experiment("t1")
+    print(run_grid(spec, spec.make_params()).tables()[0].render())
 
 Packages
 --------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harness.runner import run_grid
 from ..metrics import detection_stats, mistake_stats
 from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
@@ -32,7 +31,7 @@ from .api import ExperimentSpec, Metric, Monotone, ParamAxis, register_experimen
 from .report import Table
 from .scenarios import run_scenario
 
-__all__ = ["A1Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["A1Params", "SPEC", "run_cell", "tabulate"]
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: A1Params = A1Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harness.runner import run_grid
 from ..metrics import detection_stats
 from ..sim.faults import CrashFault, FaultPlan
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
 from .scenarios import run_scenario
 
-__all__ = ["A2Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["A2Params", "SPEC", "run_cell", "tabulate"]
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: A2Params = A2Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

@@ -5,9 +5,9 @@ one declarative surface the rest of the system consumes.  An experiment is
 an :class:`ExperimentSpec` — id, title, params dataclass, a declarative
 **grid** (axes, expanded to cells in canonical reporting order), the cell
 runner, the metrics each cell reports, and the tabulation layout — and
-registers itself with :func:`register_experiment`.  The harness registry,
-``run_all``, and the CLI all resolve experiments from here, so a
-registered experiment reaches ``repro run``/``repro experiments``/CI with
+registers itself with :func:`register_experiment`.  The harness registry
+and the CLI both resolve experiments from here, so a registered
+experiment reaches ``repro run``/``repro experiments``/CI with
 no further wiring.  External plugins register by importing before use —
 either explicitly or via the ``REPRO_PLUGINS`` environment variable
 (:mod:`repro.harness.plugins`), which the registry loads alongside the
@@ -508,7 +508,7 @@ def _ensure_builtin(only: str | None = None) -> None:
     """Import the built-in experiment modules (they register on import;
     all of them, or the one registering ``only``), then any
     ``REPRO_PLUGINS`` modules — so out-of-tree experiments reach every
-    registry consumer (CLI listings, ``run_all``, distributed workers)
+    registry consumer (CLI listings, distributed workers)
     exactly like built-ins.  Plugins load *after* built-ins so a plugin can
     resolve built-in specs at import time."""
     import importlib
@@ -550,8 +550,8 @@ def all_experiments() -> dict[str, ExperimentSpec]:
 
     Built-ins come first (t1..t4, f1..f3, e1, e2, a1, a2, q1), then any
     externally registered experiments in registration order — the order
-    ``run_all``, ``repro run`` (with no ids), and ``repro experiments``
-    iterate, so a new registration can never be silently skipped.
+    ``repro run`` (with no ids) and ``repro experiments`` iterate, so a new
+    registration can never be silently skipped.
 
     Ordering is imposed here, not inherited from registration order: a
     built-in module imported directly (``import

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from ..consensus import ConsensusHarness
 from ..detectors import detector_keys, get_detector
-from ..harness.runner import run_grid
 from ..metrics import consensus_message_load, consensus_stats, epoch_mistake_stats
 from ..sim.latency import LogNormalLatency
 from .api import (
@@ -43,7 +42,7 @@ from .api import (
 from .report import Table
 from .scenarios import fault_plan_for, table_label
 
-__all__ = ["C1Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["C1Params", "SPEC", "run_cell", "tabulate"]
 
 
 def _all_detectors() -> tuple[str, ...]:
@@ -245,7 +244,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: C1Params | None = None) -> Table:
-    return run_grid(SPEC, params if params is not None else C1Params()).tables()[0]

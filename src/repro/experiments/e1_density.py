@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harness.runner import run_grid
 from ..metrics import all_detection_stats
 from ..partial import validate_f_covering, validate_f_covering_fast
 from ..sim.faults import uniform_crashes
@@ -34,7 +33,7 @@ from .api import (
 from .report import Table
 from .scenarios import run_scenario, table_label
 
-__all__ = ["E1Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["E1Params", "SPEC", "run_cell", "tabulate"]
 
 #: legacy table labels for the default comparison pair
 _LABELS = {"partial": "time-free (async)", "gossip": "Friedman-Tcharny"}
@@ -212,7 +211,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: E1Params = E1Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import math
 
 from ..errors import ExperimentError
-from ..harness.runner import run_grid
 from ..metrics import false_suspicion_series
 from ..partial import validate_mobility_scenario
 from ..sim.faults import FaultPlan, MobilityFault
@@ -34,7 +33,7 @@ from .api import ExperimentSpec, FixedAxis, Metric, register_experiment
 from .report import Table
 from .scenarios import run_scenario
 
-__all__ = ["E2Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["E2Params", "SPEC", "run_cell", "tabulate"]
 
 #: Algorithm 2, and the ablation without its known-eviction rule
 _VARIANTS = ("alg2", "no-eviction")
@@ -198,7 +197,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: E2Params = E2Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

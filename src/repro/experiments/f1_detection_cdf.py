@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harness.runner import run_grid
 from ..metrics import detection_stats
 from ..sim.faults import CrashFault, FaultPlan
 from .api import (
@@ -28,7 +27,7 @@ from .api import (
 from .report import Table
 from .scenarios import run_scenario
 
-__all__ = ["F1Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["F1Params", "SPEC", "run_cell", "tabulate"]
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: F1Params = F1Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

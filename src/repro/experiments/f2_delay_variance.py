@@ -9,14 +9,14 @@ is the **responsive process's** false suspicions, not the total (transient
 suspicions of slow processes are by-design and self-correcting in the
 time-free protocol).
 
-* **Regime shift** (:func:`run_regime_shift`): all delays multiply by a
+* **Regime shift** (the ``shift`` section): all delays multiply by a
   factor mid-run.  Rescaling preserves response *order*, so the responsive
   process keeps winning quorums and the time-free detector never suspects
   it, at any factor.  Fixed timeouts are calibrated in absolute time: once
   the inflated delays approach Θ, even the responsive process's heartbeats
   miss the deadline — the anchor is lost.  Phi-accrual re-adapts after its
   window refills but is wrong during the transition.
-* **Variance sweep** (:func:`run_variance_sweep`): log-normal delays with
+* **Variance sweep** (the ``sigma`` section): log-normal delays with
   growing σ at a fixed median; same metrics, tail-driven instead of
   shift-driven.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harness.runner import run_cells, run_grid
 from ..metrics import accuracy_stabilization, mistake_stats
 from ..sim.latency import (
     BiasedLatency,
@@ -46,15 +45,7 @@ from .api import (
 from .report import Table
 from .scenarios import run_scenario, table_label
 
-__all__ = [
-    "F2Params",
-    "SPEC",
-    "run_cell",
-    "tabulate",
-    "run",
-    "run_regime_shift",
-    "run_variance_sweep",
-]
+__all__ = ["F2Params", "SPEC", "run_cell", "tabulate"]
 
 
 #: legacy table labels for the default comparison trio
@@ -244,19 +235,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run_regime_shift(params: F2Params = F2Params()) -> Table:
-    return _shift_table(
-        params, run_cells(SPEC, params, SPEC.section_cells("shift", params))
-    )
-
-
-def run_variance_sweep(params: F2Params = F2Params()) -> Table:
-    return _sigma_table(
-        params, run_cells(SPEC, params, SPEC.section_cells("sigma", params))
-    )
-
-
-def run(params: F2Params = F2Params()) -> list[Table]:
-    return run_grid(SPEC, params).tables()

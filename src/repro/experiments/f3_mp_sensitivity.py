@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.properties import find_mp_witness, winning_ratio
-from ..harness.runner import run_grid
 from ..metrics import accuracy_stabilization
 from ..sim.latency import BiasedLatency, LogNormalLatency
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
 from .scenarios import run_scenario
 
-__all__ = ["F3Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["F3Params", "SPEC", "run_cell", "tabulate"]
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: F3Params = F3Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

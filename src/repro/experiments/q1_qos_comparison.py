@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..detectors import detector_keys, get_detector
-from ..harness.runner import run_grid
 from ..metrics import (
     detection_stats,
     epoch_detection_stats,
@@ -52,7 +51,7 @@ from .api import (
 from .report import Table
 from .scenarios import fault_plan_for, run_scenario, table_label
 
-__all__ = ["Q1Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["Q1Params", "SPEC", "run_cell", "tabulate"]
 
 
 def _all_detectors() -> tuple[str, ...]:
@@ -320,7 +319,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: Q1Params | None = None) -> Table:
-    return run_grid(SPEC, params if params is not None else Q1Params()).tables()[0]

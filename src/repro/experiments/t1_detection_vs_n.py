@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harness.runner import run_grid
 from ..metrics import detection_stats
 from ..sim.faults import CrashFault, FaultPlan
 from .api import (
@@ -33,7 +32,7 @@ from .api import (
 from .report import Table
 from .scenarios import run_scenario
 
-__all__ = ["T1Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["T1Params", "SPEC", "run_cell", "tabulate"]
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: T1Params = T1Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

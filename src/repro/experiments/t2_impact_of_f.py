@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean
 
-from ..harness.runner import run_grid
 from ..metrics import detection_stats, mistake_stats
 from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
@@ -21,7 +20,7 @@ from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
 from .scenarios import run_scenario
 
-__all__ = ["T2Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["T2Params", "SPEC", "run_cell", "tabulate"]
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: T2Params = T2Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harness.runner import run_grid
 from ..metrics import message_load
 from .api import Banded, DetectorAxis, ExperimentSpec, Metric, Monotone, ParamAxis, register_experiment
 from .report import Table
 from .scenarios import run_scenario, table_label
 
-__all__ = ["T3Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["T3Params", "SPEC", "run_cell", "tabulate"]
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: T3Params = T3Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 from ..consensus import ConsensusHarness
 from ..detectors import get_detector
-from ..harness.runner import run_grid
 from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import ExponentialLatency
 from .api import DetectorAxis, ExperimentSpec, FixedAxis, Metric, register_experiment
 from .report import Table
 
-__all__ = ["T4Params", "SPEC", "run_cell", "tabulate", "run"]
+__all__ = ["T4Params", "SPEC", "run_cell", "tabulate"]
 
 _SCENARIOS = ("fault-free", "coordinator crash")
 
@@ -143,7 +142,3 @@ SPEC = register_experiment(
         tabulate=tabulate,
     )
 )
-
-
-def run(params: T4Params = T4Params()) -> Table:
-    return run_grid(SPEC, params).tables()[0]

@@ -1,9 +1,8 @@
 """Engine microbenchmarks, foldable into the canonical artifact format.
 
-The scheduler hot-path workloads (previously only runnable via
-``benchmarks/engine_microbench.py``, which now wraps this module) measured
-and reported like any experiment grid: ``repro bench`` evaluates the
-workloads and writes a ``BENCH_MICRO.json`` artifact shaped like the
+The scheduler hot-path workloads, measured and reported like any
+experiment grid: ``repro bench`` evaluates the workloads and writes a
+``BENCH_MICRO.json`` artifact shaped like the
 experiment artifacts (schema/params/cells/tables), so CI can archive and
 diff engine throughput the same way it archives experiment results.
 Unlike experiment artifacts, timings are inherently machine-dependent —

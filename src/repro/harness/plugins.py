@@ -19,7 +19,7 @@ importing a module.  Two discovery sources feed :func:`load_plugins`:
 
 :func:`load_plugins` is called by the experiment registry before any
 listing or lookup, so plugin experiments appear everywhere built-ins do
-(``repro experiments``, ``repro run``, ``run_all``, conformance hooks)
+(``repro experiments``, ``repro run``, conformance hooks)
 with no further wiring.  The entry-point scan walks installed-package
 metadata, so its result is cached for the process; pass ``refresh=True``
 after installing something mid-process.

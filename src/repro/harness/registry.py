@@ -2,11 +2,11 @@
 
 Thin delegation to the :mod:`repro.experiments.api` plugin registry —
 experiments register themselves (``register_experiment``) and every
-consumer (``repro run``/``repro list``/``repro experiments``, ``run_all``,
-CI smoke jobs) resolves them from the one registry, in canonical
+consumer (``repro run``/``repro list``/``repro experiments``, CI smoke
+jobs) resolves them from the one registry, in canonical
 reporting order.  Before the registry existed this module hard-coded the
 eleven experiment modules, which meant a newly added experiment was
-silently skipped by ``run_all`` and the CLI unless this tuple was edited;
+silently skipped by the CLI unless this tuple was edited;
 discovery now lives in one place (``_BUILTIN_MODULES`` + registration,
 with a conformance test that refuses undiscovered in-repo modules).
 

@@ -278,11 +278,13 @@ def manet_topology(
     ids = list(range(1, n + 1))
     center = area / 2.0
     positions: dict[int, tuple[float, float]] = {}
+    # just inside r / 2: rounding must not put antipodal seeds past r
+    radius = (transmission_range / 2.0) * (1.0 - 2.0**-40)
     for index in range(seed_count):
         angle = 2.0 * math.pi * index / seed_count
         positions[ids[index]] = (
-            center + (transmission_range / 2.0) * math.cos(angle),
-            center + (transmission_range / 2.0) * math.sin(angle),
+            center + radius * math.cos(angle),
+            center + radius * math.sin(angle),
         )
     cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for pos in positions.values():

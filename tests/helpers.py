@@ -14,6 +14,7 @@ import gc
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -27,6 +28,22 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: default grid's size, so "4/4 done" and "(4 cached)" read the same) at n = 8,
 #: 0.04 s from a cold cache where the default n = 30 grid takes 1.3 s
 SMALL_T2 = ["-p", "n=8", "-p", "f_values=[1,2,3,4]", "-p", "horizon=12.0", "-p", "crash_at=4.0"]
+
+
+@lru_cache(maxsize=None)
+def smoke_run(exp_id: str):
+    """One sequential smoke-grid evaluation per experiment, shared by tests.
+
+    The conformance suite, the paper's claims and the distributed-grid tests
+    read the same :class:`~repro.harness.GridResult`, so a tier-1 run pays for
+    each smoke grid once.
+    """
+    from repro.experiments.api import get_experiment
+    from repro.harness import run_grid
+
+    from tests.goldens import smoke_params
+
+    return run_grid(get_experiment(exp_id), smoke_params()[exp_id])
 
 
 def fresh_python(code: str, **env: str) -> str:

@@ -16,7 +16,6 @@ honour, asserted uniformly so a new registration is tested for free:
 
 import subprocess
 import sys
-from functools import lru_cache
 
 import pytest
 
@@ -28,19 +27,14 @@ from repro.experiments.api import (
     get_experiment,
 )
 from repro.experiments.report import Table
-from repro.harness import run_grid, write_artifact
+from repro.harness import write_artifact
 from repro.harness.runner import _normalise
 from repro.harness.spec import canonical_json, cell_seed
 
 from tests.goldens import GOLDEN_DIR, GOLDEN_EXPERIMENTS, smoke_params
+from tests.helpers import smoke_run
 
 EXPERIMENTS = experiment_keys()
-
-
-@lru_cache(maxsize=None)
-def _smoke_run(exp_id: str):
-    """One sequential smoke-grid evaluation per experiment, shared by tests."""
-    return run_grid(get_experiment(exp_id), smoke_params()[exp_id])
 
 
 class TestRegistry:
@@ -165,7 +159,7 @@ class TestGridShape:
 @pytest.mark.parametrize("exp_id", EXPERIMENTS)
 class TestCellContract:
     def test_run_cell_is_deterministic_for_a_fixed_seed(self, exp_id):
-        result = _smoke_run(exp_id)
+        result = smoke_run(exp_id)
         outcome = result.outcomes[0]
         replay = _normalise(
             result.spec.run_cell(result.params, dict(outcome.coords), outcome.seed)
@@ -173,7 +167,7 @@ class TestCellContract:
         assert replay == outcome.value
 
     def test_declared_metrics_present_in_every_cell(self, exp_id):
-        result = _smoke_run(exp_id)
+        result = smoke_run(exp_id)
         metric_names = [metric.name for metric in result.spec.metrics]
         assert metric_names, f"{exp_id}: no declared metrics"
         for outcome in result.outcomes:
@@ -181,7 +175,7 @@ class TestCellContract:
             assert not missing, f"{exp_id}: cell {outcome.coords} lacks {missing}"
 
     def test_tabulate_accepts_its_own_values(self, exp_id):
-        result = _smoke_run(exp_id)
+        result = smoke_run(exp_id)
         tables = result.tables()
         assert tables
         for table in tables:
@@ -197,7 +191,7 @@ class TestDeclaredShapes:
         # Expected-shape declarations (Monotone/Banded) are asserted
         # generically: whatever an experiment declares must hold on its
         # smoke grid.  Experiments without shapes pass vacuously.
-        result = _smoke_run(exp_id)
+        result = smoke_run(exp_id)
         values = [outcome.value for outcome in result.outcomes]
         violations = check_shapes(result.spec, result.params, values)
         assert not violations, f"{exp_id}: " + "; ".join(violations)
@@ -214,7 +208,7 @@ def test_shape_declarations_exist_somewhere():
 @pytest.mark.parametrize("exp_id", GOLDEN_EXPERIMENTS)
 class TestGoldenArtifacts:
     def test_artifact_is_byte_identical_to_golden(self, exp_id, tmp_path):
-        path = write_artifact(tmp_path, _smoke_run(exp_id))
+        path = write_artifact(tmp_path, smoke_run(exp_id))
         golden = GOLDEN_DIR / path.name
         assert golden.exists(), (
             f"missing golden {golden.name}; run `python -m tests.goldens.regenerate`"
@@ -235,7 +229,7 @@ class TestQ1:
         assert Q1Params().detectors == tuple(detector_keys())
 
     def test_one_row_per_detector_with_both_qos_axes(self):
-        result = _smoke_run("q1")
+        result = smoke_run("q1")
         table = result.tables()[0]
         labels = table.column("detector")
         assert len(labels) == len(result.params.detectors)
@@ -262,7 +256,7 @@ class TestC1:
         # The acceptance shape: with the round-1 coordinator dead at start,
         # the in-flight instance pays each family's detection latency —
         # query ≈ Δ + δ, heartbeat ≈ Θ, phi-accrual later still.
-        result = _smoke_run("c1")
+        result = smoke_run("c1")
         table = result.tables()[0]
         by_detector = {
             label: latency
@@ -279,7 +273,7 @@ class TestC1:
     def test_partition_separates_aborted_rounds_by_oracle_style(self):
         # Timer families falsely accuse the far side and churn through
         # nacked rounds; the query families (with retry) just stall.
-        result = _smoke_run("c1")
+        result = smoke_run("c1")
         aborted = {
             label: count
             for fault, label, count in zip(
@@ -293,7 +287,7 @@ class TestC1:
         assert max(aborted.values()) >= 3, aborted
 
     def test_safety_holds_in_every_cell(self):
-        result = _smoke_run("c1")
+        result = smoke_run("c1")
         for outcome in result.outcomes:
             assert outcome.value["agreement"] is True, outcome.coords
             assert outcome.value["validity"] is True, outcome.coords

@@ -1,235 +1,336 @@
-"""Every experiment runs end-to-end and reproduces the expected *shape*.
+"""The paper's claims, each asserted once, on grids run the way ``repro run`` runs them.
 
-These are the reproduction's acceptance tests: tiny parameterisations of
-the nine experiments, with assertions on the qualitative claims (who wins,
-what is flat, what decreases, what collapses to zero) rather than absolute
-numbers.
+The results this repository reproduces are qualitative: who detects a crash
+first, what stays inside which band, what grows or collapses, and who keeps
+the accuracy anchor.  Every claim is asserted here and nowhere else.  Each
+experiment is evaluated once, through ``run_grid(SPEC, params)``:
+
+* where every claim holds on the conformance suite's smoke run, the tests
+  reuse that run (``tests.helpers.smoke_run``, one cache for both modules);
+* otherwise the experiment runs at the sizing in ``SIZED``, with the reason.
+
+The claims hold on the golden seed, which is the one used here.  They are not
+``ExperimentSpec.shapes``: the benchmark re-checks shapes on every seed it
+runs, and several of these comparisons fail on some seeds (docs/scenarios.md,
+"Expected shapes").  docs/records/one-home-for-claims.md maps each claim to
+the assertions it replaced.
 """
 
-import pytest
+from functools import lru_cache
 
-from repro.experiments import (
-    e1_density,
-    e2_mobility,
-    f1_detection_cdf,
-    f2_delay_variance,
-    f3_mp_sensitivity,
-    t1_detection_vs_n,
-    t2_impact_of_f,
-    t3_message_load,
-    t4_consensus,
-)
+from repro.experiments.a1_grace_ablation import A1Params
+from repro.experiments.api import get_experiment
+from repro.experiments.e1_density import E1Params
+from repro.experiments.f2_delay_variance import F2Params
+from repro.experiments.f3_mp_sensitivity import F3Params
+from repro.experiments.t3_message_load import T3Params
+from repro.harness import run_grid
+
+from tests.helpers import smoke_run
+
+#: experiments whose claims the smoke grid cannot carry, and the sizing that can
+SIZED = {
+    # load ∝ n - 1 is a statement about more than one n
+    "t3": T3Params(sizes=(10, 30), horizon=20.0),
+    # at smoke's largest inflation (×50) heartbeat still keeps the anchor
+    "f2": F2Params(n=10, f=2, horizon=40.0, shift_factors=(1.0, 2000.0), sigmas=(0.5, 2.5)),
+    # a monotone decay needs more than two speedups
+    "f3": F3Params(n=10, f=4, horizon=20.0, speedups=(8.0, 2.0, 1.0, 0.5)),
+    # a trend over density needs more than one density
+    "e1": E1Params(n=35, f=3, densities=(6, 12), crashes=3, horizon=35.0),
+    # the claims are about the paper's Δ = 1 s, which smoke does not run
+    "a1": A1Params(n=12, f=3, graces=(0.0, 0.1, 1.0), horizon=35.0),
+}
 
 
-@pytest.fixture(scope="module")
-def t1_table():
-    return t1_detection_vs_n.run(
-        t1_detection_vs_n.T1Params(sizes=(8, 16), trials=2, horizon=30.0)
-    )
+@lru_cache(maxsize=None)
+def _run(exp_id: str):
+    if exp_id in SIZED:
+        return run_grid(get_experiment(exp_id), SIZED[exp_id])
+    return smoke_run(exp_id)
+
+
+def _table(exp_id: str, index: int = 0):
+    return _run(exp_id).tables()[index]
+
+
+def _rows(exp_id: str, index: int = 0) -> list[dict]:
+    table = _table(exp_id, index)
+    return [dict(zip(table.headers, row)) for row in table.rows]
+
+
+def _params(exp_id: str):
+    return _run(exp_id).params
 
 
 class TestT1:
-    def test_rows_cover_sizes(self, t1_table):
-        assert t1_table.column("n") == [8, 16]
+    """Time-free detection ≈ Δ + δ, under heartbeat's [Θ - Δ, Θ] band at every n."""
 
-    def test_heartbeat_sits_in_timeout_band(self, t1_table):
-        for mean in t1_table.column("heartbeat mean (s)"):
+    def test_rows_cover_sizes(self):
+        assert _table("t1").column("n") == list(_params("t1").sizes)
+
+    def test_heartbeat_sits_in_timeout_band(self):
+        for mean in _table("t1").column("heartbeat mean (s)"):
             assert 1.0 <= mean <= 2.1  # [Θ-Δ, Θ] plus stagger slack
 
-    def test_time_free_tracks_grace(self, t1_table):
-        for mean in t1_table.column("time-free mean (s)"):
-            assert 1.0 <= mean <= 1.4  # ≈ Δ + δ
+    def test_time_free_tracks_grace(self):
+        for mean in _table("t1").column("time-free mean (s)"):
+            assert 1.0 <= mean < 1.4  # ≈ Δ + δ
 
-    def test_time_free_beats_heartbeat(self, t1_table):
-        tf = t1_table.column("time-free mean (s)")
-        hb = t1_table.column("heartbeat mean (s)")
+    def test_time_free_beats_heartbeat(self):
+        table = _table("t1")
+        tf = table.column("time-free mean (s)")
+        hb = table.column("heartbeat mean (s)")
         assert all(a < b for a, b in zip(tf, hb))
+
+    def test_strong_completeness_time_stays_bounded(self):
+        table = _table("t1")
+        assert all(value < 2.3 for value in table.column("heartbeat max (s)"))
+        assert all(value < 1.5 for value in table.column("time-free max (s)"))
 
 
 class TestT2:
+    """Rounds end after n - f responses; detection stays pinned near Δ whatever f."""
+
+    def test_quorum_is_n_minus_f(self):
+        for row in _rows("t2"):
+            assert row["quorum n-f"] == _params("t2").n - row["f"]
+
     def test_rounds_terminate_for_every_f(self):
-        table = t2_impact_of_f.run(
-            t2_impact_of_f.T2Params(n=12, f_values=(1, 5), horizon=25.0)
-        )
-        assert all(v > 5 for v in table.column("rounds/process"))
+        assert all(v > 10 for v in _table("t2").column("rounds/process"))
 
     def test_detection_time_stays_near_grace(self):
-        table = t2_impact_of_f.run(
-            t2_impact_of_f.T2Params(n=12, f_values=(1, 5), horizon=25.0)
-        )
-        for mean in table.column("detect mean (s)"):
+        for mean in _table("t2").column("detect mean (s)"):
             assert mean < 1.6
+
+    def test_smaller_quorum_never_slows_rounds(self):
+        durations = _table("t2").column("round duration (s)")
+        assert durations[0] >= durations[-1] - 0.05
 
 
 class TestT3:
-    def test_time_free_costs_about_twice_heartbeat(self):
-        table = t3_message_load.run(
-            t3_message_load.T3Params(sizes=(10,), horizon=15.0)
-        )
-        loads = dict(zip(table.column("detector"), table.column("msgs/s/process")))
-        tf = loads["time-free (async)"]
-        hb = loads["heartbeat Θ=2s"]
-        assert 1.5 <= tf / hb <= 2.5
+    """Query-response costs ≈ 2× heartbeat's (n - 1) messages per process per second."""
+
+    def _loads(self, n: int) -> dict:
+        return {row["detector"]: row["msgs/s/process"] for row in _rows("t3") if row["n"] == n}
 
     def test_all_detectors_reported(self):
-        table = t3_message_load.run(
-            t3_message_load.T3Params(sizes=(10,), horizon=15.0)
-        )
-        assert len(table.rows) == 4
+        params = _params("t3")
+        assert len(_table("t3").rows) == len(params.sizes) * len(params.detectors)
+
+    def test_heartbeat_families_send_one_beat_per_peer_per_period(self):
+        for n in _params("t3").sizes:
+            loads = self._loads(n)
+            heartbeat = loads["heartbeat Θ=2s"]
+            assert abs(heartbeat - (n - 1)) / (n - 1) < 0.15
+            # gossip rides the same beat schedule
+            assert abs(loads["gossip FT Θ=2s"] - heartbeat) / heartbeat < 0.15
+
+    def test_time_free_costs_about_twice_heartbeat(self):
+        for n in _params("t3").sizes:
+            loads = self._loads(n)
+            assert 1.5 <= loads["time-free (async)"] / loads["heartbeat Θ=2s"] <= 2.5
 
 
 class TestT4:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return t4_consensus.run(t4_consensus.T4Params(n=5, f=2, horizon=40.0))
+    """Consensus over either detector is safe; a crashed coordinator costs one query round, not Θ."""
 
-    def test_everyone_decides_everywhere(self, table):
+    def test_everyone_decides_everywhere(self):
+        table = _table("t4")
         assert all(table.column("all correct decided"))
         assert all(table.column("agreement"))
         assert all(table.column("validity"))
 
-    def test_time_free_recovers_faster_from_coordinator_crash(self, table):
-        times = {}
-        for detector, scenario, *_rest, decision_time, _rounds in [
-            tuple(row) for row in table.rows
-        ]:
-            times[(detector, scenario)] = decision_time
-        tf = next(v for (d, s), v in times.items() if "time-free" in d and "crash" in s)
-        hb = next(v for (d, s), v in times.items() if "heartbeat" in d and "crash" in s)
-        assert tf < hb
+    def _decision_time(self, detector: str, scenario: str) -> float:
+        return next(
+            row["decision time (s)"]
+            for row in _rows("t4")
+            if detector in row["detector"] and scenario in row["scenario"]
+        )
+
+    def test_fault_free_decision_is_prompt(self):
+        assert self._decision_time("time-free", "fault-free") < 0.2
+
+    def test_time_free_recovers_faster_from_coordinator_crash(self):
+        assert self._decision_time("time-free", "crash") < self._decision_time("heartbeat", "crash")
 
 
 class TestF1:
+    """Heartbeat's detection CDF is supported on [Θ - Δ, Θ]; time-free's sits just above Δ."""
+
+    def _quantiles(self) -> dict:
+        table = _table("f1")
+        return dict(zip(
+            table.column("quantile"),
+            zip(table.column("time-free (s)"), table.column("heartbeat (s)")),
+        ))
+
     def test_distributions_are_ordered(self):
-        table = f1_detection_cdf.run(
-            f1_detection_cdf.F1Params(n=10, f=2, trials=3, horizon=20.0)
-        )
-        medians = dict(zip(table.column("quantile"), zip(
-            table.column("time-free (s)"), table.column("heartbeat (s)")
-        )))
-        tf_median, hb_median = medians["p50"]
+        tf_median, hb_median = self._quantiles()["p50"]
         assert tf_median < hb_median
 
+    def test_time_free_concentrates_near_grace(self):
+        assert self._quantiles()["p90"][0] < 1.5
+
     def test_heartbeat_quantiles_in_band(self):
-        table = f1_detection_cdf.run(
-            f1_detection_cdf.F1Params(n=10, f=2, trials=3, horizon=20.0)
-        )
-        rows = dict(zip(table.column("quantile"), table.column("heartbeat (s)")))
-        assert 0.9 <= rows["p10"]
-        assert rows["p99"] <= 2.2
+        quantiles = self._quantiles()
+        assert 1.0 <= quantiles["min"][1]
+        assert quantiles["max"][1] <= 2.2
+
+    def test_time_free_spread_is_tighter(self):
+        quantiles = self._quantiles()
+        tf_spread = quantiles["p90"][0] - quantiles["p10"][0]
+        hb_spread = quantiles["p90"][1] - quantiles["p10"][1]
+        assert tf_spread < hb_spread
 
 
 class TestF2:
-    @pytest.fixture(scope="class")
-    def shift_table(self):
-        params = f2_delay_variance.F2Params(
-            n=10, f=2, horizon=40.0, shift_factors=(1.0, 2000.0)
-        )
-        return f2_delay_variance.run_regime_shift(params)
+    """Under uniform delay inflation time-free never suspects the responsive process; heartbeat does."""
 
-    def _rows(self, table):
-        return [
-            dict(zip(table.headers, row))
-            for row in table.rows
-        ]
+    def _cells(self, index: int, stress: str) -> list[dict]:
+        return [row for row in _rows("f2", index) if row["stress"] == stress]
 
-    def test_time_free_keeps_the_anchor_at_extreme_inflation(self, shift_table):
-        rows = self._rows(shift_table)
-        tf = [r for r in rows if r["detector"] == "time-free" and r["stress"] == "x2000"]
-        assert tf[0]["responsive-node false susp."] == 0
-        assert tf[0]["responsive node clear at end"] is True
+    def test_calm_regime_is_clean_for_everyone(self):
+        calm = self._cells(0, "x1")
+        assert calm and all(row["total false susp."] == 0 for row in calm)
 
-    def test_heartbeat_loses_the_anchor(self, shift_table):
-        rows = self._rows(shift_table)
-        hb = [
-            r
-            for r in rows
-            if r["detector"].startswith("heartbeat") and r["stress"] == "x2000"
-        ]
+    def test_time_free_keeps_the_anchor_at_extreme_inflation(self):
+        for row in _rows("f2", 0):
+            if row["detector"] == "time-free":
+                assert row["responsive-node false susp."] == 0, row["stress"]
+                assert row["responsive node clear at end"] is True, row["stress"]
+
+    def test_heartbeat_loses_the_anchor(self):
+        hb = [r for r in self._cells(0, "x2000") if r["detector"].startswith("heartbeat")]
         assert hb[0]["responsive-node false susp."] > 0
 
-    def test_calm_regime_is_clean_for_everyone(self, shift_table):
-        rows = self._rows(shift_table)
-        calm = [r for r in rows if r["stress"] == "x1"]
-        assert all(r["total false susp."] == 0 for r in calm)
+    def test_calm_variance_is_clean_for_everyone(self):
+        calm = self._cells(1, "σ=0.5")
+        assert calm and all(row["total false susp."] == 0 for row in calm)
+
+    def test_time_free_anchor_clear_under_heavy_tails(self):
+        # mistakes appear for everyone under heavy tails, but they self-correct
+        tf = [r for r in self._cells(1, "σ=2.5") if r["detector"] == "time-free"]
+        assert tf[0]["responsive node clear at end"] is True
 
 
 class TestF3:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return f3_mp_sensitivity.run(
-            f3_mp_sensitivity.F3Params(n=8, f=3, horizon=12.0, speedups=(8.0, 0.5))
-        )
+    """MP, not timing, carries accuracy: as the favored process loses its edge, so does the anchor."""
 
-    def test_strong_bias_certifies_mp(self, table):
-        rows = dict(zip(table.column("speedup"), table.column("MP holds (oracle)")))
-        assert rows[8.0] is True
+    def _column(self, name: str) -> dict:
+        table = _table("f3")
+        return dict(zip(table.column("speedup"), table.column(name)))
 
-    def test_winning_ratio_decays_with_speedup(self, table):
-        ratios = dict(zip(table.column("speedup"), table.column("winning ratio")))
-        assert ratios[8.0] > ratios[0.5]
+    def test_strong_bias_certifies_mp(self):
+        assert self._column("MP holds (oracle)")[8.0] is True
 
-    def test_suspicions_grow_as_mp_degrades(self, table):
-        suspected = dict(
-            zip(table.column("speedup"), table.column("times favored suspected"))
-        )
+    def test_strong_bias_wins_nearly_every_round(self):
+        assert self._column("winning ratio")[8.0] > 0.95
+
+    def test_winning_ratio_decays_with_speedup(self):
+        ratios = self._column("winning ratio")
+        assert ratios[8.0] > ratios[2.0] > ratios[1.0] > ratios[0.5]
+
+    def test_suspicions_grow_as_mp_degrades(self):
+        suspected = self._column("times favored suspected")
         assert suspected[0.5] > suspected[8.0]
+
+    def test_weak_bias_breaks_mp(self):
+        assert self._column("MP holds (oracle)")[0.5] is False
 
 
 class TestE1:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return e1_density.run(
-            e1_density.E1Params(n=35, f=3, densities=(6, 12), crashes=3, horizon=35.0)
-        )
+    """On f-covering MANETs time-free beats the timer-bound gossip detector at every density."""
 
-    def test_gossip_stays_in_timeout_band(self, table):
-        rows = [dict(zip(table.headers, row)) for row in table.rows]
-        for row in rows:
-            if row["detector"] == "Friedman-Tcharny":
-                assert 0.9 <= row["detect mean (s)"] <= 2.1
+    def _by_detector(self, detector: str) -> list[dict]:
+        return [row for row in _rows("e1") if row["detector"] == detector]
 
-    def test_time_free_beats_gossip_at_every_density(self, table):
-        rows = [dict(zip(table.headers, row)) for row in table.rows]
+    def test_no_crash_goes_undetected(self):
+        assert all(u == 0 for u in _table("e1").column("undetected"))
+
+    def test_gossip_stays_in_timeout_band(self):
+        for row in self._by_detector("Friedman-Tcharny"):
+            assert 1.0 <= row["detect mean (s)"] <= 2.1
+
+    def test_time_free_beats_gossip_at_every_density(self):
         by_density: dict = {}
-        for row in rows:
-            by_density.setdefault(row["target d"], {})[row["detector"]] = row
-        for detectors in by_density.values():
-            tf = detectors["time-free (async)"]["detect mean (s)"]
-            gossip = detectors["Friedman-Tcharny"]["detect mean (s)"]
-            assert tf < gossip
+        for row in _rows("e1"):
+            by_density.setdefault(row["target d"], {})[row["detector"]] = row["detect mean (s)"]
+        for means in by_density.values():
+            assert means["time-free (async)"] < means["Friedman-Tcharny"]
 
-    def test_time_free_improves_with_density(self, table):
-        # At miniature scale the trend carries sampling noise; the full-size
-        # run (E1Params.full) shows it cleanly — here we allow slack.
-        rows = [dict(zip(table.headers, row)) for row in table.rows]
-        async_rows = [r for r in rows if r["detector"] == "time-free (async)"]
-        assert async_rows[0]["detect mean (s)"] >= async_rows[-1]["detect mean (s)"] - 0.1
+    def test_time_free_improves_with_density(self):
+        # at this size the trend carries sampling noise, hence the slack
+        async_rows = self._by_detector("time-free (async)")
+        assert async_rows[-1]["detect mean (s)"] <= async_rows[0]["detect mean (s)"] + 0.05
 
-    def test_no_crash_goes_undetected(self, table):
-        assert all(u == 0 for u in table.column("undetected"))
+    def test_time_free_approaches_grace_at_high_density(self):
+        assert self._by_detector("time-free (async)")[-1]["detect mean (s)"] < 1.15
 
 
 class TestE2:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return e2_mobility.run(
-            e2_mobility.E2Params(
-                n=22, depart=20.0, arrive=50.0, horizon=90.0, sample_step=2.0
-            )
-        )
+    """Algorithm 2's eviction rule is what lets false suspicions of a mover settle to zero."""
 
-    def test_everyone_suspects_the_mover_while_away(self, table):
-        counts = dict(zip(table.column("time (s)"), table.column("false suspicions (alg 2)")))
-        away_sample = [t for t in counts if 35.0 <= t <= 48.0]
-        assert away_sample
-        assert all(counts[t] == 21 for t in away_sample)  # n - 1 observers
+    def _by_time(self) -> dict:
+        return {row["time (s)"]: row for row in _rows("e2")}
 
-    def test_algorithm_2_collapses_to_zero(self, table):
-        final = table.rows[-1]
-        row = dict(zip(table.headers, final))
-        assert row["false suspicions (alg 2)"] == 0
+    def test_everyone_suspects_the_mover_while_away(self):
+        params, by_time = _params("e2"), self._by_time()
+        away = [t for t in by_time if params.depart + 15.0 <= t <= params.arrive - 2.0]
+        assert away
+        assert all(by_time[t]["false suspicions (alg 2)"] == params.n - 1 for t in away)
 
-    def test_ablation_never_settles(self, table):
-        final = dict(zip(table.headers, table.rows[-1]))
-        assert final["false suspicions (no eviction)"] > 0
+    def test_algorithm_2_collapses_to_zero(self):
+        params, by_time = _params("e2"), self._by_time()
+        settled = [t for t in by_time if t >= params.arrive + 20.0]
+        assert settled
+        assert all(by_time[t]["false suspicions (alg 2)"] == 0 for t in settled)
+
+    def test_ablation_never_settles(self):
+        by_time = self._by_time()
+        assert by_time[max(by_time)]["false suspicions (no eviction)"] > 0
+
+
+class TestA1:
+    """The grace Δ removes the raw protocol's false suspicions at the price of ≈ Δ latency."""
+
+    def _by_grace(self) -> dict:
+        return {row["grace Δ (s)"]: row for row in _rows("a1")}
+
+    def test_raw_protocol_storms_with_false_suspicions(self):
+        assert self._by_grace()[0.0]["false suspicions"] > 1000
+
+    def test_paper_grace_eliminates_false_suspicions(self):
+        row = self._by_grace()[1.0]
+        assert row["false suspicions"] == 0
+        assert row["uncorrected at end"] == 0
+
+    def test_grace_costs_detection_latency(self):
+        rows = self._by_grace()
+        assert rows[0.0]["detect mean (s)"] < rows[1.0]["detect mean (s)"]
+        assert 0.9 <= rows[1.0]["detect mean (s)"] <= 1.5
+
+    def test_every_grace_detects_the_crash(self):
+        # detection_stats leaves undetecting observers out of the mean
+        assert all(row["detect mean (s)"] is not None for row in self._by_grace().values())
+
+
+class TestA2:
+    """Lossy links freeze the raw protocol's rounds; retransmission restores liveness."""
+
+    def _cell(self, loss: float, retry) -> dict:
+        rows = {(row["loss rate"], row["retry (s)"]): row for row in _rows("a2")}
+        return rows[(loss, retry)]
+
+    def test_reliable_channels_need_no_retries(self):
+        assert self._cell(0.0, "off")["frozen processes"] == 0
+        assert self._cell(0.0, 0.5)["retransmissions"] == 0
+
+    def test_loss_freezes_rounds_without_retry(self):
+        assert self._cell(0.3, "off")["frozen processes"] > 0
+
+    def test_retry_restores_liveness_and_detection(self):
+        cell, observers = self._cell(0.3, 0.5), _params("a2").n - 1
+        assert cell["frozen processes"] == 0
+        assert cell["retransmissions"] > 0
+        assert cell["crash detected by"] == f"{observers}/{observers}"

@@ -31,8 +31,7 @@ from repro.harness.cache import cache_key
 from repro.harness.cli import main
 from repro.harness.registry import all_specs, get_spec
 from tests.goldens import smoke_params
-from tests.helpers import SMALL_T2
-from tests.integration.test_experiment_conformance import _smoke_run
+from tests.helpers import SMALL_T2, smoke_run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -136,7 +135,7 @@ class TestEveryExperiment:
         is exactly what this test pins (``report.ran == 0`` proves no
         cell was re-simulated, i.e. the cache really is the data plane).
         """
-        result = _smoke_run(exp_id)
+        result = smoke_run(exp_id)
         golden = write_artifact(tmp_path / "golden", result).read_bytes()
         params = smoke_params()[exp_id]
         workers = tmp_path / "workers"

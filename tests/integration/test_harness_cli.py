@@ -304,19 +304,19 @@ class TestCacheCommand:
 
 
 class TestGridEquivalence:
-    """The harness reproduces exactly what the legacy run() wrappers report."""
+    """A pool and a cache change nothing a grid reports."""
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_t2_table_matches_run_wrapper(self, workers, tmp_path):
+    def test_t2_table_matches_serial_uncached_grid(self, workers, tmp_path):
         params = t2_impact_of_f.T2Params(n=12, f_values=(1, 5), horizon=25.0)
-        via_wrapper = t2_impact_of_f.run(params)
+        serial = run_grid(t2_impact_of_f.SPEC, params).tables()[0]
         cache = ResultCache(tmp_path / "cache")
         via_grid = run_grid(
             t2_impact_of_f.SPEC, params, workers=workers, cache=cache
         ).tables()[0]
-        assert via_grid.headers == via_wrapper.headers
+        assert via_grid.headers == serial.headers
         assert [list(row) for row in via_grid.rows] == [
-            list(row) for row in via_wrapper.rows
+            list(row) for row in serial.rows
         ]
 
     def test_artifact_of_cached_grid_is_byte_identical(self, tmp_path):

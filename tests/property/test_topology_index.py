@@ -91,13 +91,16 @@ class TestManetDifferential:
         assert_same_state(built, expected)
 
     def test_candidate_at_exactly_the_range_is_accepted(self):
-        # f = 0: two seeds, at (400, 350) and (300, 350 + 6e-15).  The scripted
-        # candidates sit exactly r from the first seed, in the next cell column.
-        script = [500.0, 350.0, 400.0, 450.0, 600.0, 350.0]
+        # f = 0: two seeds, at (x, 350) and about (300, 350), x just under 400
+        # (manet_topology's seed radius).  The scripted candidates sit exactly
+        # r from the first seed, in the next cell column.
+        x = 350.0 + 50.0 * (1.0 - 2.0**-40)
+        script = [x + 100.0, 350.0, x, 450.0, x + 200.0, 350.0]
         built = manet_topology(5, 0, ScriptedUniform(script))
         expected = reference_manet_topology(5, 0, ScriptedUniform(script))
         assert_same_state(built, expected)
-        assert math.hypot(500.0 - 400.0, 0.0) == built.transmission_range
+        assert built.positions[1] == (x, 350.0)
+        assert math.hypot(x + 100.0 - x, 0.0) == built.transmission_range
         assert built.has_edge(1, 3) and built.has_edge(1, 4) and built.has_edge(3, 5)
         assert not built.has_edge(1, 5)
 

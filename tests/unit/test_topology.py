@@ -275,14 +275,8 @@ class TestNeighborCaches:
         assert topo.sorted_neighbors(1) == (2, 3, 4)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "the seed clique sits on a circle of diameter exactly r, and rounding "
-        "puts some antipodal seeds at 100.00000000000003 > r; the fix (radius "
-        "scaled by 1 - 2**-40) is one named regeneration of BENCH_E1.json"
-    ),
-)
+# seed counts whose antipodal seeds, at a radius of exactly r / 2, round to
+# 100.00000000000003 > r apart
 @pytest.mark.parametrize("seeds", [6, 12, 14, 16, 18, 20, 22])
 def test_seed_clique_is_a_clique(seeds):
     topo = manet_topology(
