@@ -35,13 +35,14 @@ def run(label, detector, detector_params, *, seed=7):
     )
     result = harness.run(until=60.0)
     assert result.agreement_holds and result.validity_holds
-    assert result.all_correct_decided
-    decided = next(iter(set(result.decisions.values())))
+    outcome = result.instances[0]
+    assert outcome.all_correct_decided
+    decided = next(iter(set(outcome.decisions.values())))
     print(f"{label}:")
     print(f"  decided value      : {decided!r}")
-    print(f"  decision latency   : {result.last_decision_time:.3f} s")
-    print(f"  rounds executed    : {max(result.rounds_executed.values())}")
-    return result.last_decision_time
+    print(f"  decision latency   : {outcome.last_decision_time:.3f} s")
+    print(f"  rounds executed    : {max(outcome.rounds_executed.values())}")
+    return outcome.last_decision_time
 
 
 def main() -> None:

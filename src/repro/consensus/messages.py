@@ -1,12 +1,10 @@
 """Wire messages of the rotating-coordinator consensus protocols.
 
 The five ballot kinds (``ct.*``) are shared by every registered protocol —
-they carry round-scoped payloads, not protocol identity.  Multi-instance
-runs wrap the ballots of instances ≥ 2 in an :class:`InstanceEnvelope`
-(kind ``consensus.instance``) so one pair of co-hosted stacks can run a
-whole sequence of consensus instances over the same transport; instance 1
-stays bare on the wire, keeping single-instance traces (and the t4 golden)
-byte-identical to the pre-envelope format.
+they carry round-scoped payloads, not protocol identity.  On the wire every
+ballot, of every instance, travels wrapped in an :class:`InstanceEnvelope`
+(kind ``consensus.instance``), so one pair of co-hosted stacks can run a
+whole sequence of consensus instances over the same transport.
 """
 
 from __future__ import annotations
@@ -76,13 +74,21 @@ class Decide:
 @register_message("consensus.instance")
 @dataclass(frozen=True, slots=True)
 class InstanceEnvelope:
-    """A ballot of consensus instance ``instance`` (≥ 2), enveloped.
+    """A ballot of consensus instance ``instance`` (≥ 1), enveloped.
 
     The payload is one of the five ballot kinds above; the composite node
     driver routes it to the matching participant, buffering ballots that
     arrive before the local participant has proposed (CT drops pre-propose
-    ballots, which would strand early deciders' next-instance traffic).
+    ballots, which would strand early deciders' traffic).
     """
 
     instance: int
     payload: Any
+
+    @property
+    def sender(self) -> ProcessId | None:
+        """The ballot's sender, so a transport can dispatch the envelope.
+
+        Derived, not a field: the wire form is unchanged.
+        """
+        return getattr(self.payload, "sender", None)

@@ -11,13 +11,14 @@ list changes — that is the oracle coupling, and it matches the formal model
 
 Multi-instance semantics (the "heavy traffic" shape):
 
-* Instance 1's participant exists from node construction and proposes at
-  ``propose_at`` — exactly the legacy single-instance behaviour.
+* Instance 1's participant exists from node construction (so a
+  configuration without a correct majority is rejected when the harness
+  is built) and proposes at ``propose_at``.
 * A node proposes instance ``k + 1`` when its instance ``k`` decides
   locally (after an optional ``instance_gap`` think time), so the sequence
   is self-clocking: fast detectors chain instances quickly, stalled
   instances hold the sequence back.
-* Ballots of instances ≥ 2 travel in an
+* Every instance's ballots, instance 1's included, travel in an
   :class:`~repro.consensus.messages.InstanceEnvelope`; the driver buffers
   envelopes that arrive before the local participant proposed and replays
   them at propose time (the CT state machine drops pre-propose ballots,
@@ -46,7 +47,7 @@ from ..sim.cluster import SimCluster
 from ..sim.faults import FaultPlan
 from ..sim.latency import LatencyModel
 from ..sim.node import SimProcess
-from .messages import Ack, Decide, Estimate, InstanceEnvelope, Nack, Proposal
+from .messages import Decide, InstanceEnvelope
 from .registry import get_protocol
 from .spec import ConsensusContext, ConsensusSpec, oracle_from_suspects
 
@@ -56,8 +57,6 @@ __all__ = [
     "ConsensusRunResult",
     "InstanceOutcome",
 ]
-
-_CONSENSUS_KINDS = (Estimate, Proposal, Ack, Nack, Decide)
 
 #: callbacks: (pid, instance, value, time)
 InstanceEvent = Callable[[ProcessId, int, Any, float], None]
@@ -88,8 +87,9 @@ class ConsensusNodeDriver:
         self._proposal_for = proposal_for
         self._on_propose = on_propose
         self._on_decide = on_decide
-        # Instance 1 exists from construction (legacy single-instance shape);
-        # later instances are created lazily at their propose time.
+        # Instance 1 exists from construction: building it is where a
+        # configuration without a correct majority is rejected.  Later
+        # instances are created lazily at their propose time.
         self.participants: dict[int, Any] = {1: participant_factory(1)}
         self._pending: dict[int, list[tuple[ProcessId, Any]]] = {}
         self._reported: set[int] = set()
@@ -106,9 +106,7 @@ class ConsensusNodeDriver:
         )
 
     def on_message(self, src: ProcessId, message: object) -> None:
-        if isinstance(message, _CONSENSUS_KINDS):
-            self._deliver(1, src, message)
-        elif isinstance(message, InstanceEnvelope):
+        if isinstance(message, InstanceEnvelope):
             self._deliver(message.instance, src, message.payload)
         else:
             self.fd_driver.on_message(src, message)
@@ -141,10 +139,9 @@ class ConsensusNodeDriver:
     # -- consensus plumbing ---------------------------------------------------
     def _deliver(self, instance: int, src: ProcessId, payload: Any) -> None:
         participant = self.participants.get(instance)
-        if instance != 1 and (participant is None or not participant.proposed):
+        if participant is None or not participant.proposed:
             # The state machine drops pre-propose ballots; buffer and replay
             # at propose time so early deciders' traffic is not lost.
-            # Instance 1 keeps the legacy direct-delivery semantics.
             self._pending.setdefault(instance, []).append((src, payload))
             return
         self._run(instance, lambda: participant.on_message(src, payload))
@@ -187,7 +184,7 @@ class ConsensusNodeDriver:
         never retransmit, so the driver re-sends every locally decided
         instance's ``DECIDE`` to it.  Retransmission on the detector's
         word — no timers — and a no-op in runs where no suspicion is ever
-        withdrawn (every legacy t4 scenario).
+        withdrawn (every t4 scenario).
         """
         if not self.process.alive:
             return
@@ -197,10 +194,7 @@ class ConsensusNodeDriver:
                 sender=self.process.pid, value=self.participants[instance].decision
             )
             for pid in sorted(returned, key=repr):
-                effect: Effect = SendTo(pid, message)
-                if instance != 1:
-                    effect = self._enveloped(instance, effect)
-                effects.append(effect)
+                effects.append(self._enveloped(instance, SendTo(pid, message)))
         if effects:
             self.process.execute(effects)
 
@@ -209,10 +203,7 @@ class ConsensusNodeDriver:
             return
         participant = self.participants[instance]
         effects = step()
-        if instance == 1:
-            self.process.execute(effects)
-        else:
-            self.process.execute([self._enveloped(instance, e) for e in effects])
+        self.process.execute([self._enveloped(instance, e) for e in effects])
         if participant.decided and instance not in self._reported:
             self._reported.add(instance)
             now = self.process.scheduler.now
@@ -321,48 +312,23 @@ class InstanceOutcome:
 
 @dataclass
 class ConsensusRunResult:
-    """Outcome of one simulated consensus run.
+    """Outcome of one simulated consensus run: one ledger per instance.
 
-    The flat fields describe **instance 1** — the legacy single-instance
-    surface every existing caller reads; ``instances`` is the full
-    per-instance ledger of a multi-instance run (a one-element list for
-    single-instance runs).
+    ``instances[0]`` is instance 1 (the whole run when ``instances=1``).
     """
 
-    proposals: dict[ProcessId, Any]
-    decisions: dict[ProcessId, Any] = field(default_factory=dict)
-    decision_times: dict[ProcessId, float] = field(default_factory=dict)
-    rounds_executed: dict[ProcessId, int] = field(default_factory=dict)
     correct: frozenset = frozenset()
     instances: list[InstanceOutcome] = field(default_factory=list)
 
     @property
     def agreement_holds(self) -> bool:
         """No two processes decided different values (any instance)."""
-        first = len(set(self.decisions.values())) <= 1
-        return first and all(out.agreement_holds for out in self.instances)
+        return all(out.agreement_holds for out in self.instances)
 
     @property
     def validity_holds(self) -> bool:
         """Every decided value was somebody's proposal (any instance)."""
-        proposed = set(self.proposals.values())
-        first = all(value in proposed for value in self.decisions.values())
-        return first and all(out.validity_holds for out in self.instances[1:])
-
-    @property
-    def all_correct_decided(self) -> bool:
-        """Termination of instance 1 for every correct participant."""
-        return all(pid in self.decisions for pid in self.correct)
-
-    @property
-    def last_decision_time(self) -> float | None:
-        correct_times = [t for pid, t in self.decision_times.items() if pid in self.correct]
-        return max(correct_times, default=None)
-
-    @property
-    def decided_instances(self) -> int:
-        """Instances every correct process decided."""
-        return sum(1 for out in self.instances if out.all_correct_decided)
+        return all(out.validity_holds for out in self.instances)
 
 
 class ConsensusHarness:
@@ -373,7 +339,8 @@ class ConsensusHarness:
     dict, resolved through :func:`repro.detectors.sim_driver_factory`); a
     custom family reaches the harness by registering it with
     :func:`repro.detectors.register_detector` first.  The consensus side is
-    a **protocol registry key** (``protocol=``, default CT).  The two are
+    a **protocol registry key** (``protocol=``, default CT, plus an optional
+    ``protocol_params`` knob dict).  The two are
     joined by a :class:`~repro.consensus.spec.ConsensusOracle` built from
     the per-node driver: ``suspects()`` is pulled straight from the
     detector, ``leader()`` uses the native Omega elector when the driver
@@ -386,14 +353,13 @@ class ConsensusHarness:
         n: int,
         f: int,
         protocol: str = "ct",
-        protocol_params: Any | None = None,
+        protocol_params: dict | None = None,
         detector: str = "time-free",
         detector_params: dict | None = None,
         latency: LatencyModel | None = None,
         seed: int = 1,
         fault_plan: FaultPlan | None = None,
         proposals: dict[ProcessId, Any] | None = None,
-        proposal_for: Callable[[ProcessId, int], Any] | None = None,
         instances: int = 1,
         propose_at: float = 0.0,
         instance_gap: float = 0.0,
@@ -405,12 +371,7 @@ class ConsensusHarness:
             raise ConfigurationError("a consensus run needs at least 1 instance")
         fd_factory = sim_driver_factory(detector, f, **(detector_params or {}))
         spec: ConsensusSpec = get_protocol(protocol)
-        if protocol_params is None:
-            resolved_protocol_params = spec.make_params()
-        elif isinstance(protocol_params, dict):
-            resolved_protocol_params = spec.make_params(**protocol_params)
-        else:
-            resolved_protocol_params = spec.make_params(protocol_params)
+        typed_params = spec.make_params(**(protocol_params or {}))
         membership = frozenset(range(1, n + 1))
         self.protocol = spec
         self.proposals: dict[ProcessId, Any] = (
@@ -421,14 +382,10 @@ class ConsensusHarness:
         missing = membership - set(self.proposals)
         if missing:
             raise ConfigurationError(f"missing proposals for {sorted(missing, key=repr)}")
-        self._proposal_for = proposal_for
         self._outcomes = {
             k: InstanceOutcome(instance=k) for k in range(1, instances + 1)
         }
-        self.result = ConsensusRunResult(
-            proposals=dict(self.proposals),
-            instances=[self._outcomes[k] for k in sorted(self._outcomes)],
-        )
+        self.result = ConsensusRunResult(instances=list(self._outcomes.values()))
         self._drivers: dict[ProcessId, ConsensusNodeDriver] = {}
 
         def composite_factory(process: SimProcess, cluster: SimCluster):
@@ -445,7 +402,7 @@ class ConsensusHarness:
             driver = ConsensusNodeDriver(
                 process,
                 fd_driver,
-                lambda instance: spec.build(context, oracle, resolved_protocol_params),
+                lambda instance: spec.build(context, oracle, typed_params),
                 lambda instance: self._value_for(process.pid, instance),
                 instances=instances,
                 propose_at=propose_at,
@@ -481,8 +438,6 @@ class ConsensusHarness:
 
     # ------------------------------------------------------------------
     def _value_for(self, pid: ProcessId, instance: int) -> Any:
-        if self._proposal_for is not None:
-            return self._proposal_for(pid, instance)
         if instance == 1:
             return self.proposals[pid]
         return f"value-{pid}.{instance}"
@@ -497,9 +452,6 @@ class ConsensusHarness:
         outcome = self._outcomes[instance]
         outcome.decisions.setdefault(pid, value)
         outcome.decision_times.setdefault(pid, time)
-        if instance == 1:
-            self.result.decisions.setdefault(pid, value)
-            self.result.decision_times.setdefault(pid, time)
 
     def run(self, until: float) -> ConsensusRunResult:
         """Run to ``until`` and fill the ledger; a harness runs once.
@@ -518,6 +470,5 @@ class ConsensusHarness:
                 outcome.nacks_sent[pid] = participant.nacks_sent
                 if participant.decision_round is not None:
                     outcome.decision_rounds[pid] = participant.decision_round
-        self.result.rounds_executed = dict(self._outcomes[1].rounds_executed)
         self.cluster.close()
         return self.result

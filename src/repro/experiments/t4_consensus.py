@@ -83,14 +83,15 @@ def run_cell(params: T4Params, coords: dict, seed: int) -> dict:
         propose_at=0.01,
     )
     result = harness.run(until=params.horizon)
+    outcome = result.instances[0]
     correct_rounds = [
-        r for pid, r in result.rounds_executed.items() if pid in result.correct
+        r for pid, r in outcome.rounds_executed.items() if pid in result.correct
     ]
     return {
-        "all_correct_decided": result.all_correct_decided,
+        "all_correct_decided": outcome.all_correct_decided,
         "agreement": result.agreement_holds,
         "validity": result.validity_holds,
-        "decision_time": result.last_decision_time,
+        "decision_time": outcome.last_decision_time,
         "max_rounds": max(correct_rounds, default=None),
     }
 

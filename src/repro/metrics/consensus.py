@@ -6,7 +6,8 @@ an application actually experiences is decision latency and wasted rounds.
 This module summarises a
 :class:`~repro.consensus.sim_runner.ConsensusRunResult`'s per-instance
 ledger into exactly those numbers, plus the consensus share of the message
-load read off the run trace.
+load read off the run trace (every ballot travels in one
+``consensus.instance`` envelope, so that share is one trace kind).
 
 All statistics are over **correct** processes (per the run's ground
 truth) and over instances that every correct process decided; open
@@ -20,11 +21,6 @@ from dataclasses import dataclass
 from ..errors import ExperimentError
 
 __all__ = ["ConsensusStats", "consensus_stats", "consensus_message_load"]
-
-#: trace kinds that belong to the consensus plane: the bare ballots of
-#: instance 1 plus the instance envelopes of every later instance
-_BALLOT_PREFIX = "ct."
-_ENVELOPE_KIND = "consensus.instance"
 
 
 @dataclass(frozen=True)
@@ -77,16 +73,11 @@ def consensus_stats(result) -> ConsensusStats:
 def consensus_message_load(trace, *, horizon: float, n: int) -> float:
     """Consensus messages per second per process.
 
-    Counts the bare ``ct.*`` ballots (instance 1) plus every
-    ``consensus.instance`` envelope (instances ≥ 2) recorded on the trace —
-    the price the workload pays on top of the detector's own load (which
-    :func:`repro.metrics.message_load` reports by kind).
+    Counts the ``consensus.instance`` envelopes recorded on the trace (every
+    instance's ballots travel in one) — the price the workload pays on top
+    of the detector's own load (which :func:`repro.metrics.message_load`
+    reports by kind).
     """
     if horizon <= 0 or n <= 0:
         raise ExperimentError("horizon and n must be positive")
-    total = sum(
-        count
-        for kind, count in trace.messages_by_kind.items()
-        if kind.startswith(_BALLOT_PREFIX) or kind == _ENVELOPE_KIND
-    )
-    return total / horizon / n
+    return trace.messages_by_kind["consensus.instance"] / horizon / n

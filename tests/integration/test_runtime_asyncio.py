@@ -287,6 +287,31 @@ class TestUdpTransport:
         assert size == 64 * 1024
         assert received == [big]
 
+    def test_consensus_envelope_is_delivered_under_its_ballot_sender(self):
+        async def scenario():
+            from repro.consensus.messages import Ack, InstanceEnvelope
+
+            received = []
+            receiver = UdpTransport(1, ("127.0.0.1", 0), peers={})
+            receiver.set_handler(lambda src, msg: received.append((src, msg)))
+            await receiver.start()
+            sender = UdpTransport(2, ("127.0.0.1", 0), peers={1: receiver.local_address})
+            await sender.start()
+            envelope = InstanceEnvelope(3, Ack(2, 1))
+            sender.send(1, envelope)
+            for _ in range(100):
+                if received:
+                    break
+                await asyncio.sleep(0.01)
+            dropped = receiver.datagrams_dropped
+            await sender.close()
+            await receiver.close()
+            return envelope, received, dropped
+
+        envelope, received, dropped = run(scenario())
+        assert received == [(2, envelope)]
+        assert dropped == 0
+
     def test_unknown_peer_send_returns_false(self):
         async def scenario():
             transport = UdpTransport(1, ("127.0.0.1", 0), peers={})
@@ -362,7 +387,6 @@ class TestUdpTransport:
         async def scenario():
             import socket
 
-            from repro.consensus.messages import Ack, InstanceEnvelope
             from repro.core.messages import Response, encode_message
 
             loop_errors = []
@@ -380,7 +404,7 @@ class TestUdpTransport:
                 b'{"kind":{}}',
                 b'{"kind":"fd.response","sender":2}',
                 # decodes, but carries no sender to dispatch under
-                encode_message(InstanceEnvelope(2, Ack(2, 1))),
+                b'{"kind":"consensus.instance","instance":2,"payload":5}',
             ]
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             for data in dropped:

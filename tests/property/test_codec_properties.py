@@ -136,7 +136,7 @@ REFERENCE_MESSAGES = st.one_of(
 
 
 class TestInstanceEnvelope:
-    @given(instance=st.integers(min_value=2), ballot=BALLOTS)
+    @given(instance=st.integers(min_value=1), ballot=BALLOTS)
     def test_envelope_roundtrip_over_every_ballot_kind(self, instance, ballot):
         assert roundtrips(InstanceEnvelope(instance=instance, payload=ballot))
 

@@ -57,7 +57,7 @@ class TestConsensusProperties:
         result = harness.run(until=120.0)
         assert result.agreement_holds
         assert result.validity_holds
-        assert result.all_correct_decided
+        assert result.instances[0].all_correct_decided
 
     @given(
         seed=st.integers(min_value=0, max_value=100_000),
@@ -75,8 +75,8 @@ class TestConsensusProperties:
             proposals=proposals,
             propose_at=0.01,
         )
-        result = harness.run(until=60.0)
-        assert result.all_correct_decided
-        decided = set(result.decisions.values())
+        outcome = harness.run(until=60.0).instances[0]
+        assert outcome.all_correct_decided
+        decided = set(outcome.decisions.values())
         assert len(decided) == 1
         assert decided <= set(values)
