@@ -19,7 +19,7 @@ from .._lazy import lazy_exports
 
 #: submodule -> its public names, resolved on access (:mod:`repro._lazy`)
 _EXPORTS = {
-    ".artifacts": ("artifact_name", "artifact_payload", "write_artifact"),
+    ".artifacts": ("artifact_name", "write_artifact"),
     ".cache": ("CacheStats", "PruneReport", "ResultCache", "cache_key"),
     ".grid": (
         "GridStatus",
@@ -35,10 +35,11 @@ _EXPORTS = {
         "entry_point_modules", "load_plugins", "plugin_modules", "plugin_sources",
     ),
     ".registry": ("all_specs", "get_spec"),
-    ".runner": ("CellOutcome", "GridResult", "evaluate_cell", "run_cells", "run_grid"),
-    ".spec": ("ScenarioSpec", "cell_seed", "with_detectors", "with_overrides"),
-    ".streaming": (
-        "StreamedGridRun", "StreamStats", "run_grid_streaming", "stream_outcomes",
+    ".runner": (
+        "CellOutcome", "GridResult", "StreamStats", "evaluate_cell", "run_cells",
+        "run_grid", "stream_outcomes",
     ),
+    ".spec": ("ScenarioSpec", "cell_seed", "with_detectors", "with_overrides"),
+    ".streaming": ("StreamedGridRun", "run_grid_streaming"),
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

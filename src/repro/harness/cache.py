@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from ..errors import ConfigurationError
-from .spec import canonical_json, cell_seed, params_to_dict
+from .spec import canonical_json, params_to_dict
 
 __all__ = ["CACHE_SCHEMA", "CacheStats", "PruneReport", "ResultCache", "cache_key"]
 
@@ -89,9 +89,6 @@ class ResultCache:
         #: torn writes or bit rot, not a cold cache, and the end-of-run
         #: summary surfaces it instead of silently recomputing.
         self.corrupt = 0
-
-    def key_for(self, exp_id: str, params: Any, coords: Mapping[str, Any]) -> str:
-        return cache_key(exp_id, params, coords, cell_seed(exp_id, coords, params.seed))
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"

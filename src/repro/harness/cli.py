@@ -62,7 +62,7 @@ from ..errors import ConfigurationError
 from .artifacts import write_artifact
 from .cache import ResultCache
 from .registry import all_specs, get_spec
-from .runner import run_grid
+from .runner import DEFAULT_WINDOW, run_grid
 from .spec import cell_seed, with_detectors, with_overrides
 
 __all__ = ["main"]
@@ -414,7 +414,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # detectors (e.g. a family with a required param like partial's
             # `d` swept onto an experiment that cannot supply it).
             if args.stream:
-                from .streaming import DEFAULT_WINDOW, run_grid_streaming
+                from .streaming import run_grid_streaming
 
                 streamed = run_grid_streaming(
                     spec,

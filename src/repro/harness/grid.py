@@ -18,9 +18,10 @@ missing piece — a **coordinator-less scheduler** over a shared directory:
    the lease *done* — heartbeating the lease all the while, so a
    SIGKILLed worker's cells expire and are reclaimed by survivors;
 4. any worker that observes every cell done **assembles the artifact**
-   from the cache via the streaming tabulation path
-   (:func:`~repro.harness.streaming.write_artifact_streaming`), byte
-   for byte what a single-host run writes.
+   from the cache through the one spill path
+   (:func:`~repro.harness.streaming.spill_artifact`) — the same spill,
+   tabulation and renderer ``repro run --stream`` uses — byte for byte
+   what a single-host run writes.
 
 Two scheduling modes, per worker:
 
@@ -54,13 +55,12 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..errors import ConfigurationError
-from .artifacts import artifact_name
 from .cache import CACHE_SCHEMA, ResultCache, cache_key
 from .lease import DEFAULT_TTL, LeaseLedger, LedgerCounts, open_ledger
 from .plugins import load_plugins, plugin_sources
-from .runner import evaluate_cell
+from .runner import CellOutcome, evaluate_cell
 from .spec import ScenarioSpec, canonical_json, cell_seed, params_to_dict
-from .streaming import SpilledValues, write_artifact_streaming
+from .streaming import spill_artifact
 
 __all__ = [
     "GRID_SCHEMA",
@@ -430,50 +430,21 @@ def assemble_artifact(
 ) -> tuple[Path, list[Any]]:
     """Tabulate a completed run from the shared cache; returns (path, tables).
 
-    Values are read back in manifest (= cell) order through the streaming
-    spill/tabulation path, so assembly memory stays bounded no matter the
-    grid size.  A value missing from the cache (pruned, or a corrupt
-    entry) is recomputed locally — cells are deterministic, so the
-    artifact is unaffected, just slower.  The final write is atomic
-    (temp + rename): concurrent assemblers produce byte-identical files
-    and the winner is indistinguishable from the loser.
+    Values are read back in manifest (= cell) order through the one spill
+    path (:func:`~repro.harness.streaming.spill_artifact`), so assembly
+    memory stays bounded no matter the grid size.  A value missing from
+    the cache (pruned, or a corrupt entry) is recomputed locally — cells
+    are deterministic, so the artifact is unaffected, just slower.
+    Concurrent assemblers each spill and write under their own temporary
+    names and ``os.replace`` byte-identical files into place.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / artifact_name(spec.exp_id)
-    suffix = f".{default_worker_name()}"
-    spill = out / (artifact_name(spec.exp_id) + suffix + ".assemble.spill")
-    partial = out / (artifact_name(spec.exp_id) + suffix + ".tmp")
-    offsets: list[int] = []
-    values = SpilledValues(spill, offsets)
-    try:
-        with spill.open("w", encoding="utf-8") as fh:
-            for record in manifest["cells"]:
-                value, _hit = evaluate_cell(
-                    spec, params, record["coords"], record["seed"],
-                    cache=cache, key=record["key"],
-                )
-                offsets.append(fh.tell())
-                fh.write(
-                    json.dumps(
-                        {
-                            "coords": record["coords"],
-                            "seed": record["seed"],
-                            "value": value,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        tables = spec.tabulate(params, values)
-        tables = tables if isinstance(tables, list) else [tables]
-        write_artifact_streaming(partial, spec, params, spill, tables)
-        os.replace(partial, path)
-    finally:
-        values.close()
-        spill.unlink(missing_ok=True)
-        partial.unlink(missing_ok=True)
-    return path, tables
+    outcomes = (
+        CellOutcome(cell["coords"], cell["seed"], *evaluate_cell(
+            spec, params, cell["coords"], cell["seed"], cache=cache, key=cell["key"]
+        ))
+        for cell in manifest["cells"]
+    )
+    return spill_artifact(spec, params, outcomes, out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -1,61 +1,43 @@
-"""Streaming grid evaluation: bounded-memory artifact runs for huge grids.
+"""Bounded-memory artifacts: the one spill path.
 
 :func:`repro.harness.runner.run_grid` holds every cell outcome in memory
 until the grid completes — fine for the paper's grids, prohibitive for the
 QoS-style all-detector comparison sweeps (thousands of cells at n >= 60).
-This module evaluates a grid in bounded **windows** and folds completed
-cells straight into the on-disk artifact:
+:func:`spill_artifact` takes any stream of outcomes in cell order, spills
+each to a JSONL side file the moment it arrives, tabulates from a lazy,
+disk-backed value sequence and renders the artifact from the spill —
+byte-identical to :func:`repro.harness.artifacts.write_artifact`, because
+both go through the one renderer
+(:func:`~repro.harness.artifacts.render_artifact`).  Streaming changes
+memory, never bytes.
 
-* :func:`stream_outcomes` yields outcomes *in cell order* while keeping at
-  most ``window`` un-consumed outcomes (and in-flight futures) resident;
-* :func:`run_grid_streaming` spills each outcome to a JSONL side file the
-  moment it is produced, then tabulates from a lazy, disk-backed value
-  sequence and writes the final artifact **byte-identical** to
-  :func:`repro.harness.artifacts.write_artifact`'s rendering — streaming
-  changes memory, never bytes.
-
-Caching, seeding and normalisation are shared with the non-streaming
-runner, so a streamed run and a classic run of the same grid are fully
-interchangeable (including cache hits across the two).
+Two callers feed it: :func:`run_grid_streaming` (``repro run --stream``)
+with the windowed :func:`~repro.harness.runner.stream_outcomes`, and the
+distributed assembler (:func:`repro.harness.grid.assemble_artifact`) with
+the run's cells read back from the shared cache.
 """
 
 from __future__ import annotations
 
 import json
-import textwrap
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from ..errors import ConfigurationError
-from .artifacts import artifact_header, artifact_name, artifact_tables
-from .cache import ResultCache, cache_key
-from .runner import CellOutcome, _evaluate, _normalise
-from .spec import ScenarioSpec, cell_seed
+from .artifacts import artifact_name, cell_record, render_artifact
+from .cache import ResultCache
+from .runner import DEFAULT_WINDOW, CellOutcome, StreamStats, stream_outcomes, tabulate
+from .spec import ScenarioSpec
 
 __all__ = [
-    "DEFAULT_WINDOW",
-    "StreamStats",
     "StreamedGridRun",
     "SpilledValues",
-    "stream_outcomes",
+    "spill_artifact",
     "run_grid_streaming",
     "write_artifact_streaming",
 ]
-
-#: default cap on resident (un-spilled) outcomes during a streaming run
-DEFAULT_WINDOW = 512
-
-
-@dataclass
-class StreamStats:
-    """Observability for a streaming run (filled in as cells complete)."""
-
-    cells: int = 0
-    cache_hits: int = 0
-    #: largest number of outcomes resident at any point — bounded by the
-    #: window size, recorded so tests and operators can verify the cap held
-    peak_resident: int = 0
 
 
 @dataclass
@@ -65,88 +47,6 @@ class StreamedGridRun:
     path: Path
     stats: StreamStats
     tables: list[Any] = field(default_factory=list)
-
-
-def stream_outcomes(
-    spec: ScenarioSpec,
-    params: Any | None = None,
-    *,
-    workers: int = 0,
-    cache: ResultCache | None = None,
-    window: int = DEFAULT_WINDOW,
-    stats: StreamStats | None = None,
-) -> Iterator[CellOutcome]:
-    """Evaluate a grid window-by-window, yielding outcomes in cell order.
-
-    At most ``window`` outcomes (and, with ``workers > 1``, in-flight
-    futures) exist at once; one process pool is reused across windows.
-    Results are identical to :func:`~repro.harness.runner.run_grid` —
-    per-cell seeds and cache keys do not depend on the window size.
-    """
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    if params is None:
-        params = spec.params_cls()
-    cells = spec.grid(params)
-    seeds = [cell_seed(spec.exp_id, coords, params.seed) for coords in cells]
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # as in runner.py
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        for start in range(0, len(cells), window):
-            chunk = list(range(start, min(start + window, len(cells))))
-            keys = {
-                index: cache_key(spec.exp_id, params, cells[index], seeds[index])
-                for index in chunk
-                if cache is not None
-            }
-            values: dict[int, Any] = {}
-            hit: set[int] = set()
-            misses: list[int] = []
-            for index in chunk:
-                if cache is not None:
-                    cached = cache.get(keys[index])
-                    if cached is not None:
-                        values[index] = cached
-                        hit.add(index)
-                        continue
-                misses.append(index)
-            if misses and pool is not None:
-                futures = [
-                    (
-                        index,
-                        pool.submit(
-                            _evaluate, spec.run_cell, params, cells[index], seeds[index]
-                        ),
-                    )
-                    for index in misses
-                ]
-                for index, future in futures:
-                    values[index] = _normalise(future.result())
-            else:
-                for index in misses:
-                    values[index] = _normalise(
-                        spec.run_cell(params, cells[index], seeds[index])
-                    )
-            if cache is not None:
-                for index in misses:
-                    cache.put(keys[index], values[index])
-            if stats is not None:
-                stats.cells += len(chunk)
-                stats.cache_hits += len(hit)
-                stats.peak_resident = max(stats.peak_resident, len(values))
-            for index in chunk:
-                yield CellOutcome(
-                    coords=cells[index],
-                    seed=seeds[index],
-                    value=values.pop(index),
-                    cached=index in hit,
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 class SpilledValues(Sequence):
@@ -196,6 +96,38 @@ class SpilledValues(Sequence):
             self._fh = None
 
 
+def spill_artifact(
+    spec: ScenarioSpec,
+    params: Any,
+    outcomes: Iterable[CellOutcome],
+    out_dir: str | os.PathLike,
+) -> tuple[Path, list[Any]]:
+    """Spill ``outcomes``, tabulate from the spill, write the artifact.
+
+    Returns ``(artifact path, tables)``.  The spill file is created under a
+    unique name in ``out_dir`` (two runs into one directory never share
+    one) and removed however the run ends.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / artifact_name(spec.exp_id)
+    fd, name = tempfile.mkstemp(dir=out, prefix=path.name + ".", suffix=".spill")
+    spill = Path(name)
+    offsets: list[int] = []
+    values = SpilledValues(spill, offsets)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            for outcome in outcomes:
+                offsets.append(fh.tell())
+                fh.write(json.dumps(cell_record(outcome), sort_keys=True) + "\n")
+        tables = tabulate(spec, params, values)
+        write_artifact_streaming(path, spec, params, spill, tables)
+    finally:
+        values.close()
+        spill.unlink(missing_ok=True)
+    return path, tables
+
+
 def run_grid_streaming(
     spec: ScenarioSpec,
     params: Any | None = None,
@@ -207,39 +139,16 @@ def run_grid_streaming(
 ) -> StreamedGridRun:
     """Evaluate ``spec`` and write its artifact with bounded memory.
 
-    Cells are spilled to ``<artifact>.cells.spill`` as they complete (at
-    most ``window`` outcomes resident), tabulation reads values back
-    through a lazy sequence, and the final artifact is rendered streaming —
-    byte-identical to the classic writer.  The spill file is removed on
-    success.
+    At most ``window`` outcomes are resident while cells are evaluated;
+    the artifact is byte-identical to the in-memory writer's.
     """
     if params is None:
         params = spec.params_cls()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / artifact_name(spec.exp_id)
-    spill = out / (artifact_name(spec.exp_id) + ".cells.spill")
     stats = StreamStats()
-    offsets: list[int] = []
-    values = SpilledValues(spill, offsets)
-    try:
-        with spill.open("w", encoding="utf-8") as fh:
-            for outcome in stream_outcomes(
-                spec, params, workers=workers, cache=cache, window=window, stats=stats
-            ):
-                record = {
-                    "coords": outcome.coords,
-                    "seed": outcome.seed,
-                    "value": outcome.value,
-                }
-                offsets.append(fh.tell())
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        tables = spec.tabulate(params, values)
-        tables = tables if isinstance(tables, list) else [tables]
-        write_artifact_streaming(path, spec, params, spill, tables)
-    finally:
-        values.close()
-        spill.unlink(missing_ok=True)
+    outcomes = stream_outcomes(
+        spec, params, workers=workers, cache=cache, window=window, stats=stats
+    )
+    path, tables = spill_artifact(spec, params, outcomes, out_dir)
     return StreamedGridRun(path=path, stats=stats, tables=tables)
 
 
@@ -250,39 +159,6 @@ def write_artifact_streaming(
     spill: Path,
     tables: list[Any],
 ) -> None:
-    """Render the canonical artifact without materialising the cell list.
-
-    Shared with the distributed assembler (:mod:`repro.harness.grid`),
-    which tabulates from the shared cache once a run's ledger shows every
-    cell done — same spill format (one ``{"coords","seed","value"}`` JSON
-    object per line), same byte-identical rendering.
-
-    Byte-identity with ``json.dumps(payload, sort_keys=True, indent=2)``
-    relies on ``"cells"`` sorting first among the payload keys: the cell
-    array is streamed from the spill file, then the rest of the payload is
-    rendered normally and spliced in after it.
-    """
-    rest = {
-        **artifact_header(spec.exp_id, spec.title, params),
-        "tables": artifact_tables(tables),
-    }
-    if min(rest) <= "cells":
-        raise ConfigurationError(
-            "streaming artifact writer requires 'cells' to sort first among "
-            f"payload keys; found {sorted(k for k in rest if k <= 'cells')}"
-        )
-    rendered_rest = json.dumps(rest, sort_keys=True, indent=2)
-    with path.open("w", encoding="utf-8") as fh:
-        with spill.open("r", encoding="utf-8") as cells_fh:
-            first = True
-            for line in cells_fh:
-                fh.write('{\n  "cells": [\n' if first else ",\n")
-                first = False
-                block = json.dumps(json.loads(line), sort_keys=True, indent=2)
-                fh.write(textwrap.indent(block, "    "))
-            # json.dumps renders an empty list inline ("cells": []).
-            fh.write('{\n  "cells": [],\n' if first else "\n  ],\n")
-        # rendered_rest == "{\n  <body>\n}"; strip its opening brace/newline
-        # so the body continues the object we already started.
-        fh.write(rendered_rest[2:])
-        fh.write("\n")
+    """Render the artifact from a spill file (one cell record per line)."""
+    with Path(spill).open("r", encoding="utf-8") as fh:
+        render_artifact(path, spec, params, map(json.loads, fh), tables)

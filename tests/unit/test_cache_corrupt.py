@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.harness import ResultCache, evaluate_cell
+from repro.harness import ResultCache, cache_key, evaluate_cell
 from repro.harness.cli import main
 from repro.harness.registry import get_spec
 from repro.harness.spec import cell_seed
@@ -72,7 +72,7 @@ class TestEvaluateCellHealing:
         seed = cell_seed(spec.exp_id, coords, params.seed)
         value, hit = evaluate_cell(spec, params, coords, seed, cache=cache)
         assert not hit
-        key = cache.key_for(spec.exp_id, params, coords)
+        key = cache_key(spec.exp_id, params, coords, seed)
         corrupt_entry(cache, key, "{torn write")
         healed, hit = evaluate_cell(spec, params, coords, seed, cache=cache)
         assert not hit  # recomputed, not served

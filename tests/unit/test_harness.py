@@ -4,6 +4,8 @@ The toy grid below lives at module level so its functions are picklable —
 the process-pool path is exercised for real with 2 workers.
 """
 
+import dataclasses
+import json
 from dataclasses import dataclass
 
 import pytest
@@ -11,7 +13,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.harness import (
     ResultCache,
-    artifact_payload,
     cache_key,
     cell_seed,
     run_cells,
@@ -210,12 +211,63 @@ class TestCache:
         assert cache.get(key) is None
 
 
+def one_shot_bytes(result):
+    """The artifact as one ``json.dumps`` of the whole payload: the oracle."""
+    payload = {
+        "schema": "repro-bench/1",
+        "experiment": result.spec.exp_id,
+        "title": result.spec.title,
+        "params": dataclasses.asdict(result.params),
+        "cells": [
+            {"coords": o.coords, "seed": o.seed, "value": o.value}
+            for o in result.outcomes
+        ],
+        "tables": [
+            {
+                "title": t.title,
+                "headers": list(t.headers),
+                "rows": [list(row) for row in t.rows],
+                "notes": list(t.notes),
+            }
+            for t in result.tables()
+        ],
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def mixed_run_cell(params, coords, seed):
+    x = coords["x"]
+    return {
+        "nested": [[x, [x / 3, -0.0]], [], [[1e-7, 2.5e300]]],
+        "float": x * 0.1,
+        "text": f"Zürich – ✓ {x}\n\"quoted\"",
+        "empty": {},
+    }
+
+
+def mixed_tabulate(params, values):
+    table = Table(title="mixed ✓", headers=["x", "float"])
+    for x, value in zip(params.xs, values):
+        table.add_row(x, value["float"])
+    table.add_note("ünïcode note")
+    return table
+
+
+MIXED = dataclasses.replace(
+    TOY, title="mixed values – ✓", run_cell=mixed_run_cell, tabulate=mixed_tabulate
+)
+
+
 class TestArtifacts:
-    def test_payload_shape(self):
-        payload = artifact_payload(run_grid(TOY, ToyParams()))
-        assert payload["experiment"] == "toy"
-        assert len(payload["cells"]) == 3
-        assert payload["tables"][0]["headers"] == ["x", "y"]
+    @pytest.mark.parametrize(
+        "spec, params",
+        [(TOY, ToyParams()), (TOY, ToyParams(xs=())), (MIXED, ToyParams())],
+        ids=["toy", "empty-grid", "nested-floats-non-ascii"],
+    )
+    def test_payload_shape(self, tmp_path, spec, params):
+        result = run_grid(spec, params)
+        path = write_artifact(tmp_path, result)
+        assert path.read_bytes() == one_shot_bytes(result)
 
     def test_byte_identical_rewrites(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -1,20 +1,18 @@
-"""Unit tests for the bounded-memory streaming grid runner."""
+"""Unit tests for the one cell-resolve loop and the one spill path."""
 
-from dataclasses import dataclass
+import json
+import os
+from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.report import Table
-from repro.harness.artifacts import write_artifact
-from repro.harness.cache import ResultCache
-from repro.harness.runner import run_grid
-from repro.harness.spec import ScenarioSpec
-from repro.harness.streaming import (
-    StreamStats,
-    run_grid_streaming,
-    stream_outcomes,
-)
+from repro.harness.artifacts import artifact_name, render_artifact, write_artifact
+from repro.harness.cache import ResultCache, cache_key
+from repro.harness.runner import CellOutcome, StreamStats, run_grid, stream_outcomes
+from repro.harness.spec import ScenarioSpec, cell_seed
+from repro.harness.streaming import run_grid_streaming, spill_artifact
 
 
 @dataclass(frozen=True)
@@ -63,14 +61,30 @@ def indexed_tabulate(params, values):
     return table
 
 
+def failing_run_cell(params, coords, seed):
+    # An environment variable reaches pool workers however they start.
+    if coords["i"] == int(os.environ.get("SYNTH_FAIL_AT", "-1")):
+        raise RuntimeError(f"cell {coords['i']} failed")
+    return synth_run_cell(params, coords, seed)
+
+
+FAILING = replace(SYNTH, run_cell=failing_run_cell)
+
+
 class TestStreamOutcomes:
-    def test_outcomes_match_classic_runner(self):
+    @pytest.mark.parametrize("window", [1, 5, 12, 100])
+    def test_outcomes_follow_grid_order_seeds_and_cells(self, window):
         params = SynthParams()
-        classic = run_grid(SYNTH, params)
-        streamed = list(stream_outcomes(SYNTH, params, window=5))
-        assert [o.coords for o in streamed] == [o.coords for o in classic.outcomes]
-        assert [o.seed for o in streamed] == [o.seed for o in classic.outcomes]
-        assert [o.value for o in streamed] == [o.value for o in classic.outcomes]
+        streamed = list(stream_outcomes(SYNTH, params, window=window))
+        coords = SYNTH.grid(params)
+        seeds = [cell_seed("synth", c, params.seed) for c in coords]
+        assert [o.coords for o in streamed] == coords
+        assert [o.seed for o in streamed] == seeds
+        assert [o.value for o in streamed] == [
+            json.loads(json.dumps(synth_run_cell(params, c, s)))
+            for c, s in zip(coords, seeds)
+        ]
+        assert not any(o.cached for o in streamed)
 
     def test_window_caps_resident_outcomes(self):
         stats = StreamStats()
@@ -184,5 +198,72 @@ class TestRunGridStreaming:
         streamed = run_grid_streaming(
             SYNTH, params, tmp_path, workers=2, window=3
         )
+        assert streamed.stats.peak_resident == 3
         classic_path = write_artifact(tmp_path / "classic", run_grid(SYNTH, params))
         assert streamed.path.read_bytes() == classic_path.read_bytes()
+
+
+class TestWriteThrough:
+    """A cell that raises leaves every earlier cell cached, serial or pooled."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_before_a_failure_are_cached(self, tmp_path, monkeypatch, workers):
+        params, fail_at = SynthParams(), 7
+        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setenv("SYNTH_FAIL_AT", str(fail_at))
+        with pytest.raises(RuntimeError, match="cell 7 failed"):
+            run_grid(FAILING, params, workers=workers, cache=cache)
+        for coords in FAILING.grid(params)[:fail_at]:
+            key = cache_key("synth", params, coords, cell_seed("synth", coords, params.seed))
+            assert cache.get(key) is not None, coords
+        monkeypatch.delenv("SYNTH_FAIL_AT")
+        rerun = run_grid(FAILING, params, workers=workers, cache=cache)
+        assert [o.cached for o in rerun.outcomes[:fail_at]] == [True] * fail_at
+        assert not rerun.outcomes[fail_at].cached
+        assert rerun.values == run_grid(SYNTH, params).values
+
+
+def one_then_raise(first):
+    yield first
+    raise RuntimeError("cell stream broke")
+
+
+class TestAtomicWrites:
+    def test_failed_render_keeps_the_previous_artifact(self, tmp_path):
+        params = SynthParams()
+        path = write_artifact(tmp_path, run_grid(SYNTH, params))
+        before = path.read_bytes()
+        record = {"coords": {"i": 0}, "seed": 1, "value": "partial"}
+        with pytest.raises(RuntimeError, match="cell stream broke"):
+            render_artifact(path, SYNTH, params, one_then_raise(record), [])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_failed_spill_keeps_the_previous_artifact(self, tmp_path):
+        params = SynthParams()
+        path = write_artifact(tmp_path, run_grid(SYNTH, params))
+        before = path.read_bytes()
+        outcome = CellOutcome(coords={"i": 0}, seed=1, value={"square": 0}, cached=False)
+        with pytest.raises(RuntimeError, match="cell stream broke"):
+            spill_artifact(SYNTH, params, one_then_raise(outcome), tmp_path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_two_streams_into_one_directory_do_not_share_a_spill(self, tmp_path):
+        # A second streamed run starts while the first is tabulating from
+        # its spill; with one fixed spill name it would overwrite, then
+        # delete, the file the first is reading.
+        inner = {}
+
+        def nesting_tabulate(params, values):
+            if not inner:
+                inner["run"] = run_grid_streaming(SYNTH, SynthParams(), tmp_path)
+                inner["spills"] = sorted(p.name for p in tmp_path.glob("*.spill"))
+            return synth_tabulate(params, values)
+
+        outer = run_grid_streaming(
+            replace(SYNTH, tabulate=nesting_tabulate), SynthParams(cells_count=5), tmp_path
+        )
+        assert len(inner["spills"]) == 1  # the outer run's, still in place
+        assert outer.tables[0].rows[0] == (5, sum(i * i for i in range(5)))
+        assert sorted(os.listdir(tmp_path)) == [artifact_name("synth")]
