@@ -5,10 +5,10 @@ augmented with a ◇S failure detector when a majority of processes is
 correct.  This package implements their rotating-coordinator protocol as a
 sans-I/O state machine (:mod:`repro.consensus.protocol`), an Ω-based
 early-deciding variant (:mod:`repro.consensus.omega_protocol`), and a
-string-keyed plugin registry (:mod:`repro.consensus.registry`) mirroring
-the detector registry: protocols are :class:`ConsensusSpec` entries with
-typed params and a ``factory(context, params, oracle)`` building one
-process's participant.
+string-keyed plugin registry (:mod:`repro.consensus.registry`, the same
+:class:`~repro.registry.Registry` as the detector registry): protocols are
+:class:`ConsensusSpec` entries with typed params and a ``factory(context,
+params, oracle)`` building one process's participant.
 
 The simulation harness (:mod:`repro.consensus.sim_runner`) co-hosts any
 registered detector with any registered protocol on each simulated node and

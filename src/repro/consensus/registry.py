@@ -1,7 +1,9 @@
 """String-keyed plugin registry of consensus protocols.
 
-The consensus twin of :mod:`repro.detectors.registry`: a protocol registers
-a :class:`~repro.consensus.spec.ConsensusSpec` under a stable lower-case
+:data:`PROTOCOLS` is one :class:`~repro.registry.Registry`, the class the
+detector, experiment and fault-scenario registries share (the lookup and
+order rules are documented there): a protocol registers a
+:class:`~repro.consensus.spec.ConsensusSpec` under a stable lower-case
 key, and every consumer — the generic
 :class:`~repro.consensus.sim_runner.ConsensusHarness`, the ``c1``/``t4``
 experiments, the ``repro protocols`` CLI listing, the registry-parametrized
@@ -19,10 +21,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..errors import ConfigurationError
+from ..registry import Registry
 from .spec import ConsensusContext, ConsensusOracle, ConsensusSpec
 
 __all__ = [
+    "PROTOCOLS",
     "register_protocol",
     "get_protocol",
     "all_protocols",
@@ -30,48 +33,16 @@ __all__ = [
     "build_protocol",
 ]
 
-_REGISTRY: dict[str, ConsensusSpec] = {}
+PROTOCOLS: Registry[ConsensusSpec] = Registry(
+    "consensus protocol", "key", dict.fromkeys(("ct", "omega"), "repro.consensus.builtin")
+)
 
-
-def register_protocol(spec: ConsensusSpec) -> ConsensusSpec:
-    """Register a consensus protocol under ``spec.key``.
-
-    Returns ``spec``, so it composes with assignment.  Re-registering the
-    *same* spec object is a no-op (safe under repeated module import); a
-    different spec under an existing key raises
-    :class:`~repro.errors.ConfigurationError` — pick a new key rather than
-    shadowing a built-in.
-    """
-    existing = _REGISTRY.get(spec.key)
-    if existing is not None and existing is not spec:
-        raise ConfigurationError(f"consensus protocol key {spec.key!r} is already registered")
-    _REGISTRY[spec.key] = spec
-    return spec
-
-
-def _ensure_builtin() -> None:
-    from . import builtin  # noqa: F401  (registers on import)
-
-
-def get_protocol(key: str) -> ConsensusSpec:
-    """The spec registered under ``key`` (case-insensitive)."""
-    _ensure_builtin()
-    spec = _REGISTRY.get(key.lower() if isinstance(key, str) else key)
-    if spec is None:
-        raise ConfigurationError(
-            f"unknown consensus protocol {key!r}; registered: {sorted(_REGISTRY)}"
-        )
-    return spec
-
-
-def all_protocols() -> dict[str, ConsensusSpec]:
-    """Every registered protocol, keyed and sorted by registry key."""
-    _ensure_builtin()
-    return {key: _REGISTRY[key] for key in sorted(_REGISTRY)}
-
-
-def protocol_keys() -> list[str]:
-    return list(all_protocols())
+register_protocol = PROTOCOLS.register
+#: the spec registered under a key (case-insensitive)
+get_protocol = PROTOCOLS.get
+#: every registered protocol, built-ins in key order, then plugins
+all_protocols = PROTOCOLS.all
+protocol_keys = PROTOCOLS.keys
 
 
 def build_protocol(

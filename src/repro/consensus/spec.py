@@ -27,12 +27,12 @@ the conformance suite rely on.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import ConfigurationError
 from ..ids import ProcessId
+from ..registry import TypedParams
 
 __all__ = [
     "ConsensusContext",
@@ -106,7 +106,7 @@ def oracle_from_suspects(
 
 
 @dataclass(frozen=True)
-class ConsensusSpec:
+class ConsensusSpec(TypedParams):
     """One pluggable consensus protocol.
 
     ``key``
@@ -136,43 +136,14 @@ class ConsensusSpec:
     oracle: str = "suspects"
     summary: str = ""
 
+    noun = "consensus protocol"
+
     def __post_init__(self) -> None:
-        if not self.key or self.key != self.key.lower():
-            raise ConfigurationError(
-                f"consensus protocol key must be non-empty lower-case: {self.key!r}"
-            )
-        if not dataclasses.is_dataclass(self.params_cls):
-            raise ConfigurationError(
-                f"{self.key!r}: params_cls must be a dataclass, got {self.params_cls!r}"
-            )
+        super().__post_init__()
         if self.oracle not in ORACLE_VIEWS:
             raise ConfigurationError(
                 f"{self.key!r}: oracle must be one of {ORACLE_VIEWS}, got {self.oracle!r}"
             )
-
-    # ------------------------------------------------------------------
-    def param_names(self) -> frozenset[str]:
-        """The protocol's parameter field names."""
-        return frozenset(f.name for f in dataclasses.fields(self.params_cls))
-
-    def make_params(self, params: Any | None = None, /, **overrides: Any) -> Any:
-        """Typed params from defaults (or ``params``) plus ``overrides``."""
-        if params is not None and overrides:
-            raise ConfigurationError("pass either a params instance or keyword overrides")
-        if params is not None:
-            if not isinstance(params, self.params_cls):
-                raise ConfigurationError(
-                    f"{self.key!r} expects {self.params_cls.__name__} params, "
-                    f"got {type(params).__name__}"
-                )
-            return params
-        unknown = sorted(set(overrides) - self.param_names())
-        if unknown:
-            raise ConfigurationError(
-                f"unknown parameter(s) {unknown} for consensus protocol {self.key!r}; "
-                f"valid: {sorted(self.param_names())}"
-            )
-        return self.params_cls(**overrides)
 
     def build(
         self,

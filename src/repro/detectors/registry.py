@@ -1,11 +1,11 @@
 """String-keyed plugin registry of detector families.
 
-Mirrors the library's other registries (:mod:`repro.harness.registry` for
-experiment grids, :func:`repro.core.messages.register_message` for wire
-messages): a family registers a :class:`~repro.detectors.spec.DetectorSpec`
-under a stable lower-case key, and every consumer — simulator clusters,
-the asyncio runtime, experiment grids, the CLI's ``--detector`` axis —
-resolves families by key instead of importing concrete classes.
+:data:`DETECTORS` is one :class:`~repro.registry.Registry` (the lookup and
+order rules are documented there): a family registers a
+:class:`~repro.detectors.spec.DetectorSpec` under a stable lower-case key,
+and every consumer — simulator clusters, the asyncio runtime, experiment
+grids, the CLI's ``--detector`` axis — resolves families by key instead of
+importing concrete classes.
 
 The six built-in families (:mod:`repro.detectors.builtin`) are registered
 on first lookup; external code can register additional families (e.g. a
@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..errors import ConfigurationError
+from ..registry import Registry
 from .spec import BuiltDetector, DetectorContext, DetectorMode, DetectorSpec, pacing_fields
 
 __all__ = [
+    "DETECTORS",
     "register_detector",
     "get_detector",
     "all_detectors",
@@ -29,57 +30,23 @@ __all__ = [
     "sim_driver_factory",
 ]
 
-_REGISTRY: dict[str, DetectorSpec] = {}
+DETECTORS: Registry[DetectorSpec] = Registry(
+    "detector",
+    "key",
+    dict.fromkeys(
+        ("gossip", "heartbeat", "heartbeat-adaptive", "partial", "phi", "time-free"),
+        "repro.detectors.builtin",
+    ),
+)
 
-
-def register_detector(spec: DetectorSpec) -> DetectorSpec:
-    """Register a detector family under ``spec.key``.
-
-    Returns ``spec``, so it composes with assignment::
-
-        SPEC = register_detector(DetectorSpec(key="mydet", ...))
-
-    Registration is the single extension point for detectors: the sim
-    driver, the runtime ``DetectorService``, the conformance battery and
-    every experiment's detector axis resolve families through this
-    registry by key (see ``docs/architecture.md``).  Keys are matched
-    case-insensitively on lookup, so register lower-case keys.
-
-    Re-registering the *same* spec object is a no-op (safe under repeated
-    module import); a different spec under an existing key raises
-    :class:`~repro.errors.ConfigurationError` — pick a new key rather
-    than shadowing a built-in.
-    """
-    existing = _REGISTRY.get(spec.key)
-    if existing is not None and existing is not spec:
-        raise ConfigurationError(f"detector key {spec.key!r} is already registered")
-    _REGISTRY[spec.key] = spec
-    return spec
-
-
-def _ensure_builtin() -> None:
-    from . import builtin  # noqa: F401  (registers on import)
-
-
-def get_detector(key: str) -> DetectorSpec:
-    """The spec registered under ``key`` (case-insensitive)."""
-    _ensure_builtin()
-    spec = _REGISTRY.get(key.lower() if isinstance(key, str) else key)
-    if spec is None:
-        raise ConfigurationError(
-            f"unknown detector kind {key!r}; registered: {sorted(_REGISTRY)}"
-        )
-    return spec
-
-
-def all_detectors() -> dict[str, DetectorSpec]:
-    """Every registered family, keyed and sorted by registry key."""
-    _ensure_builtin()
-    return {key: _REGISTRY[key] for key in sorted(_REGISTRY)}
-
-
-def detector_keys() -> list[str]:
-    return list(all_detectors())
+#: ``SPEC = register_detector(DetectorSpec(key="mydet", ...))`` — the single
+#: extension point for detectors (see ``docs/architecture.md``)
+register_detector = DETECTORS.register
+#: the spec registered under a key (case-insensitive)
+get_detector = DETECTORS.get
+#: every registered family, built-ins in key order, then plugins
+all_detectors = DETECTORS.all
+detector_keys = DETECTORS.keys
 
 
 def build_detector(

@@ -22,7 +22,6 @@ families pass through unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -31,6 +30,7 @@ from ..core.classes import FDClass
 from ..core.omega import OmegaElector
 from ..errors import ConfigurationError
 from ..ids import ProcessId
+from ..registry import TypedParams
 
 __all__ = [
     "DetectorContext",
@@ -124,7 +124,7 @@ class BuiltDetector:
 
 
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(TypedParams):
     """One pluggable detector family.
 
     ``key``
@@ -162,42 +162,7 @@ class DetectorSpec:
     summary: str = ""
     required: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        if not self.key or self.key != self.key.lower():
-            raise ConfigurationError(f"detector key must be non-empty lower-case: {self.key!r}")
-        if not dataclasses.is_dataclass(self.params_cls):
-            raise ConfigurationError(
-                f"{self.key!r}: params_cls must be a dataclass, got {self.params_cls!r}"
-            )
-
-    # ------------------------------------------------------------------
-    def param_names(self) -> frozenset[str]:
-        """The family's parameter field names."""
-        return frozenset(f.name for f in dataclasses.fields(self.params_cls))
-
-    def make_params(self, params: Any | None = None, /, **overrides: Any) -> Any:
-        """Typed params from defaults (or ``params``) plus ``overrides``.
-
-        Unknown override names raise :class:`ConfigurationError` — the
-        registry is strict so that a sweep over families fails loudly when
-        a knob does not apply.
-        """
-        if params is not None and overrides:
-            raise ConfigurationError("pass either a params instance or keyword overrides")
-        if params is not None:
-            if not isinstance(params, self.params_cls):
-                raise ConfigurationError(
-                    f"{self.key!r} expects {self.params_cls.__name__} params, "
-                    f"got {type(params).__name__}"
-                )
-            return params
-        unknown = sorted(set(overrides) - self.param_names())
-        if unknown:
-            raise ConfigurationError(
-                f"unknown parameter(s) {unknown} for detector {self.key!r}; "
-                f"valid: {sorted(self.param_names())}"
-            )
-        return self.params_cls(**overrides)
+    noun = "detector"
 
     def check_required(self, params: Any) -> None:
         """Raise unless every :attr:`required` field is set (non-``None``)."""

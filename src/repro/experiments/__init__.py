@@ -8,9 +8,9 @@ paper-scale runs), a declarative ``SPEC``
 ``run_cell`` + metrics + ``tabulate``) registered with the
 :mod:`repro.experiments.api` plugin registry at import.  The registry is
 what ``repro run``/``repro experiments`` and CI iterate; a new in-repo
-experiment is one ``register_experiment`` call plus one
-``_BUILTIN_MODULES`` entry away from all of them (conformance-tested),
-and external plugins need only import before use.
+experiment is one ``register_experiment`` call plus one entry in the
+built-in mapping of ``api.EXPERIMENTS`` away from all of them
+(conformance-tested), and external plugins need only import before use.
 
 ``python -m repro run t1 e2 --workers 8 --out results/`` evaluates grids
 on a process pool with content-hash caching and writes ``BENCH_<ID>.json``

@@ -10,10 +10,11 @@ and the CLI both resolve experiments from here, so a registered
 experiment reaches ``repro run``/``repro experiments``/CI with
 no further wiring.  External plugins register by importing before use —
 either explicitly or via the ``REPRO_PLUGINS`` environment variable
-(:mod:`repro.harness.plugins`), which the registry loads alongside the
-built-ins; in-repo experiment modules also take one entry in ``_BUILTIN_MODULES``
-(the auto-import + canonical-order mapping — a conformance test fails if
-a module registers an experiment without one).
+(:mod:`repro.harness.plugins`), which the registry loads after the
+built-ins; in-repo experiment modules also take one entry in the built-in
+mapping of :data:`EXPERIMENTS` (the auto-import + canonical-order mapping
+— a conformance test fails if a module registers an experiment without
+one).
 
 Axes
 ----
@@ -53,6 +54,7 @@ from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..harness.spec import ScenarioSpec
+from ..registry import Registry
 
 __all__ = [
     "Axis",
@@ -68,6 +70,7 @@ __all__ = [
     "Banded",
     "check_shapes",
     "ExperimentSpec",
+    "EXPERIMENTS",
     "register_experiment",
     "get_experiment",
     "all_experiments",
@@ -461,114 +464,39 @@ class ExperimentSpec(ScenarioSpec):
 # registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, ExperimentSpec] = {}
+#: the built-in experiments in canonical reporting order: id -> module (one
+#: mapping, so an id cannot be ordered without also being loadable; a
+#: conformance test fails if an in-repo module registers an id it lacks)
+EXPERIMENTS: Registry[ExperimentSpec] = Registry(
+    "experiment",
+    "exp_id",
+    {
+        "t1": "repro.experiments.t1_detection_vs_n",
+        "t2": "repro.experiments.t2_impact_of_f",
+        "t3": "repro.experiments.t3_message_load",
+        "t4": "repro.experiments.t4_consensus",
+        "f1": "repro.experiments.f1_detection_cdf",
+        "f2": "repro.experiments.f2_delay_variance",
+        "f3": "repro.experiments.f3_mp_sensitivity",
+        "e1": "repro.experiments.e1_density",
+        "e2": "repro.experiments.e2_mobility",
+        "a1": "repro.experiments.a1_grace_ablation",
+        "a2": "repro.experiments.a2_loss_resilience",
+        "q1": "repro.experiments.q1_qos_comparison",
+        "c1": "repro.experiments.c1_consensus_qos",
+    },
+)
 
-#: the built-in experiments in canonical reporting order: id -> module
-#: (one mapping, so an id cannot be ordered without also being loadable).
-#: :func:`all_experiments` imposes this order on iteration, with any
-#: externally registered experiments appended in registration order.
-_BUILTIN_MODULES = {
-    "t1": "t1_detection_vs_n",
-    "t2": "t2_impact_of_f",
-    "t3": "t3_message_load",
-    "t4": "t4_consensus",
-    "f1": "f1_detection_cdf",
-    "f2": "f2_delay_variance",
-    "f3": "f3_mp_sensitivity",
-    "e1": "e1_density",
-    "e2": "e2_mobility",
-    "a1": "a1_grace_ablation",
-    "a2": "a2_loss_resilience",
-    "q1": "q1_qos_comparison",
-    "c1": "c1_consensus_qos",
-}
-
-
-def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register an experiment; the id must be new (idempotent for same spec).
-
-    Usable directly (``SPEC = register_experiment(ExperimentSpec(...))``)
-    — registration happens at module import, mirroring
-    :func:`repro.detectors.register_detector`.
-    """
-    if not spec.exp_id or spec.exp_id != spec.exp_id.lower():
-        # Lookups lowercase their query, so a mixed-case id would be
-        # listed but unresolvable.
-        raise ConfigurationError(
-            f"experiment id must be non-empty lower-case: {spec.exp_id!r}"
-        )
-    existing = _REGISTRY.get(spec.exp_id)
-    if existing is not None and existing is not spec:
-        raise ConfigurationError(f"experiment id {spec.exp_id!r} is already registered")
-    _REGISTRY[spec.exp_id] = spec
-    return spec
-
-
-def _ensure_builtin(only: str | None = None) -> None:
-    """Import the built-in experiment modules (they register on import;
-    all of them, or the one registering ``only``), then any
-    ``REPRO_PLUGINS`` modules — so out-of-tree experiments reach every
-    registry consumer (CLI listings, distributed workers)
-    exactly like built-ins.  Plugins load *after* built-ins so a plugin can
-    resolve built-in specs at import time."""
-    import importlib
-
-    from ..harness.plugins import load_plugins
-
-    for exp_id in _BUILTIN_MODULES if only is None else (only,):
-        module = _BUILTIN_MODULES[exp_id]
-        if exp_id not in _REGISTRY:
-            importlib.import_module(f".{module}", package=__package__)
-            if exp_id not in _REGISTRY:
-                raise ConfigurationError(
-                    f"module {module!r} did not register experiment {exp_id!r}; "
-                    "fix the _BUILTIN_MODULES mapping or the module's exp_id"
-                )
-    load_plugins()
-
-
-def get_experiment(exp_id: str) -> ExperimentSpec:
-    """The spec registered under ``exp_id`` (case-insensitive).
-
-    A built-in id imports its own module only (a process that runs one
-    grid should not pay for the other twelve); any other id imports
-    everything, so a plugin can rely on the built-ins and the error below
-    names every valid id.
-    """
-    key = exp_id.lower() if isinstance(exp_id, str) else exp_id
-    _ensure_builtin(key if key in _BUILTIN_MODULES else None)
-    spec = _REGISTRY.get(key)
-    if spec is None:
-        raise ConfigurationError(
-            f"unknown experiment {exp_id!r}; choose from {sorted(_REGISTRY)}"
-        )
-    return spec
-
-
-def all_experiments() -> dict[str, ExperimentSpec]:
-    """Every registered experiment, in canonical reporting order.
-
-    Built-ins come first (t1..t4, f1..f3, e1, e2, a1, a2, q1), then any
-    externally registered experiments in registration order — the order
-    ``repro run`` (with no ids) and ``repro experiments`` iterate, so a new
-    registration can never be silently skipped.
-
-    Ordering is imposed here, not inherited from registration order: a
-    built-in module imported directly (``import
-    repro.experiments.e2_mobility``) registers itself before its
-    canonical predecessors, so the raw registry dict can be arbitrarily
-    rotated.
-    """
-    _ensure_builtin()
-    ordered = {exp_id: _REGISTRY[exp_id] for exp_id in _BUILTIN_MODULES}
-    for exp_id, spec in _REGISTRY.items():
-        if exp_id not in ordered:
-            ordered[exp_id] = spec
-    return ordered
-
-
-def experiment_keys() -> list[str]:
-    return list(all_experiments())
+#: ``SPEC = register_experiment(ExperimentSpec(...))`` at module import
+register_experiment = EXPERIMENTS.register
+#: the spec registered under an id (case-insensitive); a built-in id
+#: imports its own module only
+get_experiment = EXPERIMENTS.get
+#: every experiment, built-ins in canonical order (t1..c1), then plugins in
+#: registration order — what ``repro run`` with no ids and ``repro
+#: experiments`` iterate
+all_experiments = EXPERIMENTS.all
+experiment_keys = EXPERIMENTS.keys
 
 
 # ---------------------------------------------------------------------------

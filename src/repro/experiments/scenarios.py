@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ..detectors import get_detector, sim_driver_factory
 from ..errors import ConfigurationError
 from ..ids import ProcessId
+from ..registry import Registry
 from ..sim.cluster import SimCluster
 from ..sim.faults import (
     CrashFault,
@@ -36,6 +37,7 @@ from ..sim.topology import Topology
 
 __all__ = [
     "FaultScenario",
+    "FAULT_SCENARIOS",
     "run_scenario",
     "table_label",
     "register_fault_scenario",
@@ -87,34 +89,16 @@ class FaultScenario:
     build: FaultPlanBuilder
 
 
-_FAULT_SCENARIOS: dict[str, FaultScenario] = {}
-
-
-def register_fault_scenario(scenario: FaultScenario) -> FaultScenario:
-    if not scenario.name or scenario.name != scenario.name.lower():
-        raise ConfigurationError(
-            f"fault scenario name must be non-empty lower-case: {scenario.name!r}"
-        )
-    existing = _FAULT_SCENARIOS.get(scenario.name)
-    if existing is not None and existing is not scenario:
-        raise ConfigurationError(
-            f"fault scenario {scenario.name!r} is already registered"
-        )
-    _FAULT_SCENARIOS[scenario.name] = scenario
-    return scenario
-
-
-def get_fault_scenario(name: str) -> FaultScenario:
-    scenario = _FAULT_SCENARIOS.get(name)
-    if scenario is None:
-        raise ConfigurationError(
-            f"unknown fault scenario {name!r}; choose from {sorted(_FAULT_SCENARIOS)}"
-        )
-    return scenario
-
-
-def fault_scenario_keys() -> list[str]:
-    return sorted(_FAULT_SCENARIOS)
+#: the scenarios below register at this module's import (built-ins listed
+#: in name order)
+FAULT_SCENARIOS: Registry[FaultScenario] = Registry(
+    "fault scenario",
+    "name",
+    dict.fromkeys(("churn", "coordcrash", "crashrec", "lossburst", "partition"), __name__),
+)
+register_fault_scenario = FAULT_SCENARIOS.register
+get_fault_scenario = FAULT_SCENARIOS.get
+fault_scenario_keys = FAULT_SCENARIOS.keys
 
 
 def fault_plan_for(

@@ -376,11 +376,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.worker_id is not None:
             from .grid import parse_worker_id
 
-            try:
-                shard = parse_worker_id(args.worker_id)
-            except ConfigurationError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
+            shard = parse_worker_id(args.worker_id)
         for exp_id, params in prepared:
             spec = specs[exp_id]
             cells = spec.grid(params)
@@ -515,17 +511,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     only = [w for w in args.only.split(",") if w]
     started = time.perf_counter()
-    try:
-        floors = None
-        if args.check:
-            # Resolve floors before burning bench time on a bad path.
-            floors = load_floors(args.floors or DEFAULT_FLOORS_PATH)
-            if only:
-                floors = {name: floors[name] for name in only if name in floors}
-        payload = run_microbench(events=args.events, only=only, mem=args.mem)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    floors = None
+    if args.check:
+        # Resolve floors before burning bench time on a bad path.
+        floors = load_floors(args.floors or DEFAULT_FLOORS_PATH)
+        if only:
+            floors = {name: floors[name] for name in only if name in floors}
+    payload = run_microbench(events=args.events, only=only, mem=args.mem)
     elapsed = time.perf_counter() - started
     path = write_microbench_artifact(args.out, payload)
     if not args.quiet:
@@ -551,18 +543,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             line += f", {stats.corrupt} corrupt"
         print(line)
         return 1 if args.verify and stats.corrupt else 0
-    try:
-        report = cache.prune(
-            max_age_seconds=(
-                None if args.max_age_days is None else args.max_age_days * 86_400.0
-            ),
-            max_total_bytes=(
-                None if args.max_size_mb is None else int(args.max_size_mb * 1_000_000)
-            ),
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = cache.prune(
+        max_age_seconds=(
+            None if args.max_age_days is None else args.max_age_days * 86_400.0
+        ),
+        max_total_bytes=(
+            None if args.max_size_mb is None else int(args.max_size_mb * 1_000_000)
+        ),
+    )
     print(
         f"pruned {report.removed} entries ({report.freed_bytes / 1e6:.1f} MB); "
         f"kept {report.kept} ({report.kept_bytes / 1e6:.1f} MB)"
@@ -573,33 +561,35 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     from .grid import grid_reap, grid_status
 
-    try:
-        if args.grid_command == "status":
-            print(grid_status(args.workers_dir, args.ledger_backend).render())
-        else:
-            reclaimed = grid_reap(args.workers_dir, args.ledger_backend)
-            print(f"reaped {reclaimed} expired lease(s) back to pending")
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    if args.grid_command == "status":
+        print(grid_status(args.workers_dir, args.ledger_backend).render())
+    else:
+        reclaimed = grid_reap(args.workers_dir, args.ledger_backend)
+        print(f"reaped {reclaimed} expired lease(s) back to pending")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command in ("experiments", "list"):
-        return _cmd_experiments()
-    if args.command == "detectors":
-        return _cmd_detectors()
-    if args.command == "protocols":
-        return _cmd_protocols()
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "grid":
-        return _cmd_grid(args)
-    return _cmd_run(args)
+    try:
+        if args.command in ("experiments", "list"):
+            return _cmd_experiments()
+        if args.command == "detectors":
+            return _cmd_detectors()
+        if args.command == "protocols":
+            return _cmd_protocols()
+        if args.command == "bench":
+            return _cmd_bench(args)
+        if args.command == "cache":
+            return _cmd_cache(args)
+        if args.command == "grid":
+            return _cmd_grid(args)
+        return _cmd_run(args)
+    except ConfigurationError as exc:
+        # The one backstop: a misconfiguration (an unimportable plugin, a
+        # bad worker id, a missing floors file ...) is one line and exit 2.
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Out-of-tree plugin loading (``REPRO_PLUGINS`` + entry points).
 
-Experiments and detectors register themselves at import time
-(:func:`repro.experiments.api.register_experiment`,
-:func:`repro.detectors.register_detector`), so loading a plugin is just
-importing a module.  Two discovery sources feed :func:`load_plugins`:
+Experiments, detectors, consensus protocols and fault scenarios register
+themselves at import time (:func:`repro.experiments.api.register_experiment`,
+:func:`repro.detectors.register_detector`, ...), so loading a plugin is
+just importing a module.  Two discovery sources feed :func:`load_plugins`:
 
 * the ``REPRO_PLUGINS`` environment variable names modules to import —
   comma- or colon-separated, e.g.::
@@ -17,12 +17,14 @@ importing a module.  Two discovery sources feed :func:`load_plugins`:
       [project.entry-points."repro.plugins"]
       mylab = "mylab.experiments"
 
-:func:`load_plugins` is called by the experiment registry before any
-listing or lookup, so plugin experiments appear everywhere built-ins do
-(``repro experiments``, ``repro run``, conformance hooks)
-with no further wiring.  The entry-point scan walks installed-package
-metadata, so its result is cached for the process; pass ``refresh=True``
-after installing something mid-process.
+:func:`load_plugins` is called by every :class:`~repro.registry.Registry`
+before a listing or the lookup of a key that is not built in, so plugin
+families appear everywhere built-ins do (``repro experiments`` /
+``detectors`` / ``protocols``, ``repro run``, conformance hooks) with no
+further wiring; a lookup of a built-in key never loads them.  The
+entry-point scan walks installed-package metadata, so its result is
+cached for the process; pass ``refresh=True`` after installing something
+mid-process.
 
 Distributed runs make the plugin set part of the contract: the run
 manifest (:mod:`repro.harness.grid`) records the submitter's plugin list

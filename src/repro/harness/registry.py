@@ -1,14 +1,9 @@
 """Harness view of the experiment registry, keyed by lower-case id.
 
-Thin delegation to the :mod:`repro.experiments.api` plugin registry —
-experiments register themselves (``register_experiment``) and every
-consumer (``repro run``/``repro list``/``repro experiments``, CI smoke
-jobs) resolves them from the one registry, in canonical
-reporting order.  Before the registry existed this module hard-coded the
-eleven experiment modules, which meant a newly added experiment was
-silently skipped by the CLI unless this tuple was edited;
-discovery now lives in one place (``_BUILTIN_MODULES`` + registration,
-with a conformance test that refuses undiscovered in-repo modules).
+Thin delegation to :data:`repro.experiments.api.EXPERIMENTS`, the one
+experiment :class:`~repro.registry.Registry`: every consumer (``repro
+run``/``repro list``/``repro experiments``, CI smoke jobs) resolves
+experiments from it, in canonical reporting order.
 
 Imports stay lazy (inside the functions) so ``repro.harness`` has no
 import cycle with ``repro.experiments`` — experiment modules import the

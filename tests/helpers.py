@@ -46,22 +46,27 @@ def smoke_run(exp_id: str):
     return run_grid(get_experiment(exp_id), smoke_params()[exp_id])
 
 
-def fresh_python(code: str, **env: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter on this checkout.
+def fresh_process(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter on this checkout, output captured.
 
     ``repro`` and ``tests`` are importable, ``REPRO_PLUGINS`` is not
-    inherited (pass it in ``env``); a non-zero exit fails the test with the
-    child's stderr.
+    inherited (pass it in ``env``).
     """
     environ = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
     }
     environ.pop("REPRO_PLUGINS", None)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**environ, **env},
+    return subprocess.run(
+        [sys.executable, *args], env={**environ, **env},
         capture_output=True, text=True, timeout=120,
     )
+
+
+def fresh_python(code: str, **env: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter (see :func:`fresh_process`);
+    a non-zero exit fails the test with the child's stderr."""
+    done = fresh_process("-c", code, **env)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

@@ -79,30 +79,54 @@ class TestRegistry:
         assert get_spec("Q1") is get_experiment("q1")
 
     def test_every_in_repo_experiment_module_is_auto_imported(self):
-        # The registry auto-imports built-ins via _BUILTIN_MODULES; an
-        # in-repo module that registers an experiment but is missing from
-        # that mapping would be silently absent from every consumer (the
-        # old hard-coded-tuple bug).  Fail loudly here instead.
-        import pathlib
+        # Each of the four registries auto-imports its built-ins from one
+        # key -> module mapping; an in-repo module that registers a key but
+        # is missing from that mapping would be silently absent from every
+        # consumer (the old hard-coded-tuple bug).  Fail loudly here
+        # instead: the modules that call each register function are the
+        # mapping's modules, and with no plugins each registry lists
+        # exactly the mapping's keys, in its order.
+        import ast
+        import json
 
-        import repro.experiments as package
-        from repro.experiments.api import _BUILTIN_MODULES
+        from tests.helpers import REPO_ROOT, fresh_python
 
-        defining = {
-            path.stem
-            for path in pathlib.Path(package.__file__).parent.glob("*.py")
-            if path.stem != "api"
-            and "register_experiment(" in path.read_text(encoding="utf-8")
+        registries = {
+            "repro.detectors.registry:DETECTORS": "register_detector",
+            "repro.consensus.registry:PROTOCOLS": "register_protocol",
+            "repro.experiments.api:EXPERIMENTS": "register_experiment",
+            "repro.experiments.scenarios:FAULT_SCENARIOS": "register_fault_scenario",
         }
-        assert defining == set(_BUILTIN_MODULES.values())
+        calling = {name: set() for name in registries.values()}
+        src = REPO_ROOT / "src"
+        for path in src.rglob("*.py"):
+            module = ".".join(path.relative_to(src).with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in calling:
+                    calling[node.func.id].add(module)
+        code = (
+            "import importlib, json\n"
+            "seen = {}\n"
+            f"for target in {list(registries)!r}:\n"
+            "    module, _, name = target.partition(':')\n"
+            "    registry = getattr(importlib.import_module(module), name)\n"
+            "    seen[target] = [registry.keys(), list(registry.builtins),\n"
+            "                    sorted(set(registry.builtins.values()))]\n"
+            "print(json.dumps(seen))\n"
+        )
+        seen = json.loads(fresh_python(code))
+        for target, register in registries.items():
+            listed, builtins, modules = seen[target]
+            assert listed == builtins, target
+            assert set(modules) == calling[register], target
 
     def test_builtin_mapping_mismatch_fails_loudly(self, monkeypatch):
-        # A _BUILTIN_MODULES key whose module registers a different id must
-        # raise a ConfigurationError, not a bare KeyError mid-ordering.
+        # A built-in key whose module registers a different id must raise
+        # a ConfigurationError, not a bare KeyError mid-ordering.
         from repro.errors import ConfigurationError
         from repro.experiments import api
 
-        monkeypatch.setitem(api._BUILTIN_MODULES, "zz", "t2_impact_of_f")
+        monkeypatch.setitem(api.EXPERIMENTS.builtins, "zz", "repro.experiments.t2_impact_of_f")
         with pytest.raises(ConfigurationError, match="did not register"):
             api.all_experiments()
 

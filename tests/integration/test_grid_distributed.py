@@ -47,9 +47,9 @@ def zz_experiment():
     from repro.experiments import api
     from tests import grid_plugin
 
-    api._REGISTRY.setdefault("zz", grid_plugin.SPEC)
+    api.EXPERIMENTS.specs.setdefault("zz", grid_plugin.SPEC)
     yield grid_plugin.SPEC
-    api._REGISTRY.pop("zz", None)
+    api.EXPERIMENTS.specs.pop("zz", None)
 
 
 def single_host_artifact(exp_id, params, out_dir):

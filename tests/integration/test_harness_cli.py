@@ -12,7 +12,7 @@ import pytest
 from repro.experiments import t2_impact_of_f
 from repro.harness import ResultCache, run_grid, write_artifact
 from repro.harness.cli import main
-from tests.helpers import SMALL_T2, fresh_python
+from tests.helpers import SMALL_T2, fresh_process, fresh_python
 
 CANONICAL = ["t1", "t2", "t3", "t4", "f1", "f2", "f3", "e1", "e2", "a1", "a2", "q1", "c1"]
 
@@ -180,6 +180,49 @@ print(json.dumps(list(listing())))
         recorded = {"env": [], "entry_points": [], source: ["tests.grid_plugin"]}
         assert json.loads(lines[-2]) == recorded
         assert json.loads(lines[-1]) == [*CANONICAL, "zz"]
+
+
+class TestRegistryPlugins:
+    """Every registry loads ``REPRO_PLUGINS`` the same way.  Fresh
+    interpreters only: a plugin detector registered in this process would
+    join the default detector axis of q1 and c1 for every later test."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["experiments"], ["detectors"], ["protocols"], ["run", "zz", "--dry-run"]],
+    )
+    def test_an_unimportable_plugin_is_one_line_and_exit_two(self, argv):
+        done = fresh_process("-m", "repro", *argv, REPRO_PLUGINS="no_such_module")
+        assert done.returncode == 2, done.stderr
+        [line] = done.stderr.splitlines()
+        assert "REPRO_PLUGINS" in line and "'no_such_module'" in line
+
+    def test_plugin_families_reach_every_listing_and_host(self):
+        code = """
+import contextlib, io, json
+from repro.consensus import ConsensusHarness
+from repro.harness import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return [line.split()[0] for line in out.getvalue().splitlines()]
+
+listed = [run("detectors"), run("protocols"), run("run", "t1", "--detector", "zz-heartbeat", "--dry-run")[0]]
+result = ConsensusHarness(n=4, f=1, protocol="zz-ct", detector="zz-heartbeat").run(until=20.0)
+print(json.dumps([*listed, result.instances[0].all_correct_decided]))
+"""
+        detectors, protocols, dry_run, decided = json.loads(
+            fresh_python(code, REPRO_PLUGINS="tests.registry_plugin")
+        )
+        assert detectors == [
+            "gossip", "heartbeat", "heartbeat-adaptive", "partial", "phi", "time-free",
+            "zz-heartbeat",
+        ]
+        assert protocols == ["ct", "omega", "zz-ct"]
+        assert dry_run == "t1:"
+        assert decided
 
 
 # Small t1 cell so each detector-sweep invocation stays fast.

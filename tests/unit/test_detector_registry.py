@@ -17,7 +17,7 @@ from repro.detectors import (
     register_detector,
     sim_driver_factory,
 )
-from repro.detectors.registry import _REGISTRY
+from repro.detectors.registry import DETECTORS
 from repro.errors import ConfigurationError
 from repro.sim.node import QueryDetectorCore, TimedProtocolCore
 
@@ -87,7 +87,7 @@ class TestSpecMetadata:
     def test_invalid_spec_key_rejected(self):
         spec = get_detector("phi")
         with pytest.raises(ConfigurationError, match="lower-case"):
-            dataclasses.replace(spec, key="PHI")
+            register_detector(dataclasses.replace(spec, key="PHI"))
 
 
 class TestMakeParams:
@@ -218,4 +218,4 @@ class TestSimDriverFactory:
             built = build_detector("null-test", ctx())
             assert built.core.suspects() == frozenset()
         finally:
-            _REGISTRY.pop("null-test", None)
+            DETECTORS.specs.pop("null-test", None)

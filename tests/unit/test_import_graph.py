@@ -71,6 +71,24 @@ def test_running_one_grid_imports_one_experiment():
     assert len(loaded) <= 45  # 76 when the CLI resolved every experiment
 
 
+@pytest.mark.parametrize("code", [
+    'from repro.harness import cli; cli.main(["run", "t1", "--dry-run"])',
+    "from repro.core.protocol import DetectorConfig\n"
+    "from repro.runtime import DetectorService, MemoryHub\n"
+    "config = DetectorConfig.for_process(1, range(1, 4), 1)\n"
+    "DetectorService.from_registry('time-free', config, MemoryHub().create_transport(1))",
+])
+def test_a_built_in_key_is_resolved_without_loading_plugins(code):
+    # The registries' lookup rule: only a listing or a key that is not
+    # built in loads plugins, and the entry-point scan behind them is
+    # what imports importlib.metadata (35 modules, ~1.4 MiB).
+    assert "importlib.metadata" not in fresh(code)
+
+
+def test_a_listing_loads_plugins():
+    assert "importlib.metadata" in fresh('from repro.harness import cli; cli.main(["experiments"])')
+
+
 def test_pool_is_imported_by_the_first_parallel_grid_and_changes_no_value():
     loaded = fresh(
         "from repro.harness import get_spec, run_grid\n"
