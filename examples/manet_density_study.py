@@ -15,9 +15,10 @@ Run with::
 import math
 import random
 
+from repro.detectors import sim_driver_factory
 from repro.metrics import detection_stats, false_suspicion_series
-from repro.partial import partial_driver_factory, validate_f_covering
-from repro.sim import ExponentialLatency, QueryPacing, SimCluster
+from repro.partial import validate_f_covering
+from repro.sim import ExponentialLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan, MobilityFault
 from repro.sim.topology import manet_topology
 
@@ -38,7 +39,7 @@ def act_one_crash_detection() -> None:
     plan = FaultPlan.of(crashes=[CrashFault(13, 5.0), CrashFault(27, 8.0)])
     cluster = SimCluster(
         topology=topology,
-        driver_factory=partial_driver_factory(d, 2, QueryPacing(grace=1.0)),
+        driver_factory=sim_driver_factory("partial", 2, d=d, grace=1.0),
         latency=ExponentialLatency(0.001),
         seed=11,
         fault_plan=plan,
@@ -96,7 +97,7 @@ def act_two_mobility() -> None:
     )
     cluster = SimCluster(
         topology=topology,
-        driver_factory=partial_driver_factory(d, 1, QueryPacing(grace=1.0)),
+        driver_factory=sim_driver_factory("partial", 1, d=d, grace=1.0),
         latency=ExponentialLatency(0.001),
         seed=8,
         fault_plan=plan,

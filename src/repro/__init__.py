@@ -31,9 +31,11 @@ Packages
 --------
 
 ==================  =====================================================
-``repro.core``      the paper's algorithm (sans-I/O), FD classes, Omega
+``repro.core``      the paper's algorithm (sans-I/O; given or learned
+                    membership view), FD classes, Omega
 ``repro.detectors`` pluggable detector registry + unified core facade
-``repro.partial``   unknown membership / partial connectivity / mobility
+``repro.partial``   f-covering checks for the learned view (partial
+                    connectivity / mobility)
 ``repro.sim``       deterministic discrete-event simulation substrate
 ``repro.runtime``   asyncio runtime (in-memory and UDP transports)
 ``repro.baselines`` heartbeat, gossip and phi-accrual comparators

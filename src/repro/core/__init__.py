@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`repro.core.protocol.TimeFreeDetector` — the sans-I/O query-response
-  detector (Algorithm 1 of the paper, known membership, ``n - f`` quorum).
+  detector (Algorithm 1 of the paper): over a given membership with an
+  ``n - f`` quorum, or over a learned one with a ``d - f`` quorum.
 * :class:`repro.core.tags.TaggedSet` / :class:`repro.core.tags.SuspicionState`
   — the counter-tagged suspicion/mistake bookkeeping.
 * :mod:`repro.core.messages` — wire messages shared by every runtime.

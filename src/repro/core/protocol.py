@@ -6,11 +6,11 @@
    ``QUERY(suspected_i, mistake_i)`` to every other process (line 6).  The
    process's own response is accounted immediately, matching the paper's
    assumption that a node receives its own query and its own response is
-   always among the first ``n - f``.
+   always among the first ``quorum``.
 2. Feed incoming :class:`~repro.core.messages.Response` messages to
    :meth:`TimeFreeDetector.on_response` until
    :meth:`TimeFreeDetector.quorum_reached` (line 7: wait until responses from
-   at least ``n - f`` distinct processes).  The hosting driver may keep
+   at least ``quorum`` distinct processes).  The hosting driver may keep
    collecting *extra* responses past the quorum (the paper's evaluation adds
    a pacing delay here, which shrinks false suspicions without affecting
    correctness).
@@ -21,6 +21,13 @@
 Independently, :meth:`TimeFreeDetector.on_query` implements task T2: merge
 the newer suspicion/mistake records from a received query (refuting
 suspicions that name the local process) and answer with a ``RESPONSE``.
+
+The :class:`DetectorConfig` is the membership view.  A *given* view names
+Pi (the DSN 2003 model): ``known_i`` is Pi - {i} and the quorum ``n - f``.
+A *learned* view (unknown participants, arXiv cs/0701015) names only the
+range density ``d``: ``known_i`` starts empty and accretes query senders
+(line 20), the quorum is ``d - f``, and with ``mobility`` on a relayed
+mistake evicts the process it names (Algorithm 2, lines 36-38).
 
 Nothing here reads a clock or sets a timer: detection is driven purely by
 the message exchange pattern, which is the paper's contribution.
@@ -49,48 +56,61 @@ ExtraConsumer = Callable[[ProcessId, dict[str, Any]], None]
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Static configuration of a :class:`TimeFreeDetector`.
+    """Static configuration of a :class:`TimeFreeDetector`: its membership view.
 
-    ``membership`` is the full process set Pi (known a priori in the DSN 2003
-    model) and ``f`` the maximum number of crashes, with ``f < n``.  The
-    response quorum is ``n - f``.
+    ``f`` is the maximum number of crashes.  A *given* view sets
+    ``membership`` to the full process set Pi (known a priori in the DSN
+    2003 model), with ``f < n``; the response quorum is ``n - f``.  A
+    *learned* view sets ``membership=None`` and ``range_density`` to the
+    smallest 1-hop neighbourhood size ``d`` (with the node itself), the only
+    global knowledge the extension assumes; the quorum is ``d - f``, and an
+    f-covering network guarantees ``d > f + 1``.
     """
 
     process_id: ProcessId
-    membership: frozenset[ProcessId]
+    membership: frozenset[ProcessId] | None
     f: int
+    range_density: int | None = None
 
     def __post_init__(self) -> None:
+        if self.membership is None:
+            if self.f < 0:
+                raise ConfigurationError(f"f must be >= 0, got {self.f}")
+            if self.range_density is None or self.range_density <= self.f:
+                raise ConfigurationError(
+                    "a learned view needs d > f for a positive quorum, "
+                    f"got d={self.range_density}, f={self.f}"
+                )
+            return
+        if self.range_density is not None:
+            raise ConfigurationError(
+                "a given membership has no range density: its quorum is n - f"
+            )
         members = validate_membership(self.membership, process_id=self.process_id, f=self.f)
         object.__setattr__(self, "membership", members)
-        # Membership is immutable, so the repr-sorted sweep order is computed
-        # once here instead of once per finish_round (the line-9 sweep) and
-        # once per service construction (the peer list).
-        members_sorted = tuple(sorted(members, key=repr))
-        object.__setattr__(self, "_members_sorted", members_sorted)
+        # Membership is immutable, so the repr-sorted peer list is computed
+        # once here instead of once per service construction.
         object.__setattr__(
             self,
             "_peers_sorted",
-            tuple(pid for pid in members_sorted if pid != self.process_id),
+            tuple(sorted(members - {self.process_id}, key=repr)),
         )
 
     @property
     def n(self) -> int:
-        return len(self.membership)
-
-    @property
-    def members_sorted(self) -> tuple[ProcessId, ...]:
-        """The full membership, repr-sorted (cached; line 9 sweeps iterate it)."""
-        return self._members_sorted  # type: ignore[attr-defined]
+        """``|Pi|`` (given views only)."""
+        return len(self.membership)  # type: ignore[arg-type]
 
     @property
     def peers_sorted(self) -> tuple[ProcessId, ...]:
-        """``membership - {process_id}``, repr-sorted (cached)."""
+        """``membership - {process_id}``, repr-sorted (cached; given views only)."""
         return self._peers_sorted  # type: ignore[attr-defined]
 
     @property
     def quorum(self) -> int:
-        """``n - f``: responses required to terminate a query (line 7)."""
+        """``n - f`` (given) or ``d - f`` (learned): responses that end a query (line 7)."""
+        if self.membership is None:
+            return self.range_density - self.f  # type: ignore[operator]
         return self.n - self.f
 
     @classmethod
@@ -107,7 +127,7 @@ class QueryRoundOutcome:
     round_id: int
     #: Responders in arrival order; the issuing process is always first.
     responders: tuple[ProcessId, ...]
-    #: The first ``n - f`` responders — the *winning* responses of this round.
+    #: The first ``quorum`` responders — the *winning* responses of this round.
     winners: frozenset[ProcessId]
     #: Processes newly suspected at the end of this round (line 14).
     newly_suspected: tuple[ProcessId, ...]
@@ -150,22 +170,35 @@ class QueryPacing:
 class TimeFreeDetector(FailureDetector):
     """Sans-I/O implementation of the paper's Algorithm 1 (classes ◇S).
 
-    The detector must be *driven*: the substrate calls :meth:`start_round`,
-    routes messages to :meth:`on_query` / :meth:`on_response`, decides when
-    the round is over (at quorum, or later if pacing) and calls
-    :meth:`finish_round`.  :class:`repro.detectors.facade.QueryRoundFacade`
-    is that driving loop, hosted by the simulator and the asyncio runtime.
+    One core for both membership views of :class:`DetectorConfig`;
+    ``mobility`` switches Algorithm 2's eviction on a learned view (a given
+    view never learns, so never evicts).  The detector must be *driven*:
+    the substrate calls :meth:`start_round`, routes messages to
+    :meth:`on_query` / :meth:`on_response`, decides when the round is over
+    (at quorum, or later if pacing) and calls :meth:`finish_round`.
+    :class:`repro.detectors.facade.QueryRoundFacade` is that driving loop,
+    hosted by the simulator and the asyncio runtime.
     """
 
     def __init__(
         self,
         config: DetectorConfig,
         *,
+        mobility: bool = True,
         extra_provider: ExtraProvider | None = None,
         extra_consumer: ExtraConsumer | None = None,
     ) -> None:
         self._config = config
         self._state = SuspicionState(owner=config.process_id)
+        #: ``known_i``: on a given view Pi itself, one frozenset shared by
+        #: every process (the node always responds to its own query, so the
+        #: line-9 sweep never names it); on a learned view, every process a
+        #: query was received from (line 20) and not evicted since
+        self._learns = config.membership is None
+        self._evicts = self._learns and mobility
+        self._known: set[ProcessId] | frozenset[ProcessId] = (
+            set() if self._learns else config.membership  # type: ignore[assignment]
+        )
         self._extra_provider = extra_provider
         self._extra_consumer = extra_consumer
         self._round_id = 0
@@ -226,6 +259,10 @@ class TimeFreeDetector(FailureDetector):
         """Processes currently recorded as previously-wrongly-suspected."""
         return self._state.mistakes.ids()
 
+    def known(self) -> frozenset[ProcessId]:
+        """``known_i``: the other processes an unanswered round can suspect."""
+        return frozenset(self._known - {self.process_id})
+
     # ------------------------------------------------------------------
     # task T1: query rounds
     # ------------------------------------------------------------------
@@ -239,7 +276,7 @@ class TimeFreeDetector(FailureDetector):
         self._round_id += 1
         self._collecting = True
         # The node hears its own query and its own response is always among
-        # the first n - f (Section 4.1), so it is accounted immediately.
+        # the first quorum (Section 4.1), so it is accounted immediately.
         self._responders = {self.process_id: None}
         query = Query(
             sender=self.process_id,
@@ -270,7 +307,7 @@ class TimeFreeDetector(FailureDetector):
         return True
 
     def quorum_reached(self) -> bool:
-        """Line 7: at least ``n - f`` distinct responses received."""
+        """Line 7: at least ``quorum`` distinct responses received."""
         return self._collecting and len(self._responders) >= self._quorum
 
     def finish_round(self) -> QueryRoundOutcome:
@@ -278,7 +315,7 @@ class TimeFreeDetector(FailureDetector):
 
         Raises :class:`ProtocolError` unless the quorum was reached — the
         protocol's wait at line 7 is blocking by design; if fewer than
-        ``n - f`` processes are alive the round never terminates (the model
+        ``quorum`` processes are alive the round never terminates (the model
         guarantees at most ``f`` crashes).
         """
         if not self._collecting:
@@ -292,16 +329,15 @@ class TimeFreeDetector(FailureDetector):
         rec_from = self._responders
         responders = tuple(rec_from)
         newly: list[ProcessId] = []
-        # Line 9: known processes (here: the static membership) that did not
-        # respond and are not already suspected become suspected.  Iterating
-        # the config's pre-sorted membership and skipping responders visits
-        # exactly sorted(membership - rec_from) without a per-round sort.
-        for pj in self._config.members_sorted:
-            if pj in rec_from:
-                continue
-            result = self._state.suspect_locally(pj)
-            if result.outcome is MergeOutcome.SUSPICION_ADOPTED:
-                newly.append(pj)
+        # Line 9: known processes that did not respond and are not already
+        # suspected become suspected, in repr order.  In steady state every
+        # known process responded, so the common case sorts nothing.
+        missing = self._known.difference(rec_from)
+        if missing:
+            for pj in sorted(missing, key=repr):
+                result = self._state.suspect_locally(pj)
+                if result.outcome is MergeOutcome.SUSPICION_ADOPTED:
+                    newly.append(pj)
         counter_after = self._state.end_round()
         outcome = QueryRoundOutcome(
             round_id=self._round_id,
@@ -332,16 +368,29 @@ class TimeFreeDetector(FailureDetector):
         """Handle a received ``QUERY`` (lines 19-38); returns the response.
 
         Merging is done *before* responding, so the response acknowledges a
-        state that already integrated the sender's information.
+        state that already integrated the sender's information.  A given
+        view answers and merges a query from a non-member but never adds
+        it to ``known_i``.
         """
-        if query.sender == self.process_id:
+        sender = query.sender
+        if sender == self.process_id:
             return None  # own broadcast echoed back; carries no new information
+        if self._learns:
+            self._known.add(sender)  # line 20: learn the sender
         if self._extra_consumer is not None and query.extra:
-            self._extra_consumer(query.sender, query.extra_payload())
+            self._extra_consumer(sender, query.extra_payload())
         # Batched T2 merge: one fused pass over both record streams,
         # allocation-free when everything is stale (the steady state — every
         # query re-ships the full sets).
-        self._state.merge_query(query.suspected, query.mistakes)
+        delta = self._state.merge_query(query.suspected, query.mistakes)
+        if self._evicts and delta.mistakes_adopted:
+            # Algorithm 2, lines 36-38: a relayed mistake about a process we
+            # did not hear it from directly means that process now lives in
+            # a remote range — forget it, or we would suspect it forever.
+            owner = self.process_id
+            for pid in delta.mistakes_adopted:
+                if pid != sender and pid != owner:
+                    self._known.discard(pid)
         if self._extra_provider is None:
             response = self._response_cache
             if response is None or response.round_id != query.round_id:
@@ -353,7 +402,7 @@ class TimeFreeDetector(FailureDetector):
                 round_id=query.round_id,
                 extra=self._make_extra(),
             )
-        return SendTo(query.sender, response)
+        return SendTo(sender, response)
 
     # ------------------------------------------------------------------
     # piggyback plumbing

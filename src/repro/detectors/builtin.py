@@ -5,9 +5,9 @@ key                  mode   class   mechanism / stated assumption
 ===================  =====  ======  ==========================================
 ``time-free``        query  ◇S      the paper's query-response pattern; needs
                                     the behavioral property MP (no clocks)
-``partial``          query  ◇S      follow-up extension: unknown membership,
-                                    1-hop queries, record flooding; needs an
-                                    f-covering topology
+``partial``          query  ◇S      the same core over a learned membership
+                                    view: 1-hop queries, record flooding;
+                                    needs an f-covering topology
 ``heartbeat``        timed  ◇P      all-to-all ``I am alive`` every Δ, fixed
                                     per-peer timeout Θ; accurate only while
                                     delays stay under Θ
@@ -102,14 +102,13 @@ class PartialParams:
 
 
 def _build_partial(context: DetectorContext, params: PartialParams) -> BuiltDetector:
-    from ..partial import PartialDetectorConfig, PartialTimeFreeDetector
-
     if params.d is None:
         raise ConfigurationError("partial detector needs the range density d")
-    config = PartialDetectorConfig(
-        process_id=context.process_id, range_density=params.d, f=context.f
+    # A learned view: Pi is never read, only the range density and f.
+    config = DetectorConfig(
+        process_id=context.process_id, membership=None, f=context.f, range_density=params.d
     )
-    core = PartialTimeFreeDetector(config, mobility=params.mobility)
+    core = TimeFreeDetector(config, mobility=params.mobility)
     return BuiltDetector(spec=PARTIAL_SPEC, params=params, core=core)
 
 

@@ -429,7 +429,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 detail = f", peak resident {streamed.stats.peak_resident}"
             else:
                 result = run_grid(spec, params, workers=args.workers, cache=cache)
-                tables, path = result.tables(), write_artifact(args.out, result)
+                # write_artifact tabulates for the file; --quiet prints nothing
+                tables = [] if args.quiet else result.tables()
+                path = write_artifact(args.out, result)
                 cells_run, hits = len(result.outcomes), result.cache_hits
                 detail = ""
         except ConfigurationError as exc:

@@ -153,12 +153,13 @@ def bench_batch(n: int) -> float:
 
 
 def bench_cluster(n: int) -> float:
-    from ..sim.cluster import SimCluster, heartbeat_driver_factory
+    from ..detectors import sim_driver_factory
+    from ..sim.cluster import SimCluster
 
     horizon = max(5.0, n / 10_000)
     cluster = SimCluster(
         n=40,
-        driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+        driver_factory=sim_driver_factory("heartbeat", 0, period=0.5, timeout=1.5),
         seed=7,
         start_stagger=0.5,
     )
@@ -333,17 +334,17 @@ def bench_trace(n: int) -> float:
 
 def bench_cells(n: int) -> float:
     """One end-to-end experiment cell: run a cluster, then tabulate QoS."""
+    from ..detectors import sim_driver_factory
     from ..metrics import all_detection_stats, message_load, mistake_stats
-    from ..sim.cluster import SimCluster, time_free_driver_factory
+    from ..sim.cluster import SimCluster
     from ..sim.faults import CrashFault, FaultPlan
-    from ..sim.node import QueryPacing
 
     horizon = max(5.0, n / 15_000)
     victim = 30
     plan = FaultPlan.of(crashes=[CrashFault(victim, horizon / 3.0)])
     cluster = SimCluster(
         n=30,
-        driver_factory=time_free_driver_factory(f=6, pacing=QueryPacing(grace=0.5)),
+        driver_factory=sim_driver_factory("time-free", 6, grace=0.5),
         seed=13,
         fault_plan=plan,
         start_stagger=0.5,

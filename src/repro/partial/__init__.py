@@ -1,8 +1,8 @@
 """Extension: unknown membership, partial connectivity, mobility.
 
-This subpackage implements the follow-up generalization of the DSN 2003
-algorithm (INRIA RR-6088 / arXiv cs/0701015) on top of the same
-counter-tagged machinery:
+The follow-up generalization of the DSN 2003 algorithm (INRIA RR-6088 /
+arXiv cs/0701015) is the same core, :class:`repro.core.protocol.TimeFreeDetector`,
+over a *learned* membership view (the ``partial`` registry family):
 
 * membership is *learned*: ``known_i`` collects the processes a node has
   ever received a query from (the membership property MP makes this
@@ -14,8 +14,8 @@ counter-tagged machinery:
 * mobility support (Algorithm 2) adds a single eviction rule that breaks
   the suspicion ping-pong between a mover and its old neighborhood.
 
-The DSN 2003 core is recovered exactly by running this detector on a full
-mesh with ``d = n``.
+This subpackage holds what is particular to the extension: the
+f-covering validators of :mod:`repro.partial.covering`.
 """
 
 from .covering import (
@@ -24,17 +24,9 @@ from .covering import (
     validate_f_covering_fast,
     validate_mobility_scenario,
 )
-from .protocol import (
-    PartialDetectorConfig,
-    PartialTimeFreeDetector,
-    partial_driver_factory,
-)
 
 __all__ = [
-    "PartialDetectorConfig",
-    "PartialTimeFreeDetector",
     "independent_path_count",
-    "partial_driver_factory",
     "validate_f_covering",
     "validate_f_covering_fast",
     "validate_mobility_scenario",

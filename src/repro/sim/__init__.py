@@ -19,7 +19,7 @@ from .._lazy import lazy_exports
 
 #: submodule -> its public names, resolved on access (:mod:`repro._lazy`)
 _EXPORTS = {
-    ".cluster": ("SimCluster", "heartbeat_driver_factory", "time_free_driver_factory"),
+    ".cluster": ("SimCluster",),
     ".engine": ("EventHandle", "Scheduler"),
     ".faults": ("CrashFault", "FaultPlan", "MobilityFault"),
     ".latency": (

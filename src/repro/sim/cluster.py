@@ -2,11 +2,11 @@
 
 ``SimCluster`` wires scheduler, network, processes, drivers, fault plan and
 trace together from a handful of declarative parameters, so experiments and
-tests read as *what* is simulated rather than *how*.  Driver factories pick
-the detector under test: :func:`time_free_driver_factory` for the paper's
-algorithm (optionally over partial/unknown topologies via
-``repro.partial``), :func:`timed_driver_factory` /
-:func:`heartbeat_driver_factory` for the timer-based baselines.
+tests read as *what* is simulated rather than *how*.  The driver factory
+picks the detector under test; every registered family enters through
+:func:`repro.detectors.sim_driver_factory` (``sim_driver_factory("partial",
+f, d=d)`` for the learned view, ``sim_driver_factory("heartbeat", f,
+period=..., timeout=...)`` for a baseline).
 """
 
 from __future__ import annotations
@@ -15,25 +15,18 @@ import math
 from typing import Callable
 
 from ..core.omega import OmegaElector
-from ..core.protocol import DetectorConfig, TimeFreeDetector
 from ..errors import ConfigurationError, SimulationError
 from ..ids import ProcessId
 from .engine import Scheduler
 from .faults import FaultPlan, JoinFault, LeaveFault, MobilityFault, RecoveryFault
 from .latency import ConstantLatency, LatencyModel
 from .network import SimNetwork
-from .node import QueryPacing, QueryResponseDriver, SimProcess, TimedDriver, TimedProtocolCore
+from .node import SimProcess
 from .rng import RngStreams
 from .topology import Topology, full_mesh
 from .trace import TraceRecorder
 
-__all__ = [
-    "SimCluster",
-    "DriverFactory",
-    "time_free_driver_factory",
-    "timed_driver_factory",
-    "heartbeat_driver_factory",
-]
+__all__ = ["SimCluster", "DriverFactory"]
 
 DriverFactory = Callable[[SimProcess, "SimCluster"], object]
 
@@ -237,62 +230,6 @@ class SimCluster:
             if elector is not None:
                 result[pid] = elector
         return result
-
-
-# ---------------------------------------------------------------------------
-# driver factories
-# ---------------------------------------------------------------------------
-
-
-def time_free_driver_factory(
-    f: int,
-    pacing: QueryPacing = QueryPacing(),
-    *,
-    with_omega: bool = False,
-) -> DriverFactory:
-    """Drive the paper's time-free detector on every node (full membership)."""
-
-    def factory(process: SimProcess, cluster: SimCluster) -> QueryResponseDriver:
-        config = DetectorConfig.for_process(process.pid, cluster.membership, f)
-        elector = None
-        if with_omega:
-            elector = OmegaElector(config)
-            detector = TimeFreeDetector(
-                config,
-                extra_provider=elector.payload,
-                extra_consumer=elector.consume,
-            )
-        else:
-            detector = TimeFreeDetector(config)
-        return QueryResponseDriver(process, detector, pacing, elector=elector)
-
-    return factory
-
-
-def timed_driver_factory(
-    make_core: Callable[[ProcessId, frozenset[ProcessId]], TimedProtocolCore],
-) -> DriverFactory:
-    """Drive an arbitrary timer-based core built by ``make_core(pid, members)``."""
-
-    def factory(process: SimProcess, cluster: SimCluster) -> TimedDriver:
-        core = make_core(process.pid, cluster.membership)
-        return TimedDriver(process, core)
-
-    return factory
-
-
-def heartbeat_driver_factory(
-    *,
-    period: float = 1.0,
-    timeout: float = 2.0,
-) -> DriverFactory:
-    """Drive the all-to-all heartbeat baseline (Δ = period, Θ = timeout)."""
-    from ..baselines.heartbeat import HeartbeatDetector
-
-    def make_core(pid: ProcessId, members: frozenset[ProcessId]) -> TimedProtocolCore:
-        return HeartbeatDetector(pid, members, period=period, timeout=timeout)
-
-    return timed_driver_factory(make_core)
 
 
 def _dist(p: tuple[float, float], q: tuple[float, float]) -> float:

@@ -53,10 +53,10 @@ TimedProtocolCore = DetectorCore
 class QueryDetectorCore(Protocol):
     """What :class:`~repro.detectors.facade.QueryRoundFacade` needs from a core.
 
-    Satisfied by :class:`repro.core.protocol.TimeFreeDetector` and
-    :class:`repro.partial.protocol.PartialTimeFreeDetector`.
+    Satisfied by :class:`repro.core.protocol.TimeFreeDetector`, the one
+    query core, over either membership view.
 
-    Responder contract, shared by both cores: a round's responders live in
+    Responder contract: a round's responders live in
     one structure ordered by first arrival, the issuing process first (hence
     ``QueryRoundOutcome.responders`` and ``winners``, its first ``quorum``);
     duplicates and other rounds' responses do not count; :meth:`abort_round`

@@ -1,27 +1,26 @@
-"""The extension collapses to the core on a full mesh with d = n.
+"""A learned membership view collapses to the given one on a full mesh with d = n.
 
-``repro.partial`` claims: "The DSN 2003 core is recovered exactly by
-running this detector on a full mesh with d = n."  These tests check the
+The DSN 2003 core is recovered exactly by running the detector over a
+learned view on a full mesh with ``d = n``.  These tests check the
 observable equivalence: same quorum, same suspicions, same detection
-behavior — with the one structural difference that the partial detector
+behavior — with the one structural difference that the learned view
 must first *learn* the membership from queries.
 """
 
+from repro.detectors import sim_driver_factory
 from repro.metrics import detection_stats
-from repro.partial import partial_driver_factory
-from repro.sim import ExponentialLatency, QueryPacing, SimCluster
-from repro.sim.cluster import time_free_driver_factory
+from repro.sim import ExponentialLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan
 
 N = 6
 F = 2
-PACING = QueryPacing(grace=0.1, idle=0.0)
+PACING = {"grace": 0.1, "idle": 0.0}
 
 
 def run_core(plan, seed=13, horizon=15.0):
     cluster = SimCluster(
         n=N,
-        driver_factory=time_free_driver_factory(F, PACING),
+        driver_factory=sim_driver_factory("time-free", F, **PACING),
         latency=ExponentialLatency(0.001),
         seed=seed,
         fault_plan=plan,
@@ -33,7 +32,7 @@ def run_core(plan, seed=13, horizon=15.0):
 def run_partial(plan, seed=13, horizon=15.0):
     cluster = SimCluster(
         n=N,  # full mesh
-        driver_factory=partial_driver_factory(N, F, PACING),
+        driver_factory=sim_driver_factory("partial", F, d=N, **PACING),
         latency=ExponentialLatency(0.001),
         seed=seed,
         fault_plan=plan,

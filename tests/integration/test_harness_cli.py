@@ -107,6 +107,23 @@ class TestCliRun:
         assert "(4 cached)" in summary.splitlines()[-1]
         assert artifact.read_bytes() == first
 
+    def test_quiet_run_tabulates_the_grid_once(self, tmp_path, monkeypatch):
+        # the artifact needs the tables; a --quiet run prints none
+        from repro.harness import runner
+
+        calls = []
+        tabulate = runner.tabulate
+
+        def counting(spec, *args):
+            calls.append(spec.exp_id)
+            return tabulate(spec, *args)
+
+        monkeypatch.setattr(runner, "tabulate", counting)
+        argv = ["run", "t2", *SMALL_T2, "--out", str(tmp_path), "--quiet", "--no-cache"]
+        assert main(argv) == 0
+        assert calls == ["t2"]
+        assert json.loads((tmp_path / "BENCH_T2.json").read_text())["tables"][0]["rows"]
+
     def test_seed_override_changes_results(self, tmp_path):
         out = tmp_path / "results"
         argv = ["run", "t2", *SMALL_T2, "--out", str(out), "--quiet"]

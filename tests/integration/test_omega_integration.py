@@ -1,7 +1,7 @@
 """Leader election (Omega) on full simulated runs."""
 
-from repro.sim import ExponentialLatency, QueryPacing, SimCluster
-from repro.sim.cluster import time_free_driver_factory
+from repro.detectors import sim_driver_factory
+from repro.sim import ExponentialLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.latency import BiasedLatency, UniformLatency
 
@@ -9,8 +9,8 @@ from repro.sim.latency import BiasedLatency, UniformLatency
 def build(n, f, *, fault_plan=None, seed=1, latency=None):
     return SimCluster(
         n=n,
-        driver_factory=time_free_driver_factory(
-            f, QueryPacing(grace=0.05), with_omega=True
+        driver_factory=sim_driver_factory(
+            "time-free", f, grace=0.05, with_omega=True
         ),
         latency=latency if latency is not None else ExponentialLatency(0.001),
         seed=seed,

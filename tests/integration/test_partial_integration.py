@@ -7,9 +7,10 @@ eviction rule.
 
 import random
 
+from repro.detectors import sim_driver_factory
 from repro.metrics import detection_stats
-from repro.partial import partial_driver_factory, validate_f_covering
-from repro.sim import ExponentialLatency, QueryPacing, SimCluster
+from repro.partial import validate_f_covering
+from repro.sim import ExponentialLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan, MobilityFault
 from repro.sim.topology import grid, manet_topology, ring
 
@@ -17,8 +18,8 @@ from repro.sim.topology import grid, manet_topology, ring
 def build(topology, d, f, *, fault_plan=None, seed=1, grace=0.2, mobility=True):
     return SimCluster(
         topology=topology,
-        driver_factory=partial_driver_factory(
-            d, f, QueryPacing(grace=grace), mobility=mobility
+        driver_factory=sim_driver_factory(
+            "partial", f, d=d, grace=grace, mobility=mobility
         ),
         latency=ExponentialLatency(0.001),
         seed=seed,

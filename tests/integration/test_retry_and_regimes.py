@@ -9,16 +9,15 @@ from repro.errors import ConfigurationError
 from repro.metrics import detection_stats, mistake_stats
 from repro.runtime import LocalCluster, ServicePacing
 from repro.sim import ExponentialLatency, QueryPacing, SimCluster, UniformLatency
-from repro.sim.cluster import time_free_driver_factory
+from repro.detectors import sim_driver_factory
 from repro.sim.faults import CrashFault, FaultPlan
 
 
 class TestRetryOnSimulator:
     def build(self, *, loss_rate, retry, seed=5):
-        pacing = QueryPacing(grace=0.1, idle=0.05, retry=retry)
         return SimCluster(
             n=8,
-            driver_factory=time_free_driver_factory(2, pacing),
+            driver_factory=sim_driver_factory("time-free", 2, grace=0.1, idle=0.05, retry=retry),
             latency=ExponentialLatency(0.001),
             seed=seed,
             fault_plan=FaultPlan.of(crashes=[CrashFault(8, 10.0)]),
@@ -88,7 +87,7 @@ class TestDiamondPRegime:
         # always arrives in time, so RP holds for every correct process.
         return SimCluster(
             n=8,
-            driver_factory=time_free_driver_factory(3, QueryPacing(grace=0.5)),
+            driver_factory=sim_driver_factory("time-free", 3, grace=0.5),
             latency=UniformLatency(0.001, 0.05),
             seed=11,
             fault_plan=fault_plan,

@@ -1,8 +1,8 @@
 """End-to-end runs of the timer-based baselines on the simulator."""
 
+from repro.detectors import sim_driver_factory
 from repro.metrics import detection_stats, mistake_stats
 from repro.sim import ExponentialLatency, SimCluster
-from repro.sim.cluster import heartbeat_driver_factory, timed_driver_factory
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.latency import RegimeShiftLatency
 from repro.sim.topology import ring
@@ -12,7 +12,7 @@ def build_heartbeat(n, *, period=0.5, timeout=1.0, fault_plan=None, latency=None
                     topology=None, seed=1):
     kwargs = {"topology": topology} if topology is not None else {"n": n}
     return SimCluster(
-        driver_factory=heartbeat_driver_factory(period=period, timeout=timeout),
+        driver_factory=sim_driver_factory("heartbeat", 1, period=period, timeout=timeout),
         latency=latency if latency is not None else ExponentialLatency(0.001),
         seed=seed,
         fault_plan=fault_plan,
@@ -50,12 +50,7 @@ class TestHeartbeatEndToEnd:
 
 class TestGossipEndToEnd:
     def gossip_factory(self, period=0.5, timeout=1.5):
-        from repro.baselines.gossip import GossipHeartbeatDetector
-
-        def make(pid, members):
-            return GossipHeartbeatDetector(pid, members, period=period, timeout=timeout)
-
-        return timed_driver_factory(make)
+        return sim_driver_factory("gossip", 1, period=period, timeout=timeout)
 
     def test_detects_crash_across_multiple_hops(self):
         # On a ring, node 1 only hears about node 4 via relayed vectors.
@@ -90,12 +85,7 @@ class TestGossipEndToEnd:
 
 class TestPhiEndToEnd:
     def phi_factory(self, threshold=8.0):
-        from repro.baselines.phi_accrual import PhiAccrualDetector
-
-        def make(pid, members):
-            return PhiAccrualDetector(pid, members, period=0.5, threshold=threshold)
-
-        return timed_driver_factory(make)
+        return sim_driver_factory("phi", 1, period=0.5, threshold=threshold)
 
     def test_detects_crash(self):
         plan = FaultPlan.of(crashes=[CrashFault(4, 10.0)])

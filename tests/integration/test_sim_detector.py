@@ -8,15 +8,9 @@ latencies, pacing and fault injection.
 
 
 from repro.core.properties import find_mp_witness
+from repro.detectors import sim_driver_factory
 from repro.metrics import accuracy_stabilization, detection_stats, mistake_stats
-from repro.sim import (
-    BiasedLatency,
-    ExponentialLatency,
-    LogNormalLatency,
-    QueryPacing,
-    SimCluster,
-    time_free_driver_factory,
-)
+from repro.sim import BiasedLatency, ExponentialLatency, LogNormalLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan
 
 
@@ -24,7 +18,7 @@ def build(n, f, *, fault_plan=None, latency=None, seed=1, grace=0.05, idle=0.0,
           stagger=0.05):
     return SimCluster(
         n=n,
-        driver_factory=time_free_driver_factory(f, QueryPacing(grace=grace, idle=idle)),
+        driver_factory=sim_driver_factory("time-free", f, grace=grace, idle=idle),
         latency=latency if latency is not None else ExponentialLatency(0.001),
         seed=seed,
         fault_plan=fault_plan,

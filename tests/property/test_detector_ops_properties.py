@@ -12,11 +12,18 @@ from hypothesis import strategies as st
 from repro.baselines.gossip import GossipHeartbeat, GossipHeartbeatDetector
 from repro.baselines.heartbeat import Heartbeat, HeartbeatDetector
 from repro.core.messages import Query, Response
-from repro.partial import PartialDetectorConfig, PartialTimeFreeDetector
+from repro.core.protocol import DetectorConfig, TimeFreeDetector
 
 PIDS = st.integers(min_value=2, max_value=9)
 TAGS = st.integers(min_value=0, max_value=15)
 RECORDS = st.lists(st.tuples(PIDS, TAGS), max_size=4, unique_by=lambda r: r[0]).map(tuple)
+
+
+def learned_detector():
+    return TimeFreeDetector(
+        DetectorConfig(process_id=1, membership=None, f=1, range_density=3)
+    )
+
 
 PARTIAL_OPS = st.lists(
     st.one_of(
@@ -46,18 +53,14 @@ class TestPartialDetectorInvariants:
     @given(operations=PARTIAL_OPS)
     @settings(max_examples=150, deadline=None)
     def test_state_invariants(self, operations):
-        detector = PartialTimeFreeDetector(
-            PartialDetectorConfig(process_id=1, range_density=3, f=1)
-        )
+        detector = learned_detector()
         drive_partial(detector, operations)
         assert detector.state.invariant_violations() == []
 
     @given(operations=PARTIAL_OPS)
     @settings(max_examples=100, deadline=None)
     def test_never_knows_or_suspects_itself(self, operations):
-        detector = PartialTimeFreeDetector(
-            PartialDetectorConfig(process_id=1, range_density=3, f=1)
-        )
+        detector = learned_detector()
         drive_partial(detector, operations)
         assert 1 not in detector.known()
         assert 1 not in detector.suspects()
@@ -66,9 +69,7 @@ class TestPartialDetectorInvariants:
     @settings(max_examples=100, deadline=None)
     def test_mobility_rule_only_shrinks_known_to_heard_senders(self, operations):
         # Every member of `known` was, at some point, a query sender.
-        detector = PartialTimeFreeDetector(
-            PartialDetectorConfig(process_id=1, range_density=3, f=1)
-        )
+        detector = learned_detector()
         senders = {pid for op, pid, *_ in operations if op == "query"}
         drive_partial(detector, operations)
         assert detector.known() <= senders

@@ -7,16 +7,16 @@ Reproducibility is the simulator's core contract — every experiment table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import LogNormalLatency, QueryPacing, SimCluster
-from repro.sim.cluster import heartbeat_driver_factory, time_free_driver_factory
+from repro.detectors import sim_driver_factory
+from repro.sim import LogNormalLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan
 
 
 def run_once(seed, n, f, crash_time, *, detector="time-free", horizon=6.0):
     if detector == "time-free":
-        factory = time_free_driver_factory(f, QueryPacing(grace=0.05))
+        factory = sim_driver_factory("time-free", f, grace=0.05)
     else:
-        factory = heartbeat_driver_factory(period=0.3, timeout=0.7)
+        factory = sim_driver_factory("heartbeat", f, period=0.3, timeout=0.7)
     cluster = SimCluster(
         n=n,
         driver_factory=factory,

@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import cluster as cluster_module
-from repro.sim.cluster import SimCluster, heartbeat_driver_factory
+from repro.detectors import sim_driver_factory
+from repro.sim.cluster import SimCluster
 from repro.sim.engine import Scheduler
 from repro.sim.faults import (
     CrashFault,
@@ -205,7 +206,7 @@ def _run(plan, recorder, seed):
         patch.setattr(cluster_module, "TraceRecorder", recorder)
         cluster = SimCluster(
             n=len(MEMBERS),
-            driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+            driver_factory=sim_driver_factory("heartbeat", 1, period=0.5, timeout=1.5),
             latency=ConstantLatency(0.001),
             seed=seed,
             fault_plan=plan,

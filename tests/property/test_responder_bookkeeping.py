@@ -1,11 +1,11 @@
 """Differential: one insertion-ordered dict against the list + set it replaced.
 
-Both query cores used to track a round's responders twice, a list for the
-arrival order and a set for membership, re-created every round.  They now
-keep one ``dict`` (the responder contract on
+The query core used to track a round's responders twice, a list for the
+arrival order and a set for membership, re-created every round.  It now
+keeps one ``dict`` (the responder contract on
 :class:`repro.sim.node.QueryDetectorCore`).  The subclasses below carry the
-old bookkeeping verbatim; hypothesis drives a core and its list + set twin
-with the same script (duplicates, stale and future round ids, responses
+old bookkeeping, one per membership view; hypothesis drives a core and its
+list + set twin with the same script (duplicates, stale and future round ids, responses
 before any round, aborts mid-round, the node's own id, quorum met exactly
 and overshot) and requires every observable to agree after every step:
 return values, ``quorum_reached()``, the whole ``QueryRoundOutcome`` and
@@ -20,14 +20,13 @@ from repro.core.messages import Query, Response
 from repro.core.protocol import QueryRoundOutcome
 from repro.core.tags import MergeOutcome
 from repro.errors import ProtocolError
-from repro.partial import PartialDetectorConfig, PartialTimeFreeDetector
 
 OWN = 1
 N = 6
 
 
 class _ListAndSet:
-    """The bookkeeping both cores carried before: ``_responders`` + ``_responder_set``."""
+    """The bookkeeping the core carried before: ``_responders`` + ``_responder_set``."""
 
     def start_round(self):
         broadcast = super().start_round()
@@ -84,10 +83,13 @@ class ListAndSetTimeFree(_ListAndSet, TimeFreeDetector):
                 "cannot terminate the query before the quorum (line 7)"
             )
         rec_from = self._responder_set
-        return self._close([pj for pj in self._config.members_sorted if pj not in rec_from])
+        members_sorted = sorted(self._config.membership, key=repr)
+        return self._close([pj for pj in members_sorted if pj not in rec_from])
 
 
-class ListAndSetPartial(_ListAndSet, PartialTimeFreeDetector):
+class ListAndSetPartial(_ListAndSet, TimeFreeDetector):
+    """The twin over a learned view (the removed partial core's bookkeeping)."""
+
     def __init__(self, config):
         super().__init__(config)
         self._responders, self._responder_set = [], set()
@@ -98,7 +100,8 @@ class ListAndSetPartial(_ListAndSet, PartialTimeFreeDetector):
         if not self.quorum_reached():
             raise ProtocolError(
                 f"{self.process_id!r}: round {self._round_id} has "
-                f"{len(self._responders)}/{self._config.quorum} responses"
+                f"{len(self._responders)}/{self._config.quorum} responses; "
+                "cannot terminate the query before the quorum (line 7)"
             )
         return self._close(sorted(self._known - self._responder_set, key=repr))
 
@@ -109,8 +112,8 @@ def time_free_pair():
 
 
 def partial_pair():
-    config = PartialDetectorConfig(process_id=OWN, range_density=5, f=2)  # quorum 3
-    return PartialTimeFreeDetector(config), ListAndSetPartial(config)
+    config = DetectorConfig(process_id=OWN, membership=None, f=2, range_density=5)  # quorum 3
+    return TimeFreeDetector(config), ListAndSetPartial(config)
 
 
 SENDERS = st.integers(min_value=1, max_value=N)  # includes the node's own id
@@ -207,7 +210,10 @@ def test_the_examples_reach_what_they_name():
     core, _ = partial_pair()
     results = [step(core, *s) for s in KNOWN_BUT_SILENT]
     assert results[9].newly_suspected == (3,)
-    assert results[-1] == ("ProtocolError", "1: round 2 has 1/3 responses")
+    assert results[-1] == (
+        "ProtocolError",
+        "1: round 2 has 1/3 responses; cannot terminate the query before the quorum (line 7)",
+    )
     core, _ = time_free_pair()
     results = [step(core, *s) for s in EARLY_AND_ABORTED]
     assert results[0] is False and results[4] is False

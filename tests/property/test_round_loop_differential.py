@@ -31,7 +31,6 @@ from repro.core.effects import Broadcast
 from repro.core.messages import Response
 from repro.core.omega import OmegaElector
 from repro.core.protocol import DetectorConfig, QueryPacing, TimeFreeDetector
-from repro.partial.protocol import PartialDetectorConfig, PartialTimeFreeDetector
 from repro.sim.cluster import SimCluster
 from repro.sim.faults import (
     CrashFault,
@@ -88,10 +87,13 @@ def factory(driver_cls, family, f, pacing, log):
     def build(process, cluster):
         elector = None
         if family == "partial":
-            config = PartialDetectorConfig(
-                process_id=process.pid, range_density=len(cluster.membership), f=f
+            config = DetectorConfig(
+                process_id=process.pid,
+                membership=None,
+                f=f,
+                range_density=len(cluster.membership),
             )
-            detector = PartialTimeFreeDetector(config)
+            detector = TimeFreeDetector(config)
         else:
             config = DetectorConfig.for_process(process.pid, cluster.membership, f)
             if family == "omega":

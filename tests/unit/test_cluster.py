@@ -8,8 +8,8 @@ from repro.consensus import ConsensusHarness
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.scenarios import run_scenario
 from repro.harness import get_spec, run_grid
-from repro.sim import ConstantLatency, QueryPacing, SimCluster, SimProcess
-from repro.sim.cluster import time_free_driver_factory
+from repro.detectors import sim_driver_factory
+from repro.sim import ConstantLatency, SimCluster, SimProcess
 from repro.sim.engine import Scheduler
 from repro.sim.faults import CrashFault, FaultPlan, MobilityFault
 from repro.sim.topology import Topology, full_mesh, random_geometric
@@ -18,7 +18,7 @@ from tests.helpers import ScriptedUniform, live_instances
 
 
 def factory():
-    return time_free_driver_factory(1, QueryPacing(grace=0.05))
+    return sim_driver_factory("time-free", 1, grace=0.05)
 
 
 class TestConstruction:
@@ -147,8 +147,8 @@ class TestElectorDiscovery:
     def test_with_omega_every_node_has_an_elector(self):
         cluster = SimCluster(
             n=3,
-            driver_factory=time_free_driver_factory(
-                1, QueryPacing(grace=0.05), with_omega=True
+            driver_factory=sim_driver_factory(
+                "time-free", 1, grace=0.05, with_omega=True
             ),
         )
         assert set(cluster.electors()) == cluster.membership

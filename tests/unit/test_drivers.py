@@ -5,7 +5,8 @@ import pytest
 from repro.baselines.heartbeat import HeartbeatDetector
 from repro.core.protocol import DetectorConfig, TimeFreeDetector
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.cluster import SimCluster, time_free_driver_factory
+from repro.detectors import sim_driver_factory
+from repro.sim.cluster import SimCluster
 from repro.sim.engine import Scheduler
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import SimNetwork
@@ -49,7 +50,7 @@ class TestQueryResponseDriver:
     def test_a_round_in_flight_at_detach_never_closes(self):
         cluster = SimCluster(
             n=3,
-            driver_factory=time_free_driver_factory(1, QueryPacing(grace=0.05)),
+            driver_factory=sim_driver_factory("time-free", 1, grace=0.05),
             latency=ConstantLatency(0.01),
         )
         # node 1's first query is out; the answers land while it is away

@@ -14,8 +14,11 @@ import inspect
 import pytest
 
 from repro.core import messages
+from repro.core.protocol import TimeFreeDetector
 from repro.detectors.facade import QueryRoundFacade
 from repro.experiments import e1_density, e2_mobility
+from repro.partial import covering
+from repro.partial import protocol as partial_protocol
 from repro.runtime import udp
 from repro.runtime.memory import MemoryHub
 from repro.runtime.transport import Transport
@@ -93,6 +96,31 @@ def test_the_query_driver_name_still_resolves():
     # a missing name raises there and fails the whole benchmark
     assert inspect.isclass(node.QueryResponseDriver)
     assert issubclass(node.QueryResponseDriver, TimedDriver)
+
+
+def test_the_partial_core_name_still_resolves():
+    # layers.py resolves repro.partial.protocol:PartialTimeFreeDetector for
+    # the `partial` layer on every --trace run
+    assert inspect.isclass(partial_protocol.PartialTimeFreeDetector)
+    assert issubclass(partial_protocol.PartialTimeFreeDetector, TimeFreeDetector)
+
+
+@pytest.mark.parametrize(
+    "method", ["start_round", "finish_round", "abort_round", "on_query", "on_response"]
+)
+def test_the_partial_name_defines_no_core_method(method):
+    # the tracer patches a method only where the class itself defines it:
+    # one defined here would wrap the core a second time
+    assert method not in vars(partial_protocol.PartialTimeFreeDetector)
+    assert inspect.isfunction(vars(TimeFreeDetector)[method])
+
+
+@pytest.mark.parametrize(
+    "check", ["validate_f_covering", "validate_f_covering_fast", "validate_mobility_scenario"]
+)
+def test_the_covering_validators_are_module_functions(check):
+    # wrapped as sim.topology:validate
+    assert inspect.isfunction(vars(covering)[check])
 
 
 @pytest.mark.parametrize(

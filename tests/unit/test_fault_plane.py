@@ -4,7 +4,8 @@ crash-recovery, and dynamic membership, enforced end-to-end through
 
 import pytest
 
-from repro.sim.cluster import SimCluster, heartbeat_driver_factory, time_free_driver_factory
+from repro.detectors import sim_driver_factory
+from repro.sim.cluster import SimCluster
 from repro.sim.engine import Scheduler
 from repro.sim.faults import (
     CrashFault,
@@ -17,7 +18,6 @@ from repro.sim.faults import (
 )
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import SimNetwork
-from repro.sim.node import QueryPacing
 from repro.sim.rng import RngStreams
 from repro.sim.topology import full_mesh
 
@@ -129,7 +129,7 @@ class TestClusterRecovery:
         )
         cluster = SimCluster(
             n=4,
-            driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+            driver_factory=sim_driver_factory("heartbeat", 1, period=0.5, timeout=1.5),
             latency=ConstantLatency(0.001),
             seed=3,
             fault_plan=plan,
@@ -150,7 +150,7 @@ class TestClusterRecovery:
         plan = FaultPlan.of(recoveries=[RecoveryFault(2, crash=4.0, recover=8.0)])
         cluster = SimCluster(
             n=4,
-            driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+            driver_factory=sim_driver_factory("heartbeat", 1, period=0.5, timeout=1.5),
             latency=ConstantLatency(0.001),
             seed=3,
             fault_plan=plan,
@@ -175,7 +175,7 @@ class TestClusterRecovery:
         plan = FaultPlan.of(recoveries=[RecoveryFault(2, crash=4.0, recover=8.0)])
         cluster = SimCluster(
             n=4,
-            driver_factory=time_free_driver_factory(f=1),
+            driver_factory=sim_driver_factory("time-free", 1),
             latency=ConstantLatency(0.001),
             seed=3,
             fault_plan=plan,
@@ -194,7 +194,7 @@ class TestClusterChurn:
         plan = FaultPlan.of(joins=[JoinFault(4, time=5.0)])
         cluster = SimCluster(
             n=4,
-            driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+            driver_factory=sim_driver_factory("heartbeat", 1, period=0.5, timeout=1.5),
             latency=ConstantLatency(0.001),
             seed=3,
             fault_plan=plan,
@@ -213,7 +213,7 @@ class TestClusterChurn:
         plan = FaultPlan.of(joins=[JoinFault(4, time=5.0, connect_to=(1, 2))])
         cluster = SimCluster(
             n=4,
-            driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+            driver_factory=sim_driver_factory("heartbeat", 1, period=0.5, timeout=1.5),
             latency=ConstantLatency(0.001),
             seed=3,
             fault_plan=plan,
@@ -226,7 +226,7 @@ class TestClusterChurn:
         plan = FaultPlan.of(leaves=[LeaveFault(3, time=5.0)])
         cluster = SimCluster(
             n=4,
-            driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+            driver_factory=sim_driver_factory("heartbeat", 1, period=0.5, timeout=1.5),
             latency=ConstantLatency(0.001),
             seed=3,
             fault_plan=plan,
@@ -249,7 +249,7 @@ class TestClusterChurn:
         )
         cluster = SimCluster(
             n=4,
-            driver_factory=time_free_driver_factory(f=1, pacing=QueryPacing(retry=1.0)),
+            driver_factory=sim_driver_factory("time-free", 1, retry=1.0),
             latency=ConstantLatency(0.001),
             seed=3,
             fault_plan=plan,
@@ -268,7 +268,7 @@ class TestClusterChurn:
         )
         cluster = SimCluster(
             n=4,
-            driver_factory=heartbeat_driver_factory(period=0.5, timeout=1.5),
+            driver_factory=sim_driver_factory("heartbeat", 1, period=0.5, timeout=1.5),
             latency=ConstantLatency(0.001),
             seed=3,
             fault_plan=plan,

@@ -154,7 +154,9 @@ SURFACES = [repro, repro.sim, repro.harness]
 
 #: the public names at the commit before the surfaces became lazy, less the
 #: ones deleted since (``repro.harness.artifact_payload``: the artifact has
-#: one renderer, which writes cells one at a time)
+#: one renderer, which writes cells one at a time; ``repro.sim``'s
+#: ``heartbeat_driver_factory`` and ``time_free_driver_factory``: every
+#: detector enters ``SimCluster`` through ``repro.detectors.sim_driver_factory``)
 ALL_BEFORE = {
     "repro": """DetectorConfig DetectorService FDClass FailureDetector LocalCluster
         ProcessId Query QueryRoundOutcome ReproError Response ServicePacing
@@ -164,8 +166,8 @@ ALL_BEFORE = {
         MessagePatternMonitor MobilityFault PairwiseLatency ParetoLatency QueryPacing
         QueryResponseDriver RegimeShiftLatency RngStreams RoundRecord Scheduler
         SimCluster SimNetwork SimProcess SuspicionChange TimeAwareLatency TimedDriver
-        Topology TraceRecorder UniformLatency full_mesh grid heartbeat_driver_factory
-        manet_topology random_geometric ring time_free_driver_factory""",
+        Topology TraceRecorder UniformLatency full_mesh grid manet_topology
+        random_geometric ring""",
     "repro.harness": """CacheStats CellOutcome FileLedger GridResult GridStatus
         LeaseLedger LedgerCounts PruneReport ResultCache ScenarioSpec SqliteLedger
         StreamStats StreamedGridRun WorkerReport all_specs artifact_name
@@ -226,10 +228,10 @@ def test_a_name_patched_where_it_is_defined_is_seen_through_the_package(monkeypa
 
 
 def _documented_imports():
-    """``from repro[.sim|.harness] import ...`` lines of README, docs, examples."""
+    """``from repro[.pkg...] import ...`` lines of README, docs, examples."""
     sources = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md")),
                *sorted((REPO_ROOT / "examples").glob("*.py"))]
-    pattern = re.compile(r"^\s*(from repro(?:\.sim|\.harness)? import [\w, ]+)$", re.M)
+    pattern = re.compile(r"^\s*(from repro(?:\.\w+)* import [\w, ]+)$", re.M)
     return sorted({line for path in sources for line in pattern.findall(path.read_text())})
 
 
@@ -237,5 +239,8 @@ def test_documented_imports_run_unchanged():
     lines = _documented_imports()
     assert "from repro import LocalCluster" in lines
     assert any(line.startswith("from repro.sim import") for line in lines)
+    # every package, not only the three lazy surfaces
+    assert any(line.startswith("from repro.partial import") for line in lines)
+    assert len(lines) >= 21
     for line in lines:
         exec(line, {})

@@ -84,8 +84,8 @@ class TestWitness:
 
 class TestClusterAttachment:
     def test_mp_since_is_stamped_on_a_live_run(self):
-        from repro.sim import QueryPacing, SimCluster, UniformLatency
-        from repro.sim.cluster import time_free_driver_factory
+        from repro.detectors import sim_driver_factory
+        from repro.sim import SimCluster, UniformLatency
         from repro.sim.latency import BiasedLatency
 
         latency = BiasedLatency(
@@ -93,7 +93,7 @@ class TestClusterAttachment:
         )
         cluster = SimCluster(
             n=6,
-            driver_factory=time_free_driver_factory(2, QueryPacing(grace=0.01, idle=0.05)),
+            driver_factory=sim_driver_factory("time-free", 2, grace=0.01, idle=0.05),
             latency=latency,
             seed=3,
             start_stagger=0.05,

@@ -1,17 +1,18 @@
-"""Unit tests for the unknown-membership / partial-connectivity detector."""
+"""Unit tests for the detector over a learned membership view (unknown participants)."""
 
 import pytest
 
 from repro.core.messages import Query, Response
+from repro.core.protocol import DetectorConfig, TimeFreeDetector
 from repro.errors import ConfigurationError, ProtocolError
-from repro.partial import PartialDetectorConfig, PartialTimeFreeDetector
+
+
+def learned(pid=1, d=4, f=1):
+    return DetectorConfig(process_id=pid, membership=None, f=f, range_density=d)
 
 
 def make(pid=1, d=4, f=1, mobility=True):
-    return PartialTimeFreeDetector(
-        PartialDetectorConfig(process_id=pid, range_density=d, f=f),
-        mobility=mobility,
-    )
+    return TimeFreeDetector(learned(pid, d, f), mobility=mobility)
 
 
 def query_from(sender, round_id=1, suspected=(), mistakes=()):
@@ -20,16 +21,24 @@ def query_from(sender, round_id=1, suspected=(), mistakes=()):
 
 class TestConfig:
     def test_quorum_is_d_minus_f(self):
-        config = PartialDetectorConfig(process_id=1, range_density=7, f=2)
+        config = learned(d=7, f=2)
         assert config.quorum == 5
 
     def test_d_must_exceed_f(self):
         with pytest.raises(ConfigurationError):
-            PartialDetectorConfig(process_id=1, range_density=2, f=2)
+            learned(d=2, f=2)
 
     def test_negative_f_rejected(self):
         with pytest.raises(ConfigurationError):
-            PartialDetectorConfig(process_id=1, range_density=3, f=-1)
+            learned(d=3, f=-1)
+
+    def test_a_learned_view_needs_d(self):
+        with pytest.raises(ConfigurationError, match="d > f"):
+            DetectorConfig(process_id=1, membership=None, f=1)
+
+    def test_a_given_view_takes_no_range_density(self):
+        with pytest.raises(ConfigurationError, match="n - f"):
+            DetectorConfig(process_id=1, membership=frozenset({1, 2, 3}), f=1, range_density=3)
 
 
 class TestMembershipLearning:
@@ -45,6 +54,20 @@ class TestMembershipLearning:
         detector = make()
         assert detector.on_query(query_from(1)) is None
         assert detector.known() == frozenset()
+
+    def test_a_given_view_knows_its_peers_and_never_learns(self):
+        detector = TimeFreeDetector(DetectorConfig.for_process(1, [1, 2, 3], f=1))
+        assert detector.known() == frozenset({2, 3})
+        # A non-member's query is merged and answered, but 9 is not learned.
+        reply = detector.on_query(query_from(9, suspected=((8, 4),)))
+        assert reply.destination == 9 and reply.message.sender == 1
+        assert detector.suspects() == frozenset({8})
+        assert detector.known() == frozenset({2, 3})
+
+    def test_a_given_view_never_evicts(self):
+        detector = TimeFreeDetector(DetectorConfig.for_process(1, [1, 5, 7], f=1))
+        detector.on_query(query_from(7, mistakes=((5, 3),)))
+        assert detector.known() == frozenset({5, 7})
 
     def test_responses_do_not_teach(self):
         # known_j is defined by received *queries* only (line 20).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DetectorConfig, Query, Response
+from repro.core import DetectorConfig, Query, Response, TimeFreeDetector
 from repro.core.effects import Broadcast, SendTo
 from repro.errors import ConfigurationError, MembershipError, ProtocolError
 
@@ -220,15 +220,14 @@ class TestCrashRefutationCycle:
 class TestHotPathCaches:
     """PR 4: cached config sweeps and the allocation-free steady state."""
 
-    def test_members_and_peers_sorted_are_cached_and_correct(self):
+    def test_peers_sorted_is_cached_and_correct(self):
         config = DetectorConfig.for_process(2, [3, 1, 2], f=1)
-        assert config.members_sorted == tuple(sorted({1, 2, 3}, key=repr))
-        assert config.peers_sorted == tuple(
-            p for p in config.members_sorted if p != 2
-        )
+        members_sorted = tuple(sorted({1, 2, 3}, key=repr))
+        assert config.peers_sorted == tuple(p for p in members_sorted if p != 2)
         # Same tuple object on every access: computed once at construction.
-        assert config.members_sorted is config.members_sorted
         assert config.peers_sorted is config.peers_sorted
+        # The line-9 sweep's known_i on a given view is exactly these peers.
+        assert TimeFreeDetector(config).known() == frozenset(config.peers_sorted)
 
     def test_query_snapshot_is_reused_across_quiet_rounds(self):
         detectors = make_detectors(3, f=2)
