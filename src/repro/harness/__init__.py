@@ -30,7 +30,7 @@ _EXPORTS = {
         "grid_status",
         "run_grid_worker",
     ),
-    ".lease": ("FileLedger", "LeaseLedger", "LedgerCounts", "SqliteLedger", "open_ledger"),
+    ".lease": ("FileLedger", "LedgerCounts", "open_ledger"),
     ".plugins": (
         "entry_point_modules", "load_plugins", "plugin_modules", "plugin_sources",
     ),

@@ -166,12 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="lease owner label (default: <hostname>-<pid>)",
     )
-    run.add_argument(
-        "--ledger-backend",
-        choices=["auto", "sqlite", "file"],
-        default="auto",
-        help="lease ledger backend (auto: sqlite if it locks, else claim files)",
-    )
 
     commands.add_parser(
         "experiments", help="list registered experiments (axes + grid sizes)"
@@ -247,12 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--workers-dir", required=True, metavar="SHARED",
             help="the run's shared ledger directory",
-        )
-        sub.add_argument(
-            "--ledger-backend",
-            choices=["auto", "sqlite", "file"],
-            default="auto",
-            help="lease ledger backend (default: whatever the run uses)",
         )
     return parser
 
@@ -473,7 +461,6 @@ def _run_distributed(args, specs, prepared, cache) -> int:
             shard=shard,
             steal=args.steal,
             ttl=args.lease_ttl,
-            backend=args.ledger_backend,
         )
     except ConfigurationError as exc:
         print(f"{exp_id}: {exc}", file=sys.stderr)
@@ -564,9 +551,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     from .grid import grid_reap, grid_status
 
     if args.grid_command == "status":
-        print(grid_status(args.workers_dir, args.ledger_backend).render())
+        print(grid_status(args.workers_dir).render())
     else:
-        reclaimed = grid_reap(args.workers_dir, args.ledger_backend)
+        reclaimed = grid_reap(args.workers_dir)
         print(f"reaped {reclaimed} expired lease(s) back to pending")
     return 0
 

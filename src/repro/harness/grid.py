@@ -52,11 +52,11 @@ import time
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import ConfigurationError
 from .cache import CACHE_SCHEMA, ResultCache, cache_key
-from .lease import DEFAULT_TTL, LeaseLedger, LedgerCounts, open_ledger
+from .lease import DEFAULT_TTL, FileLedger, LedgerCounts, open_ledger
 from .plugins import load_plugins, plugin_sources
 from .runner import CellOutcome, evaluate_cell
 from .spec import ScenarioSpec, canonical_json, cell_seed, params_to_dict
@@ -253,21 +253,18 @@ def default_worker_name() -> str:
 class _Heartbeat(threading.Thread):
     """Renews the worker's current lease in the background.
 
-    Owns a private ledger handle (SQLite connections are per-thread).
-    ``watch(index)`` points it at the cell being evaluated; ``watch(None)``
-    between cells.  A SIGKILL takes this thread down with the worker —
+    Renews through the worker's own ledger.  ``watch(index)`` points it at
+    the cell being evaluated; ``watch(None)`` between cells, which waits
+    out a renewal in flight, so none lands after the worker completes or
+    releases the cell.  A SIGKILL takes this thread down with the worker —
     which is precisely what lets the lease expire.
     """
 
     def __init__(
-        self,
-        ledger_factory: Callable[[], LeaseLedger],
-        owner: str,
-        ttl: float,
-        interval: float,
+        self, ledger: FileLedger, owner: str, ttl: float, interval: float
     ) -> None:
         super().__init__(name=f"lease-heartbeat-{owner}", daemon=True)
-        self._factory = ledger_factory
+        self._ledger = ledger
         self._owner = owner
         self._ttl = ttl
         self._interval = interval
@@ -283,15 +280,10 @@ class _Heartbeat(threading.Thread):
         self._halt.set()
 
     def run(self) -> None:
-        ledger = self._factory()
-        try:
-            while not self._halt.wait(self._interval):
-                with self._lock:
-                    index = self._current
-                if index is not None:
-                    ledger.renew(self._owner, index, ttl=self._ttl)
-        finally:
-            ledger.close()
+        while not self._halt.wait(self._interval):
+            with self._lock:
+                if self._current is not None:
+                    self._ledger.renew(self._owner, self._current, ttl=self._ttl)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +323,6 @@ def run_grid_worker(
     ttl: float = DEFAULT_TTL,
     heartbeat: float | None = None,
     poll: float = DEFAULT_POLL,
-    backend: str = "auto",
 ) -> WorkerReport:
     """Join (or start) the distributed run of ``spec`` under ``workers_dir``.
 
@@ -360,11 +351,9 @@ def run_grid_worker(
     cells = manifest["cells"]
     total = len(cells)
     report = WorkerReport(worker=worker, exp_id=spec.exp_id)
-    ledger = open_ledger(workers_dir, total, backend)
+    ledger = open_ledger(workers_dir, total)
     interval = heartbeat if heartbeat is not None else max(ttl / 4.0, 0.05)
-    beat = _Heartbeat(
-        lambda: open_ledger(workers_dir, total, ledger.backend), worker, ttl, interval
-    )
+    beat = _Heartbeat(ledger, worker, ttl, interval)
     shard0 = None if shard is None else (shard[0] - 1, shard[1])
     mine = None if shard is None else set(shard_indices(total, *shard))
     beat.start()
@@ -408,7 +397,6 @@ def run_grid_worker(
         beat.join(timeout=5.0)
     counts = ledger.counts()
     report.counts = counts
-    ledger.close()
     if counts.all_done:
         report.artifact, report.tables = assemble_artifact(
             spec, params, manifest, cache, out_dir
@@ -460,14 +448,12 @@ class GridStatus:
     counts: LedgerCounts
     owners: dict[str, int]
     plugins: tuple[str, ...]
-    backend: str
 
     def render(self) -> str:
         c = self.counts
         lines = [
             f"{self.experiment}: {c.done}/{c.total} done "
-            f"({c.pending} pending, {c.leased} leased, {c.expired} expired) "
-            f"[{self.backend} ledger]",
+            f"({c.pending} pending, {c.leased} leased, {c.expired} expired)",
         ]
         for owner in sorted(self.owners):
             lines.append(f"  {owner}: {self.owners[owner]} leased")
@@ -478,27 +464,23 @@ class GridStatus:
         return "\n".join(lines)
 
 
-def grid_status(
-    workers_dir: str | os.PathLike, backend: str = "auto"
-) -> GridStatus:
+def grid_status(workers_dir: str | os.PathLike) -> GridStatus:
     manifest = load_manifest(workers_dir)
     # per-source record ({"env": [...], "entry_points": [...]}), flattened
     plugins = manifest.get("plugins", {})
-    with open_ledger(workers_dir, len(manifest["cells"]), backend) as ledger:
-        now = time.time()
-        return GridStatus(
-            experiment=manifest["experiment"],
-            counts=ledger.counts(now=now),
-            owners=ledger.owners(now=now),
-            plugins=tuple(
-                sorted({*plugins.get("env", ()), *plugins.get("entry_points", ())})
-            ),
-            backend=ledger.backend,
-        )
+    ledger = open_ledger(workers_dir, len(manifest["cells"]))
+    now = time.time()
+    return GridStatus(
+        experiment=manifest["experiment"],
+        counts=ledger.counts(now=now),
+        owners=ledger.owners(now=now),
+        plugins=tuple(
+            sorted({*plugins.get("env", ()), *plugins.get("entry_points", ())})
+        ),
+    )
 
 
-def grid_reap(workers_dir: str | os.PathLike, backend: str = "auto") -> int:
+def grid_reap(workers_dir: str | os.PathLike) -> int:
     """Reset expired leases to pending; returns how many were reclaimed."""
     manifest = load_manifest(workers_dir)
-    with open_ledger(workers_dir, len(manifest["cells"]), backend) as ledger:
-        return ledger.reap()
+    return open_ledger(workers_dir, len(manifest["cells"])).reap()

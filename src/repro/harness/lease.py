@@ -2,7 +2,7 @@
 
 The distributed grid runner (:mod:`repro.harness.grid`) coordinates
 workers through a **ledger** living in a directory every host can reach.
-Each grid cell is one row with a lifecycle::
+Each grid cell has a lifecycle::
 
     pending ──claim──▶ leased ──complete──▶ done
        ▲                  │
@@ -21,22 +21,9 @@ Correctness does **not** rest on leases.  Cells are pure functions of
 outcome of any race (two workers both concluding they hold an expired
 lease) is the same cell computed twice with byte-identical results.
 Leases are the efficiency mechanism that makes duplication rare, not the
-safety mechanism that makes it harmless.
-
-Two interchangeable backends:
-
-* :class:`SqliteLedger` — one ``ledger.sqlite`` file, claims serialised
-  with ``BEGIN IMMEDIATE`` transactions.  The default where SQLite's
-  file locking works (local disks, most cluster filesystems).
-* :class:`FileLedger` — one lease file per cell under ``leases/`` plus a
-  ``done/`` marker per completed cell, claimed by atomic ``os.link`` (an
-  exclusive create) and stolen by atomic ``os.replace``.  For NFS mounts
-  where SQLite locking is unreliable; the steal race described above is
-  possible here and benign.
-
-:func:`open_ledger` picks the backend: whatever already exists in the
-directory wins (workers joining a run must agree), otherwise the
-requested or auto-probed backend creates it.
+safety mechanism that makes it harmless — which is why one ledger that
+is correct on NFS is all a run needs: :class:`FileLedger`, one lease file
+per cell under ``leases/`` plus a ``done/`` marker per completed cell.
 """
 
 from __future__ import annotations
@@ -47,18 +34,10 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from ..errors import ConfigurationError
 
-__all__ = [
-    "LedgerCounts",
-    "LeaseLedger",
-    "SqliteLedger",
-    "FileLedger",
-    "open_ledger",
-    "detect_backend",
-]
+__all__ = ["LedgerCounts", "FileLedger", "open_ledger"]
 
 #: default seconds a lease lives without a heartbeat
 DEFAULT_TTL = 60.0
@@ -69,7 +48,7 @@ class LedgerCounts:
     """One consistent snapshot of a ledger's cell states.
 
     ``leased`` counts only *live* leases (deadline in the future);
-    ``expired`` are leased rows whose deadline passed — claimable, and
+    ``expired`` are leased cells whose deadline passed — claimable, and
     what ``reap`` resets to pending explicitly.
     """
 
@@ -88,223 +67,17 @@ class LedgerCounts:
         return self.done == self.total
 
 
-class LeaseLedger:
-    """Backend-independent lease operations (see module docstring)."""
-
-    backend = "abstract"
-
-    def claim(
-        self,
-        owner: str,
-        *,
-        now: float | None = None,
-        ttl: float = DEFAULT_TTL,
-        shard: tuple[int, int] | None = None,
-    ) -> int | None:
-        """Lease the lowest claimable cell index, or ``None``.
-
-        Claimable: pending, or leased with an expired deadline.  ``shard``
-        = ``(k, n)`` restricts claims to indices with ``index % n == k``
-        (static sharding); ``None`` claims anywhere (work stealing).
-        """
-        raise NotImplementedError
-
-    def renew(self, owner: str, index: int, *, now: float | None = None,
-              ttl: float = DEFAULT_TTL) -> bool:
-        """Extend ``owner``'s lease on ``index``; False if no longer held."""
-        raise NotImplementedError
-
-    def complete(self, owner: str, index: int) -> None:
-        """Mark ``index`` done (unconditional — see module docstring)."""
-        raise NotImplementedError
-
-    def release(self, owner: str, index: int) -> None:
-        """Drop an unfinished lease so the cell is immediately claimable."""
-        raise NotImplementedError
-
-    def reap(self, *, now: float | None = None) -> int:
-        """Reset expired leases to pending; returns how many were reclaimed."""
-        raise NotImplementedError
-
-    def counts(self, *, now: float | None = None) -> LedgerCounts:
-        raise NotImplementedError
-
-    def owners(self, *, now: float | None = None) -> dict[str, int]:
-        """Live lease count per owner (observability for ``grid status``)."""
-        raise NotImplementedError
-
-    def done_indices(self) -> set[int]:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    def __enter__(self) -> "LeaseLedger":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def _now(now: float | None) -> float:
     return time.time() if now is None else now
 
 
-# ---------------------------------------------------------------------------
-# SQLite backend
-# ---------------------------------------------------------------------------
-
-_SQLITE_NAME = "ledger.sqlite"
-_BUSY_TIMEOUT_MS = 30_000
-
-
-class SqliteLedger(LeaseLedger):
-    """Leases as rows of one SQLite table, claims serialised by the DB.
-
-    ``BEGIN IMMEDIATE`` takes the write lock up front, so a claim's
-    read-pick-update is atomic against every other process; readers
-    (``counts``/``owners``) need no transaction.  One connection per
-    instance — threads must open their own instance (the heartbeat
-    thread in :mod:`repro.harness.grid` does).
-    """
-
-    backend = "sqlite"
-
-    def __init__(self, root: str | os.PathLike, total: int) -> None:
-        import sqlite3
-
-        self.root = Path(root)
-        self.total = total
-        self._db = sqlite3.connect(
-            self.root / _SQLITE_NAME, timeout=_BUSY_TIMEOUT_MS / 1000.0,
-            isolation_level=None,
-        )
-        self._db.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS cells ("
-                "  idx INTEGER PRIMARY KEY,"
-                "  state TEXT NOT NULL DEFAULT 'pending',"
-                "  owner TEXT,"
-                "  deadline REAL,"
-                "  attempts INTEGER NOT NULL DEFAULT 0)"
-            )
-            self._db.executemany(
-                "INSERT OR IGNORE INTO cells (idx) VALUES (?)",
-                ((i,) for i in range(total)),
-            )
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
-
-    def claim(self, owner, *, now=None, ttl=DEFAULT_TTL, shard=None):
-        now = _now(now)
-        where = "(state = 'pending' OR (state = 'leased' AND deadline < :now))"
-        args = {"now": now, "owner": owner, "deadline": now + ttl}
-        if shard is not None:
-            k, n = shard
-            where += " AND idx % :n = :k"
-            args.update(n=n, k=k)
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
-            row = self._db.execute(
-                f"SELECT idx FROM cells WHERE {where} ORDER BY idx LIMIT 1", args
-            ).fetchone()
-            if row is None:
-                self._db.execute("COMMIT")
-                return None
-            self._db.execute(
-                "UPDATE cells SET state = 'leased', owner = :owner,"
-                " deadline = :deadline, attempts = attempts + 1 WHERE idx = :idx",
-                {**args, "idx": row[0]},
-            )
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
-        return row[0]
-
-    def renew(self, owner, index, *, now=None, ttl=DEFAULT_TTL):
-        cursor = self._db.execute(
-            "UPDATE cells SET deadline = ? WHERE idx = ? AND owner = ?"
-            " AND state = 'leased'",
-            (_now(now) + ttl, index, owner),
-        )
-        return cursor.rowcount == 1
-
-    def complete(self, owner, index):
-        self._db.execute(
-            "UPDATE cells SET state = 'done', owner = ?, deadline = NULL"
-            " WHERE idx = ?",
-            (owner, index),
-        )
-
-    def release(self, owner, index):
-        self._db.execute(
-            "UPDATE cells SET state = 'pending', owner = NULL, deadline = NULL"
-            " WHERE idx = ? AND owner = ? AND state = 'leased'",
-            (index, owner),
-        )
-
-    def reap(self, *, now=None):
-        cursor = self._db.execute(
-            "UPDATE cells SET state = 'pending', owner = NULL, deadline = NULL"
-            " WHERE state = 'leased' AND deadline < ?",
-            (_now(now),),
-        )
-        return cursor.rowcount
-
-    def counts(self, *, now=None):
-        now = _now(now)
-        pending = leased = expired = done = 0
-        for state, deadline, count in self._db.execute(
-            "SELECT state, deadline >= ?, COUNT(*) FROM cells"
-            " GROUP BY state, deadline >= ?",
-            (now, now),
-        ):
-            if state == "done":
-                done += count
-            elif state == "pending":
-                pending += count
-            elif deadline:
-                leased += count
-            else:
-                expired += count
-        return LedgerCounts(
-            total=self.total, pending=pending, leased=leased,
-            expired=expired, done=done,
-        )
-
-    def owners(self, *, now=None):
-        return dict(
-            self._db.execute(
-                "SELECT owner, COUNT(*) FROM cells"
-                " WHERE state = 'leased' AND deadline >= ? GROUP BY owner",
-                (_now(now),),
-            )
-        )
-
-    def done_indices(self):
-        return {
-            idx for (idx,) in
-            self._db.execute("SELECT idx FROM cells WHERE state = 'done'")
-        }
-
-    def close(self):
-        self._db.close()
-
-
-# ---------------------------------------------------------------------------
-# claim-file backend
-# ---------------------------------------------------------------------------
-
 _LEASE_DIR = "leases"
 _DONE_DIR = "done"
+#: the ledger file of the SQLite backend earlier versions could pick
+_SQLITE_NAME = "ledger.sqlite"
 
 
-class FileLedger(LeaseLedger):
+class FileLedger:
     """Leases as one JSON file per cell, claimed by atomic link.
 
     A fresh claim writes a temp file and ``os.link``\\ s it to
@@ -313,10 +86,9 @@ class FileLedger(LeaseLedger):
     an expired lease is ``os.replace``: atomic, but two stealers can both
     succeed back to back, which the module docstring explains is benign.
     ``done/<idx>`` markers are empty files, created the same way and
-    never removed.
+    never removed.  An instance holds no open resource, so a worker's
+    heartbeat thread renews through the worker's own instance.
     """
-
-    backend = "file"
 
     def __init__(self, root: str | os.PathLike, total: int) -> None:
         self.root = Path(root)
@@ -375,7 +147,20 @@ class FileLedger(LeaseLedger):
             except OSError:
                 pass
 
-    def claim(self, owner, *, now=None, ttl=DEFAULT_TTL, shard=None):
+    def claim(
+        self,
+        owner: str,
+        *,
+        now: float | None = None,
+        ttl: float = DEFAULT_TTL,
+        shard: tuple[int, int] | None = None,
+    ) -> int | None:
+        """Lease the lowest claimable cell index, or ``None``.
+
+        Claimable: pending, or leased with an expired deadline.  ``shard``
+        = ``(k, n)`` restricts claims to indices with ``index % n == k``
+        (static sharding); ``None`` claims anywhere (work stealing).
+        """
         now = _now(now)
         for index in range(self.total):
             if shard is not None and index % shard[1] != shard[0]:
@@ -402,7 +187,9 @@ class FileLedger(LeaseLedger):
             return index
         return None
 
-    def renew(self, owner, index, *, now=None, ttl=DEFAULT_TTL):
+    def renew(self, owner: str, index: int, *, now: float | None = None,
+              ttl: float = DEFAULT_TTL) -> bool:
+        """Extend ``owner``'s lease on ``index``; False if no longer held."""
         lease = self._read_lease(index)
         if lease is None or lease["owner"] != owner or self._is_done(index):
             return False
@@ -411,7 +198,8 @@ class FileLedger(LeaseLedger):
         )
         return True
 
-    def complete(self, owner, index):
+    def complete(self, owner: str, index: int) -> None:
+        """Mark ``index`` done (unconditional — see module docstring)."""
         try:
             self._done_path(index).touch()
         except OSError:
@@ -422,7 +210,8 @@ class FileLedger(LeaseLedger):
         except OSError:
             pass
 
-    def release(self, owner, index):
+    def release(self, owner: str, index: int) -> None:
+        """Drop an unfinished lease so the cell is immediately claimable."""
         lease = self._read_lease(index)
         if lease is not None and lease["owner"] == owner:
             try:
@@ -430,7 +219,8 @@ class FileLedger(LeaseLedger):
             except OSError:
                 pass
 
-    def reap(self, *, now=None):
+    def reap(self, *, now: float | None = None) -> int:
+        """Reset expired leases to pending; returns how many were reclaimed."""
         now = _now(now)
         reclaimed = 0
         for index in range(self.total):
@@ -445,7 +235,7 @@ class FileLedger(LeaseLedger):
                 reclaimed += 1
         return reclaimed
 
-    def counts(self, *, now=None):
+    def counts(self, *, now: float | None = None) -> LedgerCounts:
         now = _now(now)
         pending = leased = expired = done = 0
         for index in range(self.total):
@@ -464,7 +254,8 @@ class FileLedger(LeaseLedger):
             expired=expired, done=done,
         )
 
-    def owners(self, *, now=None):
+    def owners(self, *, now: float | None = None) -> dict[str, int]:
+        """Live lease count per owner (observability for ``grid status``)."""
         now = _now(now)
         tally: dict[str, int] = {}
         for index in range(self.total):
@@ -475,7 +266,7 @@ class FileLedger(LeaseLedger):
                 tally[lease["owner"]] = tally.get(lease["owner"], 0) + 1
         return tally
 
-    def done_indices(self):
+    def done_indices(self) -> set[int]:
         done = set()
         for path in self._done.iterdir():
             try:
@@ -486,74 +277,28 @@ class FileLedger(LeaseLedger):
         return done
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
+class SqliteLedger(FileLedger):
+    """:class:`FileLedger` under the name of the removed SQLite backend.
 
-BACKENDS = ("auto", "sqlite", "file")
+    ``benchmarks/e2e/layers.py`` resolves ``repro.harness.lease:SqliteLedger``
+    on every ``--trace`` run, so this name-only subclass keeps the lookup
+    working; it defines no method, so the tracer never wraps the ledger
+    twice.  The telemetry re-baseline deletes it.
+    """
 
 
-def detect_backend(root: str | os.PathLike) -> str | None:
-    """The backend already present in ``root``, or ``None`` if fresh."""
+def open_ledger(root: str | os.PathLike, total: int) -> FileLedger:
+    """Open (creating if needed) the ledger of ``total`` cells in ``root``.
+
+    A directory holding a ``ledger.sqlite`` was started by a version that
+    could pick the SQLite backend; joining it with claim files would run
+    its cells under a second ledger, so it is a
+    :class:`~repro.errors.ConfigurationError` instead.
+    """
     root = Path(root)
     if (root / _SQLITE_NAME).exists():
-        return "sqlite"
-    if (root / _LEASE_DIR).is_dir() or (root / _DONE_DIR).is_dir():
-        return "file"
-    return None
-
-
-def _sqlite_works(root: Path) -> bool:
-    """Probe whether SQLite can create and lock a database under ``root``."""
-    try:
-        import sqlite3
-
-        probe = root / ".sqlite-probe"
-        db = sqlite3.connect(probe)
-        try:
-            db.execute("BEGIN IMMEDIATE")
-            db.execute("CREATE TABLE IF NOT EXISTS probe (x)")
-            db.execute("COMMIT")
-        finally:
-            db.close()
-            try:
-                os.unlink(probe)
-            except OSError:
-                pass
-        return True
-    except Exception:
-        return False
-
-
-def open_ledger(
-    root: str | os.PathLike,
-    total: int,
-    backend: str = "auto",
-    indices: Sequence[int] | None = None,
-) -> LeaseLedger:
-    """Open (creating if needed) the ledger in ``root``.
-
-    An existing ledger's backend always wins — workers joining a run must
-    share one ledger, so a ``backend`` argument that contradicts what is
-    on disk is a :class:`~repro.errors.ConfigurationError`, not a second
-    ledger.  On a fresh directory ``auto`` probes SQLite and falls back
-    to the claim-file backend (the NFS-safe choice) when the probe fails.
-    """
-    if backend not in BACKENDS:
         raise ConfigurationError(
-            f"unknown ledger backend {backend!r}; choose from {list(BACKENDS)}"
+            f"{root} holds a SQLite lease ledger ({_SQLITE_NAME}), which this "
+            "version does not read; use a fresh --workers-dir"
         )
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    existing = detect_backend(root)
-    if existing is not None:
-        if backend not in ("auto", existing):
-            raise ConfigurationError(
-                f"ledger in {root} uses the {existing!r} backend; "
-                f"cannot join it with --ledger-backend {backend}"
-            )
-        backend = existing
-    elif backend == "auto":
-        backend = "sqlite" if _sqlite_works(root) else "file"
-    cls = SqliteLedger if backend == "sqlite" else FileLedger
-    return cls(root, total)
+    return FileLedger(root, total)

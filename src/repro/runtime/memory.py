@@ -2,9 +2,9 @@
 
 The asyncio twin of :class:`repro.sim.network.SimNetwork`: messages between
 transports sharing a :class:`MemoryHub` are delayed by a
-:class:`~repro.sim.latency.LatencyModel` (scaled real ``asyncio.sleep``) and
-optionally dropped.  Crashing a process at the hub silences it both ways —
-exactly the fail-stop model.
+:class:`~repro.sim.latency.LatencyModel` (one real ``loop.call_later`` timer
+per message) and optionally dropped.  Crashing a process at the hub silences
+it both ways — exactly the fail-stop model.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ class MemoryHub:
         self._loss_rng = self._rng.stream("hub", "loss")
         self._transports: dict[ProcessId, MemoryTransport] = {}
         self._crashed: set[ProcessId] = set()
-        self._inflight: set[asyncio.Task] = set()
+        #: deliveries scheduled and not yet run, and the future ``drain``
+        #: awaits until that count drops to zero
+        self._inflight = 0
+        self._idle: asyncio.Future | None = None
 
     # ------------------------------------------------------------------
     def create_transport(self, pid: ProcessId) -> "MemoryTransport":
@@ -67,28 +70,33 @@ class MemoryHub:
         if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
             return False
         delay = self.latency.sample(self._delay_rng, src, dst)
-        task = asyncio.get_running_loop().create_task(
-            self._deliver_later(delay, src, dst, message)
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        # One timer handle per message: no Task, no coroutine.
+        asyncio.get_running_loop().call_later(delay, self._deliver, src, dst, message)
+        self._inflight += 1
         return True
 
-    async def _deliver_later(
-        self, delay: float, src: ProcessId, dst: ProcessId, message: object
-    ) -> None:
-        if delay > 0:
-            await asyncio.sleep(delay)
-        if dst in self._crashed or src in self._crashed:
-            return
-        transport = self._transports.get(dst)
-        if transport is not None and transport.started:
-            transport._dispatch(src, message)
+    def _deliver(self, src: ProcessId, dst: ProcessId, message: object) -> None:
+        try:
+            if dst in self._crashed or src in self._crashed:
+                return
+            transport = self._transports.get(dst)
+            if transport is not None and transport.started:
+                transport._dispatch(src, message)
+        finally:
+            # Counted down after the handler ran, so what it sent keeps
+            # the hub from looking idle.
+            self._inflight -= 1
+            if not self._inflight and self._idle is not None:
+                if not self._idle.done():  # else the drain was cancelled
+                    self._idle.set_result(None)
+                self._idle = None
 
     async def drain(self) -> None:
         """Await all in-flight deliveries (test helper)."""
         while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+            if self._idle is None:
+                self._idle = asyncio.get_running_loop().create_future()
+            await self._idle
 
 
 class MemoryTransport(Transport):

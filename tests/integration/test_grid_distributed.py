@@ -266,6 +266,7 @@ class TestCliDistributed:
         summary = capsys.readouterr().out
         assert "grid 4/4 done" in summary
         assert (dist / "BENCH_T2.json").read_bytes() == golden
+        assert not (workers / "ledger.sqlite").exists()
 
         assert main(["grid", "status", "--workers-dir", str(workers)]) == 0
         status = capsys.readouterr().out
@@ -289,6 +290,22 @@ class TestCliDistributed:
         assert main(base + ["--worker-id", "2/2"]) == 0
         assert "grid 4/4 done" in capsys.readouterr().out
         assert (dist / "BENCH_T2.json").read_bytes() == golden
+
+    def test_a_directory_holding_a_sqlite_ledger_is_refused(self, tmp_path, capsys):
+        workers = tmp_path / "workers"
+        workers.mkdir()
+        (workers / "ledger.sqlite").touch()
+        dist = tmp_path / "dist"
+        assert main(["run", "t2", *SMALL_T2, "--workers-dir", str(workers), "--steal",
+                     "--out", str(dist), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ledger.sqlite" in err
+        # no cell ran: nothing leased, nothing cached, no artifact
+        assert not (workers / "leases").exists()
+        assert not any((workers / "cache").rglob("*.json"))
+        assert not dist.exists()
+        assert main(["grid", "status", "--workers-dir", str(workers)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_mode_validation(self, tmp_path, capsys):
         workers = str(tmp_path / "w")

@@ -127,9 +127,9 @@ class TestDetectorServiceMechanics:
         assert run(scenario()) >= 3
 
     def test_service_adds_no_task_per_outgoing_message(self):
-        """Responses and queries leave inside the handler / the round loop:
-        beside the services' own loops, the only tasks a running cluster
-        creates are the hub's deliveries, and stop() leaves none behind.
+        """Responses and queries leave inside the handler / the round loop,
+        and the hub delivers through timer handles: a running cluster
+        creates no task at all, and stop() leaves none behind.
         """
 
         async def scenario():
@@ -153,13 +153,13 @@ class TestDetectorServiceMechanics:
             loop.set_task_factory(None)
             rounds = sum(s.rounds_completed for s in cluster.services.values())
             await cluster.stop()
-            leftover = asyncio.all_tasks() - {asyncio.current_task()} - cluster.hub._inflight
+            leftover = asyncio.all_tasks() - {asyncio.current_task()}
             await cluster.hub.drain()
             return created, rounds, leftover
 
         created, rounds, leftover = run(scenario())
         assert rounds > 0
-        assert set(created) == {"MemoryHub._deliver_later"}
+        assert created == []
         assert leftover == set()
 
 

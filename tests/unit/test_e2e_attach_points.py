@@ -17,6 +17,7 @@ from repro.core import messages
 from repro.core.protocol import TimeFreeDetector
 from repro.detectors.facade import QueryRoundFacade
 from repro.experiments import e1_density, e2_mobility
+from repro.harness import lease
 from repro.partial import covering
 from repro.partial import protocol as partial_protocol
 from repro.runtime import udp
@@ -136,3 +137,22 @@ def test_the_host_boundaries_are_defined_on_timed_driver_itself(method):
 def test_the_round_loop_is_defined_on_the_facade_itself(method):
     # detectors.facade_s: the one query-round loop every query family runs
     assert inspect.isfunction(vars(QueryRoundFacade)[method])
+
+
+LEDGER_METHODS = [
+    "claim", "renew", "complete", "release", "reap", "counts", "owners", "done_indices",
+]
+
+
+def test_the_sqlite_ledger_name_still_resolves():
+    # layers.py resolves repro.harness.lease:SqliteLedger beside FileLedger
+    # for harness:lease on every --trace run
+    assert inspect.isclass(lease.SqliteLedger)
+    assert issubclass(lease.SqliteLedger, lease.FileLedger)
+
+
+@pytest.mark.parametrize("method", LEDGER_METHODS)
+def test_the_sqlite_ledger_name_defines_no_ledger_method(method):
+    # a method defined on the name-only subclass would be wrapped a second time
+    assert method not in vars(lease.SqliteLedger)
+    assert inspect.isfunction(vars(lease.FileLedger)[method])

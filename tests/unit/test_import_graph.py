@@ -156,7 +156,9 @@ SURFACES = [repro, repro.sim, repro.harness]
 #: ones deleted since (``repro.harness.artifact_payload``: the artifact has
 #: one renderer, which writes cells one at a time; ``repro.sim``'s
 #: ``heartbeat_driver_factory`` and ``time_free_driver_factory``: every
-#: detector enters ``SimCluster`` through ``repro.detectors.sim_driver_factory``)
+#: detector enters ``SimCluster`` through ``repro.detectors.sim_driver_factory``;
+#: ``repro.harness``'s ``LeaseLedger`` and ``SqliteLedger``: the claim-file
+#: ``FileLedger`` is the one lease ledger)
 ALL_BEFORE = {
     "repro": """DetectorConfig DetectorService FDClass FailureDetector LocalCluster
         ProcessId Query QueryRoundOutcome ReproError Response ServicePacing
@@ -169,7 +171,7 @@ ALL_BEFORE = {
         Topology TraceRecorder UniformLatency full_mesh grid manet_topology
         random_geometric ring""",
     "repro.harness": """CacheStats CellOutcome FileLedger GridResult GridStatus
-        LeaseLedger LedgerCounts PruneReport ResultCache ScenarioSpec SqliteLedger
+        LedgerCounts PruneReport ResultCache ScenarioSpec
         StreamStats StreamedGridRun WorkerReport all_specs artifact_name
         assemble_artifact cache_key cell_seed ensure_manifest
         entry_point_modules evaluate_cell get_spec grid_reap grid_status load_plugins

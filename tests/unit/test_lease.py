@@ -1,33 +1,39 @@
-"""Unit tests for the lease ledger, identical across both backends.
+"""Unit tests for the lease ledger and its SQLite oracle.
 
-Every behavioural test is parametrized over :class:`SqliteLedger` and
-:class:`FileLedger` — the two must be interchangeable, because which one
-a run gets depends only on what the shared filesystem supports.
+Every behavioural test runs on :class:`FileLedger`, the one ledger, and on
+the removed SQLite ledger kept in ``tests/reference_ledger.py`` — the two
+answer every operation alike (``tests/property/test_ledger_differential.py``
+checks that on random scripts).
 """
 
+import multiprocessing
 import threading
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.harness.lease import (
-    FileLedger,
-    SqliteLedger,
-    detect_backend,
-    open_ledger,
-)
+from repro.harness.lease import open_ledger
+from tests.reference_ledger import SqliteLedger
 
 T0 = 1_000_000.0
+
+
+def close(ledger):
+    """Close the oracle's connection; a ``FileLedger`` holds nothing open."""
+    if isinstance(ledger, SqliteLedger):
+        ledger.close()
 
 
 @pytest.fixture(params=["sqlite", "file"])
 def make_ledger(request, tmp_path):
     """Factory for ledgers sharing one directory (like workers share it)."""
+    root = tmp_path / "run"
+    root.mkdir()
 
     def factory(total=8):
-        return open_ledger(tmp_path / "run", total, request.param)
+        if request.param == "sqlite":
+            return SqliteLedger(root, total)
+        return open_ledger(root, total)
 
-    factory.backend = request.param
     return factory
 
 
@@ -127,7 +133,7 @@ class TestPersistence:
         first = make_ledger(total=3)
         first.complete("a", first.claim("a", now=T0))
         first.claim("a", now=T0, ttl=1000)
-        first.close()
+        close(first)
         second = make_ledger(total=3)
         counts = second.counts(now=T0 + 1)
         assert (counts.done, counts.leased, counts.pending) == (1, 1, 1)
@@ -137,7 +143,7 @@ class TestPersistence:
 
     def test_concurrent_claimers_never_double_claim(self, make_ledger):
         total = 40
-        make_ledger(total=total).close()  # initialise rows once
+        close(make_ledger(total=total))  # initialise rows once
         per_worker: dict[str, list[int]] = {}
 
         def worker(name):
@@ -149,7 +155,7 @@ class TestPersistence:
                     break
                 mine.append(index)
                 ledger.complete(name, index)
-            ledger.close()
+            close(ledger)
 
         threads = [threading.Thread(target=worker, args=(f"w{i}",)) for i in range(4)]
         for t in threads:
@@ -160,30 +166,36 @@ class TestPersistence:
         assert sorted(claimed) == list(range(total))  # each cell exactly once
 
 
-class TestBackendSelection:
-    def test_detect_backend(self, tmp_path):
-        assert detect_backend(tmp_path) is None
-        open_ledger(tmp_path / "a", 2, "sqlite").close()
-        assert detect_backend(tmp_path / "a") == "sqlite"
-        open_ledger(tmp_path / "b", 2, "file").close()
-        assert detect_backend(tmp_path / "b") == "file"
+def _claim_until_none(root, total, owner, start, claimed):
+    """One racing process: claim with a long TTL until nothing is left."""
+    ledger = open_ledger(root, total)
+    start.wait()
+    mine = []
+    while (index := ledger.claim(owner, ttl=3600)) is not None:
+        mine.append(index)
+    claimed.put(mine)
 
-    def test_existing_backend_wins_under_auto(self, tmp_path):
-        open_ledger(tmp_path, 2, "file").close()
-        ledger = open_ledger(tmp_path, 2, "auto")
-        assert isinstance(ledger, FileLedger)
-        ledger.close()
 
-    def test_conflicting_backend_is_refused(self, tmp_path):
-        open_ledger(tmp_path, 2, "file").close()
-        with pytest.raises(ConfigurationError, match="uses the 'file' backend"):
-            open_ledger(tmp_path, 2, "sqlite")
+class TestCrossProcess:
+    def test_racing_processes_claim_every_cell_exactly_once(self, tmp_path):
+        # The exclusive create (os.link) is what keeps two hosts off one
+        # fresh cell; four processes released together race for all 200.
+        total, workers = 200, 4
+        context = multiprocessing.get_context("spawn")
+        start = context.Barrier(workers)
+        claimed = context.Queue()
+        processes = [
+            context.Process(
+                target=_claim_until_none,
+                args=(tmp_path, total, f"p{i}", start, claimed),
+            )
+            for i in range(workers)
+        ]
+        for process in processes:
+            process.start()
+        shares = [claimed.get(timeout=60) for _ in processes]
+        for process in processes:
+            process.join(timeout=10)
+            assert process.exitcode == 0
+        assert sorted(i for share in shares for i in share) == list(range(total))
 
-    def test_auto_prefers_sqlite_on_a_working_filesystem(self, tmp_path):
-        ledger = open_ledger(tmp_path, 2, "auto")
-        assert isinstance(ledger, SqliteLedger)
-        ledger.close()
-
-    def test_unknown_backend_is_refused(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown ledger backend"):
-            open_ledger(tmp_path, 2, "paper")
