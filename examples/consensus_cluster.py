@@ -16,24 +16,30 @@ Run with::
 """
 
 from repro.consensus import ConsensusHarness
+from repro.experiments.scenarios import Scenario
 from repro.sim import ExponentialLatency
 from repro.sim.faults import CrashFault, FaultPlan
 
 
 def run(label, detector, detector_params, *, seed=7):
-    harness = ConsensusHarness(
-        n=9,
-        f=4,
+    scenario = Scenario(
         detector=detector,  # any key of the repro.detectors registry
         detector_params=detector_params,
+        n=9,
+        f=4,
         latency=ExponentialLatency(0.001),  # δ ≈ 1 ms, unbounded tail
-        seed=seed,
         # Process 1 coordinates round 1 — crash it before anyone proposes.
         fault_plan=FaultPlan.of(crashes=[CrashFault(1, 0.001)]),
+        seed=seed,
+        start_stagger=0.0,
+        horizon=60.0,
+    )
+    harness = ConsensusHarness(
+        scenario,
         proposals={pid: f"value-from-{pid}" for pid in range(1, 10)},
         propose_at=0.01,
     )
-    result = harness.run(until=60.0)
+    result = harness.run()
     assert result.agreement_holds and result.validity_holds
     outcome = result.instances[0]
     assert outcome.all_correct_decided

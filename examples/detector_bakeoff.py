@@ -18,7 +18,7 @@ Run with::
 """
 
 from repro.experiments.report import Table
-from repro.experiments.scenarios import run_scenario, table_label
+from repro.experiments.scenarios import Scenario, table_label
 from repro.metrics import detection_stats, message_load, mistake_stats
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.latency import BiasedLatency, ExponentialLatency, RegimeShiftLatency
@@ -58,7 +58,7 @@ def main() -> None:
     )
     plan = FaultPlan.of(crashes=[CrashFault(VICTIM, CRASH_AT)])
     for detector in ("time-free", "heartbeat", "gossip", "phi"):
-        cluster = run_scenario(
+        cluster = Scenario(
             detector=detector,
             n=N,
             f=F,
@@ -66,7 +66,7 @@ def main() -> None:
             latency=latency_model(),
             fault_plan=plan,
             seed=2024,
-        )
+        ).run()
         correct = cluster.correct_processes()
         crash = detection_stats(cluster.trace, VICTIM, CRASH_AT, correct)
         mistakes = mistake_stats(cluster.trace, correct, horizon=HORIZON)

@@ -39,7 +39,7 @@ def act_one_crash_detection() -> None:
     plan = FaultPlan.of(crashes=[CrashFault(13, 5.0), CrashFault(27, 8.0)])
     cluster = SimCluster(
         topology=topology,
-        driver_factory=sim_driver_factory("partial", 2, d=d, grace=1.0),
+        driver_factory=sim_driver_factory("partial", 2, grace=1.0),
         latency=ExponentialLatency(0.001),
         seed=11,
         fault_plan=plan,
@@ -97,7 +97,7 @@ def act_two_mobility() -> None:
     )
     cluster = SimCluster(
         topology=topology,
-        driver_factory=sim_driver_factory("partial", 1, d=d, grace=1.0),
+        driver_factory=sim_driver_factory("partial", 1, grace=1.0),
         latency=ExponentialLatency(0.001),
         seed=8,
         fault_plan=plan,

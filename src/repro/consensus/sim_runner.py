@@ -37,19 +37,19 @@ Multi-instance semantics (the "heavy traffic" shape):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.effects import Broadcast, Effect, SendTo
-from ..detectors import sim_driver_factory
 from ..errors import ConfigurationError
 from ..ids import ProcessId
 from ..sim.cluster import SimCluster
-from ..sim.faults import FaultPlan
-from ..sim.latency import LatencyModel
 from ..sim.node import SimProcess
 from .messages import Decide, InstanceEnvelope
 from .registry import get_protocol
 from .spec import ConsensusContext, ConsensusSpec, oracle_from_suspects
+
+if TYPE_CHECKING:
+    from ..experiments.scenarios import Scenario
 
 __all__ = [
     "ConsensusNodeDriver",
@@ -334,104 +334,96 @@ class ConsensusRunResult:
 class ConsensusHarness:
     """Build-and-run helper for consensus workloads (t4/c1) and tests.
 
-    The detector side is a **registry key** (``detector=``, default the
-    paper's time-free detector, plus an optional ``detector_params`` knob
-    dict, resolved through :func:`repro.detectors.sim_driver_factory`); a
-    custom family reaches the harness by registering it with
-    :func:`repro.detectors.register_detector` first.  The consensus side is
-    a **protocol registry key** (``protocol=``, default CT, plus an optional
-    ``protocol_params`` knob dict).  The two are
-    joined by a :class:`~repro.consensus.spec.ConsensusOracle` built from
-    the per-node driver: ``suspects()`` is pulled straight from the
-    detector, ``leader()`` uses the native Omega elector when the driver
-    carries one and the Ω-from-◇S emulation otherwise.
+    The deployment is a :class:`~repro.experiments.scenarios.Scenario`:
+    its detector registry key and params, membership, crash bound, latency,
+    fault plan, seed and horizon.  The harness builds its cluster through
+    the scenario (:meth:`Scenario.cluster` with this harness's composite
+    node driver wrapped around each detector driver) and runs it to
+    ``scenario.horizon``.  The consensus side is a **protocol registry
+    key** (``protocol=``, default CT, plus an optional ``protocol_params``
+    knob dict).  The two are joined by a
+    :class:`~repro.consensus.spec.ConsensusOracle` built from the per-node
+    driver: ``suspects()`` is pulled straight from the detector,
+    ``leader()`` uses the native Omega elector when the driver carries one
+    and the Ω-from-◇S emulation otherwise.
     """
 
     def __init__(
         self,
+        scenario: Scenario,
         *,
-        n: int,
-        f: int,
         protocol: str = "ct",
         protocol_params: dict | None = None,
-        detector: str = "time-free",
-        detector_params: dict | None = None,
-        latency: LatencyModel | None = None,
-        seed: int = 1,
-        fault_plan: FaultPlan | None = None,
         proposals: dict[ProcessId, Any] | None = None,
         instances: int = 1,
         propose_at: float = 0.0,
         instance_gap: float = 0.0,
-        start_stagger: float = 0.0,
     ) -> None:
-        if n < 2:
-            raise ConfigurationError("consensus needs at least 2 processes")
         if instances < 1:
             raise ConfigurationError("a consensus run needs at least 1 instance")
-        fd_factory = sim_driver_factory(detector, f, **(detector_params or {}))
         spec: ConsensusSpec = get_protocol(protocol)
         typed_params = spec.make_params(**(protocol_params or {}))
-        membership = frozenset(range(1, n + 1))
+        f = scenario.f
         self.protocol = spec
-        self.proposals: dict[ProcessId, Any] = (
-            dict(proposals)
-            if proposals is not None
-            else {pid: f"value-{pid}" for pid in sorted(membership)}
-        )
-        missing = membership - set(self.proposals)
-        if missing:
-            raise ConfigurationError(f"missing proposals for {sorted(missing, key=repr)}")
+        self.horizon = scenario.horizon
         self._outcomes = {
             k: InstanceOutcome(instance=k) for k in range(1, instances + 1)
         }
         self.result = ConsensusRunResult(instances=list(self._outcomes.values()))
         self._drivers: dict[ProcessId, ConsensusNodeDriver] = {}
 
-        def composite_factory(process: SimProcess, cluster: SimCluster):
-            fd_driver = fd_factory(process, cluster)
-            context = ConsensusContext(
-                process_id=process.pid, membership=membership, f=f
-            )
-            elector = getattr(fd_driver, "elector", None)
-            oracle = oracle_from_suspects(
-                membership,
-                fd_driver.suspects,
-                leader_source=elector.leader if elector is not None else None,
-            )
-            driver = ConsensusNodeDriver(
-                process,
-                fd_driver,
-                lambda instance: spec.build(context, oracle, typed_params),
-                lambda instance: self._value_for(process.pid, instance),
-                instances=instances,
-                propose_at=propose_at,
-                instance_gap=instance_gap,
-                on_propose=self._record_propose,
-                on_decide=self._record_decision,
-            )
-            if spec.oracle == "leader" and elector is not None:
-                # A native elector can change leaders without a suspicion
-                # change (accusation gossip); completed query rounds are its
-                # clock, so poke the participants on each round outcome.
-                round_listeners = getattr(fd_driver, "round_listeners", None)
-                if round_listeners is not None:
-                    round_listeners.append(
-                        lambda *_args: driver._on_suspicion_change(
-                            process.pid, frozenset()
+        def wrap(fd_factory):
+            def composite_factory(process: SimProcess, cluster: SimCluster):
+                fd_driver = fd_factory(process, cluster)
+                membership = cluster.membership
+                context = ConsensusContext(
+                    process_id=process.pid, membership=membership, f=f
+                )
+                elector = getattr(fd_driver, "elector", None)
+                oracle = oracle_from_suspects(
+                    membership,
+                    fd_driver.suspects,
+                    leader_source=elector.leader if elector is not None else None,
+                )
+                driver = ConsensusNodeDriver(
+                    process,
+                    fd_driver,
+                    lambda instance: spec.build(context, oracle, typed_params),
+                    lambda instance: self._value_for(process.pid, instance),
+                    instances=instances,
+                    propose_at=propose_at,
+                    instance_gap=instance_gap,
+                    on_propose=self._record_propose,
+                    on_decide=self._record_decision,
+                )
+                if spec.oracle == "leader" and elector is not None:
+                    # A native elector can change leaders without a suspicion
+                    # change (accusation gossip); completed query rounds are
+                    # its clock, so poke the participants on each round outcome.
+                    round_listeners = getattr(fd_driver, "round_listeners", None)
+                    if round_listeners is not None:
+                        round_listeners.append(
+                            lambda *_args: driver._on_suspicion_change(
+                                process.pid, frozenset()
+                            )
                         )
-                    )
-            self._drivers[process.pid] = driver
-            return driver
+                self._drivers[process.pid] = driver
+                return driver
 
-        self.cluster = SimCluster(
-            n=n,
-            driver_factory=composite_factory,
-            latency=latency,
-            seed=seed,
-            fault_plan=fault_plan,
-            start_stagger=start_stagger,
+            return composite_factory
+
+        self.cluster = scenario.cluster(wrap=wrap)
+        membership = self.cluster.membership
+        if len(membership) < 2:
+            raise ConfigurationError("consensus needs at least 2 processes")
+        self.proposals: dict[ProcessId, Any] = (
+            dict(proposals)
+            if proposals is not None
+            else {pid: f"value-{pid}" for pid in sorted(membership, key=repr)}
         )
+        missing = membership - set(self.proposals)
+        if missing:
+            raise ConfigurationError(f"missing proposals for {sorted(missing, key=repr)}")
         self.result.correct = self.cluster.correct_processes()
         for outcome in self.result.instances:
             outcome.correct = self.result.correct
@@ -453,14 +445,14 @@ class ConsensusHarness:
         outcome.decisions.setdefault(pid, value)
         outcome.decision_times.setdefault(pid, time)
 
-    def run(self, until: float) -> ConsensusRunResult:
-        """Run to ``until`` and fill the ledger; a harness runs once.
+    def run(self) -> ConsensusRunResult:
+        """Run to the scenario's horizon and fill the ledger; a harness runs once.
 
         The cluster is closed (which releases every node driver it built,
         replaced ones included) once the participants are read, so nothing
         the run built outlives it in a reference cycle.
         """
-        self.cluster.run(until=until)
+        self.cluster.run(until=self.horizon)
         for pid, driver in self._drivers.items():
             for instance, participant in driver.participants.items():
                 outcome = self._outcomes.get(instance)

@@ -21,23 +21,17 @@ paper) are:
 :class:`TaggedSet` is the ``Add``-semantics set of ``<id, counter>`` pairs
 used for both ``suspected_i`` and ``mistake_i``; :class:`SuspicionState`
 bundles the two sets with the round counter and implements the merge rules so
-that every detector variant (full-membership core, partial-connectivity
-extension) shares one audited implementation.
+that both membership views of the query core share one audited
+implementation.
 
-Two merge surfaces exist on :class:`SuspicionState`:
-
-* the **per-record** methods (:meth:`~SuspicionState.merge_remote_suspicion`
-  / :meth:`~SuspicionState.merge_remote_mistake`) return a
-  :class:`MergeResult` per record — the audited reference implementation,
-  kept deliberately simple and property-tested as the oracle;
-* the **batched** entry points (:meth:`~SuspicionState.merge_query` and the
-  :meth:`~SuspicionState.merge_remote_suspicions` /
-  :meth:`~SuspicionState.merge_remote_mistakes` conveniences) process a
-  whole received record stream in one fused pass and return one compact
-  :class:`MergeDelta`.  Algorithm 1 re-ships the *full* sets on every query,
-  so in steady state nearly every record is stale; the batched stale path is
-  dict lookups only and returns the :data:`EMPTY_DELTA` singleton — zero
-  :class:`MergeResult` (or any other) allocations.
+Remote records merge through one entry point,
+:meth:`~SuspicionState.merge_query`: a whole received record stream in one
+fused pass, returning one compact :class:`MergeDelta`.  Algorithm 1
+re-ships the *full* sets on every query, so in steady state nearly every
+record is stale; the stale path is dict lookups only and returns the
+:data:`EMPTY_DELTA` singleton — zero allocations.  The per-record merge it
+is pinned against, record for record, is the oracle
+``tests/reference_tags.py``.
 """
 
 from __future__ import annotations
@@ -203,8 +197,8 @@ class MergeDelta:
 
     ``suspicions_adopted`` / ``mistakes_adopted`` list the subjects whose
     records were adopted, in record order (duplicates possible when one
-    stream carries several fresh records for the same subject, mirroring the
-    per-record oracle).  ``self_refuted`` reports that at least one received
+    stream carries several fresh records for the same subject, as the
+    per-record merge of ``tests/reference_tags.py`` reports them).  ``self_refuted`` reports that at least one received
     suspicion named the local process and was refuted.  An all-stale batch
     returns the shared :data:`EMPTY_DELTA` instance, so steady-state merging
     allocates nothing.
@@ -262,33 +256,7 @@ class SuspicionState:
         self.counter += 1
         return self.counter
 
-    # -- remote information, per record (task T2; the audited oracle) -------
-    def merge_remote_suspicion(self, pid: ProcessId, tag: int) -> MergeResult:
-        """Merge one record of a received ``suspected_j`` set (lines 21-31)."""
-        if not self._suspicion_is_newer(pid, tag):
-            return MergeResult(pid, MergeOutcome.IGNORED, self._known_tag(pid))
-        if pid == self.owner:
-            # Lines 23-25: we are wrongly suspected; refute with a mistake
-            # tagged past the accusation.
-            self.counter = max(self.counter, tag + 1)
-            self.mistakes.add(self.owner, self.counter)
-            self.suspected.discard(self.owner)
-            return MergeResult(pid, MergeOutcome.SELF_REFUTED, self.counter)
-        # Lines 27-28.
-        self.suspected.add(pid, tag)
-        self.mistakes.discard(pid)
-        return MergeResult(pid, MergeOutcome.SUSPICION_ADOPTED, tag)
-
-    def merge_remote_mistake(self, pid: ProcessId, tag: int) -> MergeResult:
-        """Merge one record of a received ``mistake_j`` set (lines 32-37)."""
-        if not self._mistake_is_newer(pid, tag):
-            return MergeResult(pid, MergeOutcome.IGNORED, self._known_tag(pid))
-        # Lines 34-35.
-        self.mistakes.add(pid, tag)
-        self.suspected.discard(pid)
-        return MergeResult(pid, MergeOutcome.MISTAKE_ADOPTED, tag)
-
-    # -- remote information, batched (task T2; the hot path) ----------------
+    # -- remote information (task T2) -----------------------------------------
     def merge_query(
         self,
         suspected: Iterable[tuple[ProcessId, int]],
@@ -296,10 +264,10 @@ class SuspicionState:
     ) -> MergeDelta:
         """Merge a full received ``QUERY`` payload in one fused pass.
 
-        Record-for-record equivalent to calling
-        :meth:`merge_remote_suspicion` for each ``suspected`` record and then
-        :meth:`merge_remote_mistake` for each ``mistakes`` record (the
-        property suite pins this against the oracle).  The stale fast path —
+        Record-for-record equivalent to merging each ``suspected`` record
+        (lines 21-31) and then each ``mistakes`` record (lines 32-37) one at
+        a time (the property suite pins this against the per-record oracle,
+        ``tests/reference_tags.py``).  The stale fast path —
         the steady state, since every query re-ships the full sets — does
         dict lookups only and returns :data:`EMPTY_DELTA` without allocating
         a single result object.
@@ -337,8 +305,15 @@ class SuspicionState:
                 else:
                     s_adopted.append(pid)
         for pid, tag in mistakes:
-            # Line 33 with the Lemma 4 refinement (see _mistake_is_newer):
-            # a tie beats a *suspicion* but not an existing mistake.
+            # Line 33: unknown, or newer-or-equal — with one refinement.
+            # The ``<=`` lets a mistake displace a *suspicion* carrying the
+            # same counter (ties go to the mistake, as the proof stipulates).
+            # Read literally it would also re-adopt a byte-identical mistake
+            # record, but Lemma 4's proof relies on a repeated mistake
+            # *failing* the predicate (otherwise the mobility rule at lines
+            # 36-38 would re-evict a reconnected node forever).  So: ties
+            # beat suspicions, but an equal-or-older tag against an existing
+            # *mistake* is stale.
             known = sus_tags.get(pid)
             if known is not None:
                 if known > tag:
@@ -361,50 +336,6 @@ class SuspicionState:
             tuple(m_adopted) if m_adopted is not None else (),
             refuted,
         )
-
-    def merge_remote_suspicions(
-        self, records: Iterable[tuple[ProcessId, int]]
-    ) -> MergeDelta:
-        """Batched :meth:`merge_remote_suspicion` over a record stream."""
-        return self.merge_query(records, ())
-
-    def merge_remote_mistakes(
-        self, records: Iterable[tuple[ProcessId, int]]
-    ) -> MergeDelta:
-        """Batched :meth:`merge_remote_mistake` over a record stream."""
-        return self.merge_query((), records)
-
-    # -- freshness predicates ----------------------------------------------
-    def _known_tag(self, pid: ProcessId) -> int | None:
-        suspected_tag = self.suspected.tag_of(pid)
-        if suspected_tag is not None:
-            return suspected_tag
-        return self.mistakes.tag_of(pid)
-
-    def _suspicion_is_newer(self, pid: ProcessId, tag: int) -> bool:
-        """Line 22: unknown, or strictly newer than the stored tag."""
-        known = self._known_tag(pid)
-        return known is None or known < tag
-
-    def _mistake_is_newer(self, pid: ProcessId, tag: int) -> bool:
-        """Line 33: unknown, or newer-or-equal — with one refinement.
-
-        The ``<=`` in line 33 lets a mistake displace a *suspicion* carrying
-        the same counter (ties go to the mistake, as the proof stipulates).
-        Read literally it would also re-adopt a byte-identical mistake
-        record, but Lemma 4's proof explicitly relies on a repeated mistake
-        *failing* the predicate (otherwise the mobility rule at lines 36-38
-        would re-evict a reconnected node forever).  So: ties beat
-        suspicions, but an equal-or-older tag against an existing *mistake*
-        is stale.
-        """
-        suspected_tag = self.suspected.tag_of(pid)
-        if suspected_tag is not None:
-            return suspected_tag <= tag
-        mistake_tag = self.mistakes.tag_of(pid)
-        if mistake_tag is not None:
-            return mistake_tag < tag
-        return True
 
     # -- views --------------------------------------------------------------
     def suspects(self) -> frozenset[ProcessId]:

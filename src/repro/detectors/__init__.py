@@ -16,7 +16,9 @@ Quickstart::
     # dict_keys(['gossip', 'heartbeat', 'heartbeat-adaptive',
     #            'partial', 'phi', 'time-free'])
 
-    ctx = DetectorContext(process_id=1, membership=frozenset({1, 2, 3}), f=1)
+    ctx = DetectorContext(
+        process_id=1, membership=frozenset({1, 2, 3}), f=1, range_density=3
+    )
     built = build_detector("phi", ctx, threshold=4.0)
     core = built.unified()         # uniform event-in/effects-out facade
     effects = core.start(now=0.0)  # -> [Broadcast(Heartbeat(...))]

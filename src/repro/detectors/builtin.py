@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from ..core.classes import FDClass
 from ..core.omega import OmegaElector
 from ..core.protocol import DetectorConfig, TimeFreeDetector
-from ..errors import ConfigurationError
 from .registry import register_detector
 from .spec import BuiltDetector, DetectorContext, DetectorMode, DetectorSpec
 
@@ -92,9 +91,9 @@ TIME_FREE_SPEC = register_detector(
 
 @dataclass(frozen=True)
 class PartialParams:
-    """Partial-connectivity extension knobs; ``d`` is the range density."""
+    """Partial-connectivity extension knobs; the range density ``d`` is not
+    one of them: it is the deployment's (``DetectorContext.range_density``)."""
 
-    d: int | None = None
     grace: float = 1.0
     idle: float = 0.0
     retry: float | None = None
@@ -102,11 +101,12 @@ class PartialParams:
 
 
 def _build_partial(context: DetectorContext, params: PartialParams) -> BuiltDetector:
-    if params.d is None:
-        raise ConfigurationError("partial detector needs the range density d")
     # A learned view: Pi is never read, only the range density and f.
     config = DetectorConfig(
-        process_id=context.process_id, membership=None, f=context.f, range_density=params.d
+        process_id=context.process_id,
+        membership=None,
+        f=context.f,
+        range_density=context.range_density,
     )
     core = TimeFreeDetector(config, mobility=params.mobility)
     return BuiltDetector(spec=PARTIAL_SPEC, params=params, core=core)
@@ -121,7 +121,6 @@ PARTIAL_SPEC = register_detector(
         params_cls=PartialParams,
         factory=_build_partial,
         summary="1-hop queries + record flooding on f-covering topologies, unknown membership",
-        required=frozenset({"d"}),
     )
 )
 

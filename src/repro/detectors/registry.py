@@ -74,17 +74,23 @@ def sim_driver_factory(
     :class:`~repro.detectors.facade.QueryRoundFacade` (built as a
     :class:`~repro.sim.node.QueryResponseDriver`, which writes each round's
     ``RoundRecord``, feeds the Omega elector and counts retries).
+
+    The context's range density is the cluster's ``range_density``, read
+    once per cluster from its graph before any driver is built, so a driver
+    a volatile restart rebuilds gets the same ``d``.
     """
     spec = get_detector(key)
     resolved = spec.make_params(params, **overrides)
-    spec.check_required(resolved)
 
     from ..core.protocol import QueryPacing
     from ..sim.node import QueryResponseDriver, TimedDriver
 
     def factory(process, cluster):
         context = DetectorContext(
-            process_id=process.pid, membership=cluster.membership, f=f
+            process_id=process.pid,
+            membership=cluster.membership,
+            f=f,
+            range_density=cluster.range_density,
         )
         built = spec.build(context, resolved)
         if spec.mode is DetectorMode.QUERY:

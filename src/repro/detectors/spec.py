@@ -9,10 +9,10 @@ implements under its stated assumption, states how the family must be
 a frozen dataclass of typed parameters, and owns the factory that builds a
 sans-I/O core for one process.
 
-Building a detector needs exactly three pieces of deployment context — the
-process identity, the membership, and the crash bound ``f`` — captured by
-:class:`DetectorContext` so every family's factory has one uniform
-signature: ``factory(context, params) -> core``.
+Building a detector needs four pieces of deployment context — the process
+identity, the membership, the crash bound ``f`` and the range density
+``d`` — captured by :class:`DetectorContext` so every family's factory has
+one uniform signature: ``factory(context, params) -> core``.
 
 :meth:`BuiltDetector.unified` wraps any family behind the single
 event-in/effects-out facade (see :mod:`repro.detectors.facade`): query
@@ -28,7 +28,6 @@ from typing import Any, Callable
 
 from ..core.classes import FDClass
 from ..core.omega import OmegaElector
-from ..errors import ConfigurationError
 from ..ids import ProcessId
 from ..registry import TypedParams
 
@@ -78,12 +77,16 @@ class DetectorContext:
     """Deployment context every detector factory receives.
 
     ``f`` is the crash bound of the deployment; query families derive their
-    quorum from it, timer families ignore it.
+    quorum from it, timer families ignore it.  ``range_density`` is the
+    deployment's ``d``, the size of its smallest range (min degree + 1):
+    a property of the graph, read by the host (``n`` on a full mesh), which
+    the learned-view family sizes its quorum ``d - f`` by.
     """
 
     process_id: ProcessId
     membership: frozenset[ProcessId]
     f: int
+    range_density: int
 
     @property
     def n(self) -> int:
@@ -146,11 +149,6 @@ class DetectorSpec(TypedParams):
         core for one process.
     ``summary``
         One-line description (assumption + mechanism) for docs/CLI tables.
-    ``required``
-        Param fields that have no usable default and must be supplied
-        (non-``None``) before a core can be built — e.g. the partial
-        detector's range density ``d``.  Checked eagerly by driver/service
-        factories so misconfiguration fails at wiring time, not per node.
     """
 
     key: str
@@ -160,20 +158,8 @@ class DetectorSpec(TypedParams):
     params_cls: type
     factory: Callable[[DetectorContext, Any], BuiltDetector]
     summary: str = ""
-    required: frozenset[str] = frozenset()
 
     noun = "detector"
-
-    def check_required(self, params: Any) -> None:
-        """Raise unless every :attr:`required` field is set (non-``None``)."""
-        missing = sorted(
-            name for name in self.required if getattr(params, name, None) is None
-        )
-        if missing:
-            raise ConfigurationError(
-                f"detector {self.key!r} needs the parameter(s) {missing} "
-                "(no usable default); see its params dataclass"
-            )
 
     def build(
         self, context: DetectorContext, params: Any | None = None, /, **overrides: Any

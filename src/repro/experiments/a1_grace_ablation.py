@@ -29,7 +29,7 @@ from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
 from .api import ExperimentSpec, Metric, Monotone, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario
+from .scenarios import Scenario
 
 __all__ = ["A1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -58,7 +58,7 @@ def run_cell(params: A1Params, coords: dict, seed: int) -> dict:
     grace = coords["grace"]
     victim = params.n
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=params.detector,
         detector_params={"grace": grace, "idle": params.idle},
         n=params.n,
@@ -68,7 +68,7 @@ def run_cell(params: A1Params, coords: dict, seed: int) -> dict:
         fault_plan=plan,
         seed=seed,
         start_stagger=max(grace, params.idle),
-    )
+    ).run()
     correct = cluster.correct_processes()
     mistakes = mistake_stats(cluster.trace, correct, horizon=params.horizon)
     crash = detection_stats(cluster.trace, victim, params.crash_at, correct)

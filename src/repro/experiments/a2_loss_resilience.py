@@ -24,7 +24,7 @@ from ..metrics import detection_stats
 from ..sim.faults import CrashFault, FaultPlan
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario
+from .scenarios import Scenario
 
 __all__ = ["A2Params", "SPEC", "run_cell", "tabulate"]
 
@@ -49,7 +49,7 @@ class A2Params:
 
 def run_cell(params: A2Params, coords: dict, seed: int) -> dict:
     victim = params.n
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=params.detector,
         detector_params={"grace": params.grace, "idle": 0.1, "retry": coords["retry"]},
         n=params.n,
@@ -59,7 +59,7 @@ def run_cell(params: A2Params, coords: dict, seed: int) -> dict:
         fault_plan=FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)]),
         loss_rate=coords["loss"],
         start_stagger=params.grace,
-    )
+    ).run()
     correct = cluster.correct_processes()
     # A process is "frozen" if it completed no round in the final
     # quarter of the run: its current query never reached quorum.

@@ -40,7 +40,7 @@ from .api import (
     stat_mean,
 )
 from .report import Table
-from .scenarios import fault_plan_for, table_label
+from .scenarios import Scenario, fault_plan_for, table_label
 
 __all__ = ["C1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -112,10 +112,8 @@ class C1Params:
 def run_cell(params: C1Params, coords: dict, seed: int) -> dict:
     fault = coords["fault"]
     detector = coords["detector"]
-    spec = get_detector(detector)
-    # Full mesh: every range is the whole system, so the density is n.
-    detector_params = {"d": params.n} if "d" in spec.required else {}
-    if "retry" in spec.param_names():
+    detector_params = {}
+    if "retry" in get_detector(detector).param_names():
         # Same remedy as q1's stress cells: query families stall when a
         # partition or a burst eats the quorum; the lossy-channel
         # rebroadcast resumes them.  Timer families have no such knob.
@@ -125,19 +123,23 @@ def run_cell(params: C1Params, coords: dict, seed: int) -> dict:
         fault, members=members, f=params.f, horizon=params.horizon
     )
     harness = ConsensusHarness(
-        n=params.n,
-        f=params.f,
+        Scenario(
+            detector=detector,
+            detector_params=detector_params,
+            n=params.n,
+            f=params.f,
+            latency=LogNormalLatency(params.delay_median, params.delay_sigma),
+            fault_plan=plan,
+            seed=seed,
+            start_stagger=0.0,
+            horizon=params.horizon,
+        ),
         protocol=params.protocol,
-        detector=detector,
-        detector_params=detector_params,
-        latency=LogNormalLatency(params.delay_median, params.delay_sigma),
-        seed=seed,
-        fault_plan=plan,
         instances=params.instances,
         propose_at=params.propose_at,
         instance_gap=params.instance_gap,
     )
-    result = harness.run(until=params.horizon)
+    result = harness.run()
     stats = consensus_stats(result)
     trace = harness.cluster.trace
     mistakes = epoch_mistake_stats(

@@ -31,7 +31,7 @@ from .api import (
     register_experiment,
 )
 from .report import Table
-from .scenarios import run_scenario, table_label
+from .scenarios import Scenario, table_label
 
 __all__ = ["E1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -123,20 +123,16 @@ def run_cell(params: E1Params, coords: dict, seed: int) -> dict:
         end=params.crash_window[1],
     )
     actual_d = topology.range_density()
-    # The partial detector's quorum is d - f; d must be the topology's
-    # actual range density.
-    detector_params = {"d": actual_d} if coords["detector"] == "partial" else {}
-    # run_scenario's hand-over rule: the validated original is dropped here
+    # The Scenario hand-over rule: the validated original is dropped here
     topology = topology.copy()
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=coords["detector"],
-        detector_params=detector_params,
         topology=topology,
         f=params.f,
         horizon=params.horizon,
         fault_plan=plan,
         seed=trial_seed,
-    )
+    ).run()
     stats = all_detection_stats(cluster.trace, plan, cluster.membership)
     return {
         "actual_d": actual_d,

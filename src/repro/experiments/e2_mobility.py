@@ -31,7 +31,7 @@ from ..sim.rng import RngStreams
 from ..sim.topology import Topology, manet_topology
 from .api import ExperimentSpec, FixedAxis, Metric, register_experiment
 from .report import Table
-from .scenarios import run_scenario
+from .scenarios import Scenario
 
 __all__ = ["E2Params", "SPEC", "run_cell", "tabulate"]
 
@@ -133,17 +133,17 @@ def run_cell(params: E2Params, coords: dict, seed: int) -> dict:
         ]
     )
     d = topology.range_density()
-    # run_scenario's hand-over rule: the validated original is dropped here
+    # The Scenario hand-over rule: the validated original is dropped here
     topology = topology.copy()
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=params.detector,
-        detector_params={"d": d, "mobility": coords["variant"] == "alg2"},
+        detector_params={"mobility": coords["variant"] == "alg2"},
         topology=topology,
         f=params.f,
         horizon=params.horizon,
         fault_plan=plan,
         seed=params.seed,
-    )
+    ).run()
     series = false_suspicion_series(cluster.trace, _sample_times(params), plan)
     return {
         "mover": mover,

@@ -25,7 +25,7 @@ from .api import (
     register_experiment,
 )
 from .report import Table
-from .scenarios import run_scenario
+from .scenarios import Scenario
 
 __all__ = ["F1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -50,14 +50,14 @@ class F1Params:
 def run_cell(params: F1Params, coords: dict, seed: int) -> dict:
     victim = params.n  # symmetric under full mesh
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=coords["detector"],
         n=params.n,
         f=params.f,
         horizon=params.horizon,
         fault_plan=plan,
         seed=seed,
-    )
+    ).run()
     stats = detection_stats(
         cluster.trace, victim, params.crash_at, cluster.correct_processes()
     )

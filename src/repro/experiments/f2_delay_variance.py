@@ -43,7 +43,7 @@ from .api import (
     register_experiment,
 )
 from .report import Table
-from .scenarios import run_scenario, table_label
+from .scenarios import Scenario, table_label
 
 __all__ = ["F2Params", "SPEC", "run_cell", "tabulate"]
 
@@ -108,14 +108,14 @@ def run_cell(params: F2Params, coords: dict, seed: int) -> dict:
         )
     else:
         latency = _biased(params, LogNormalLatency(params.delay_median, coords["stress"]))
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=coords["detector"],
         n=params.n,
         f=params.f,
         horizon=params.horizon,
         latency=latency,
         seed=seed,
-    )
+    ).run()
     correct = cluster.correct_processes()
     total = mistake_stats(cluster.trace, correct, horizon=params.horizon)
     responsive_suspicions = sum(

@@ -23,7 +23,7 @@ from ..metrics import accuracy_stabilization
 from ..sim.latency import BiasedLatency, LogNormalLatency
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario
+from .scenarios import Scenario
 
 __all__ = ["F3Params", "SPEC", "run_cell", "tabulate"]
 
@@ -59,7 +59,7 @@ def run_cell(params: F3Params, coords: dict, seed: int) -> dict:
         speedup=coords["speedup"],
         bidirectional=True,
     )
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=params.detector,
         detector_params={"grace": params.grace, "idle": params.idle},
         n=params.n,
@@ -67,7 +67,7 @@ def run_cell(params: F3Params, coords: dict, seed: int) -> dict:
         horizon=params.horizon,
         latency=latency,
         seed=seed,
-    )
+    ).run()
     correct = cluster.correct_processes()
     ratio = winning_ratio(cluster.trace.rounds, params.favored)
     witness = find_mp_witness(

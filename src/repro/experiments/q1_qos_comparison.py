@@ -12,10 +12,9 @@ This is the first experiment written directly against the declarative
 :mod:`repro.experiments.api`: the detector axis defaults to **every**
 registered family (``detector_keys()``), so registering a new family —
 crash-recovery, ADD-channel ◇P, system-level diagnosis — adds it to this
-comparison with zero code changes here.  Families that require extra
-deployment context declare it on their spec (``required``); the only such
-knob today is the partial detector's range density ``d``, which a full
-mesh pins to ``n`` (every range is the whole system).
+comparison with zero code changes here.  Deployment context is not a
+knob: the partial detector's range density ``d`` comes from the graph, and
+a full mesh pins it to ``n`` (every range is the whole system).
 
 Expected shape: the timer families' detection time tracks their timeout
 (Θ-bound), the query families track Δ + δ; accuracy is ≈ 1.0 for everyone
@@ -49,7 +48,7 @@ from .api import (
     stat_mean,
 )
 from .report import Table
-from .scenarios import fault_plan_for, run_scenario, table_label
+from .scenarios import Scenario, fault_plan_for, table_label
 
 __all__ = ["Q1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -105,19 +104,27 @@ class Q1Params:
 def run_cell(params: Q1Params, coords: dict, seed: int) -> dict:
     detector = coords["detector"]
     victim = params.n  # symmetric under full mesh
-    spec = get_detector(detector)
-    # Full mesh: every range is the whole system, so the density is n.
-    detector_params = {"d": params.n} if "d" in spec.required else {}
+    detector_params = {}
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
     fault = coords.get("fault")
     if fault is not None:
-        if "retry" in spec.param_names():
+        if "retry" in get_detector(detector).param_names():
             # Query families stall when a partition or a burst eats the
             # quorum; the lossy-channel rebroadcast (QueryPacing.retry) is
             # the standard remedy.  Timer families have no such knob.
             detector_params["retry"] = 2.0
-        return _run_stress_cell(params, detector, detector_params, plan, fault, seed)
-    cluster = run_scenario(
+        # A stress cell: the scripted crash *plus* the named fault scenario,
+        # which never casts the crash victim a second time.
+        plan = plan.merged(
+            fault_plan_for(
+                fault,
+                members=range(1, params.n + 1),
+                f=params.f,
+                horizon=params.horizon,
+                exclude=(victim,),
+            )
+        )
+    cluster = Scenario(
         detector=detector,
         detector_params=detector_params,
         n=params.n,
@@ -126,14 +133,16 @@ def run_cell(params: Q1Params, coords: dict, seed: int) -> dict:
         latency=LogNormalLatency(params.delay_median, params.delay_sigma),
         fault_plan=plan,
         seed=seed,
-    )
+    ).run()
+    load = message_load(cluster.trace, horizon=params.horizon, n=params.n)
+    if fault is not None:
+        return _score_stress(params, cluster, plan, load)
     correct = cluster.correct_processes()
     crash = detection_stats(cluster.trace, victim, params.crash_at, correct)
     mistakes = mistake_stats(cluster.trace, correct, horizon=params.horizon)
     # With one survivor there are no monitored pairs and no accuracy to
     # speak of (n=2, f=1 is a legal grid) — report None, not a crash.
     pairs = len(correct) * (len(correct) - 1)
-    load = message_load(cluster.trace, horizon=params.horizon, n=params.n)
     return {
         "detect_mean": crash.mean_latency,
         "detect_max": crash.max_latency,
@@ -148,48 +157,18 @@ def run_cell(params: Q1Params, coords: dict, seed: int) -> dict:
     }
 
 
-def _run_stress_cell(
-    params: Q1Params,
-    detector: str,
-    detector_params: dict,
-    plan: FaultPlan,
-    fault: str,
-    seed: int,
-) -> dict:
-    """One stress cell: the scripted crash *plus* a named fault scenario,
-    scored against epoch ground truth (a suspicion of a down-but-recovering
-    node is correct until the recovery instant)."""
-    victim = params.n
-    members = tuple(range(1, params.n + 1))
-    plan = plan.merged(
-        fault_plan_for(
-            fault,
-            members=members,
-            f=params.f,
-            horizon=params.horizon,
-            exclude=(victim,),
-        )
-    )
-    cluster = run_scenario(
-        detector=detector,
-        detector_params=detector_params,
-        n=params.n,
-        f=params.f,
-        horizon=params.horizon,
-        latency=LogNormalLatency(params.delay_median, params.delay_sigma),
-        fault_plan=plan,
-        seed=seed,
-    )
+def _score_stress(params: Q1Params, cluster, plan: FaultPlan, load: dict) -> dict:
+    """A stress cell's scores against epoch ground truth (a suspicion of a
+    down-but-recovering node is correct until the recovery instant)."""
     windows = epoch_detection_stats(
         cluster.trace, plan, cluster.membership, horizon=params.horizon
     )
     crash = next(
-        w for w in windows if w.crashed == victim and w.crash_time == params.crash_at
+        w for w in windows if w.crashed == params.n and w.crash_time == params.crash_at
     )
     mistakes = epoch_mistake_stats(
         cluster.trace, plan, cluster.membership, horizon=params.horizon
     )
-    load = message_load(cluster.trace, horizon=params.horizon, n=params.n)
     alive_time = mistakes.alive_pair_time
     return {
         "detect_mean": crash.mean_latency,

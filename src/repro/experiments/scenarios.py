@@ -1,10 +1,11 @@
 """Canonical scenario builders shared by every experiment and benchmark.
 
-A scenario is: a topology, a latency model, a fault plan, and one detector
-deployed on every node.  :func:`run_scenario` assembles the cluster, runs it
-to the horizon and returns it (trace included).  The detector is named the
-way :class:`~repro.consensus.ConsensusHarness` and
-:class:`~repro.runtime.LocalCluster` name it: a **registry key** (see
+A :class:`Scenario` is one run as a value: a topology, a latency model, a
+fault plan, and one detector deployed on every node.  :meth:`Scenario.run`
+assembles the cluster, runs it to the horizon and returns it (trace
+included); :class:`~repro.consensus.ConsensusHarness` builds its cluster
+through the same value.  The detector is named the way
+:class:`~repro.runtime.LocalCluster` names it: a **registry key** (see
 :mod:`repro.detectors`) plus a dict of that family's typed params, where a
 knob the family lacks is a :class:`~repro.errors.ConfigurationError`.
 
@@ -22,7 +23,7 @@ from ..detectors import get_detector, sim_driver_factory
 from ..errors import ConfigurationError
 from ..ids import ProcessId
 from ..registry import Registry
-from ..sim.cluster import SimCluster
+from ..sim.cluster import DriverFactory, SimCluster
 from ..sim.faults import (
     CrashFault,
     FaultPlan,
@@ -38,7 +39,7 @@ from ..sim.topology import Topology
 __all__ = [
     "FaultScenario",
     "FAULT_SCENARIOS",
-    "run_scenario",
+    "Scenario",
     "table_label",
     "register_fault_scenario",
     "get_fault_scenario",
@@ -238,50 +239,74 @@ register_fault_scenario(
 )
 
 
-def run_scenario(
-    *,
-    detector: str,
-    detector_params: Mapping[str, Any] | None = None,
-    f: int,
-    horizon: float,
-    n: int | None = None,
-    topology: Topology | None = None,
-    latency: LatencyModel | None = None,
-    fault_plan: FaultPlan | None = None,
-    seed: int = 1,
-    loss_rate: float = 0.0,
-    start_stagger: float | None = None,
-) -> SimCluster:
-    """Build the cluster, run it to ``horizon``, return it (trace inside).
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    """One simulated run as a value: the only way an experiment builds a cluster.
 
     ``detector`` is a registry key and ``detector_params`` that family's
     typed knobs; one the family lacks raises :class:`ConfigurationError`.
-    The cluster comes back closed (:meth:`SimCluster.close`): its trace,
-    ``drivers`` and ``suspects_of`` read as before, and it cannot run again.
-    Hand-over rule (docs/scenarios.md): ``topology`` becomes the cluster's graph
-    (mobility faults rewire it) and should be the caller's only live one.  A cell
-    reads what it reports about the graph it validated first, then passes
-    ``Topology.copy()`` (the edge replay the goldens' bytes rest on) and drops it.
+    The deployment is ``n`` (a full mesh) or ``topology``; its range
+    density is the detector's ``d`` (read by the host, never passed).
+    ``latency`` defaults to the paper's δ ≈ 1 ms exponential delays and
+    ``start_stagger`` to ``max(1 s, grace, period)``.
+
+    Hand-over rule (docs/scenarios.md): ``topology`` becomes the cluster's
+    graph (mobility faults rewire it), so a scenario with a topology runs
+    once, and that graph should be the caller's only live one.  A cell reads
+    what it reports about the graph it validated first, then passes
+    ``Topology.copy()`` (the edge replay the goldens' bytes rest on) and
+    drops the original.
     """
-    params = get_detector(detector).make_params(**(detector_params or {}))
-    if latency is None:
-        latency = ExponentialLatency(mean=0.001)  # the paper's δ ≈ 1 ms
-    if start_stagger is None:
-        # Desynchronise rounds/heartbeats by up to one period by default;
-        # never under 1 s (docs/scenarios.md, "Start stagger").
-        start_stagger = max(
-            1.0, getattr(params, "grace", 0.0), getattr(params, "period", 0.0)
+
+    detector: str
+    detector_params: Mapping[str, Any] | None = None
+    n: int | None = None
+    topology: Topology | None = None
+    f: int
+    latency: LatencyModel | None = None
+    fault_plan: FaultPlan | None = None
+    seed: int = 1
+    loss_rate: float = 0.0
+    start_stagger: float | None = None
+    horizon: float
+
+    def cluster(
+        self, wrap: Callable[[DriverFactory], DriverFactory] | None = None
+    ) -> SimCluster:
+        """The built, unrun cluster.
+
+        ``wrap`` maps the detector's driver factory to the one every node is
+        built with: the seam for a driver that hosts the detector inside a
+        larger one (the consensus harness's composite node).
+        """
+        params = get_detector(self.detector).make_params(**(self.detector_params or {}))
+        start_stagger = self.start_stagger
+        if start_stagger is None:
+            # Desynchronise rounds/heartbeats by up to one period by default;
+            # never under 1 s (docs/scenarios.md, "Start stagger").
+            start_stagger = max(
+                1.0, getattr(params, "grace", 0.0), getattr(params, "period", 0.0)
+            )
+        factory = sim_driver_factory(self.detector, self.f, params)
+        return SimCluster(
+            n=self.n,
+            topology=self.topology,
+            driver_factory=factory if wrap is None else wrap(factory),
+            # the paper's δ ≈ 1 ms
+            latency=self.latency if self.latency is not None else ExponentialLatency(mean=0.001),
+            seed=self.seed,
+            fault_plan=self.fault_plan,
+            loss_rate=self.loss_rate,
+            start_stagger=start_stagger,
         )
-    cluster = SimCluster(
-        n=n,
-        topology=topology,
-        driver_factory=sim_driver_factory(detector, f, params),
-        latency=latency,
-        seed=seed,
-        fault_plan=fault_plan,
-        loss_rate=loss_rate,
-        start_stagger=start_stagger,
-    )
-    cluster.run(until=horizon)
-    cluster.close()
-    return cluster
+
+    def run(self) -> SimCluster:
+        """Build the cluster, run it to ``horizon``, return it closed.
+
+        :meth:`SimCluster.close` has run: the trace, ``drivers`` and
+        ``suspects_of`` read as before, and the cluster cannot run again.
+        """
+        cluster = self.cluster()
+        cluster.run(until=self.horizon)
+        cluster.close()
+        return cluster

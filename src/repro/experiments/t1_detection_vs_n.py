@@ -30,7 +30,7 @@ from .api import (
     stat_mean,
 )
 from .report import Table
-from .scenarios import run_scenario
+from .scenarios import Scenario
 
 __all__ = ["T1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -56,14 +56,14 @@ def run_cell(params: T1Params, coords: dict, seed: int) -> dict:
     f = max(1, int(n * params.f_fraction))
     victim = n  # crash the highest id; ids are symmetric under full mesh
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=coords["detector"],
         n=n,
         f=f,
         horizon=params.horizon,
         fault_plan=plan,
         seed=seed,
-    )
+    ).run()
     stats = detection_stats(
         cluster.trace, victim, params.crash_at, cluster.correct_processes()
     )

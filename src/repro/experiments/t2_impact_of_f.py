@@ -18,7 +18,7 @@ from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario
+from .scenarios import Scenario
 
 __all__ = ["T2Params", "SPEC", "run_cell", "tabulate"]
 
@@ -45,7 +45,7 @@ def run_cell(params: T2Params, coords: dict, seed: int) -> dict:
     f = coords["f"]
     victim = params.n
     plan = FaultPlan.of(crashes=[CrashFault(victim, params.crash_at)])
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=params.detector,
         n=params.n,
         f=f,
@@ -53,7 +53,7 @@ def run_cell(params: T2Params, coords: dict, seed: int) -> dict:
         latency=LogNormalLatency(params.delay_median, params.delay_sigma),
         fault_plan=plan,
         seed=seed,
-    )
+    ).run()
     stats = detection_stats(
         cluster.trace, victim, params.crash_at, cluster.correct_processes()
     )

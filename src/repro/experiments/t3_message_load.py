@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..metrics import message_load
 from .api import Banded, DetectorAxis, ExperimentSpec, Metric, Monotone, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import run_scenario, table_label
+from .scenarios import Scenario, table_label
 
 __all__ = ["T3Params", "SPEC", "run_cell", "tabulate"]
 
@@ -51,13 +51,13 @@ class T3Params:
 def run_cell(params: T3Params, coords: dict, seed: int) -> dict:
     n = coords["n"]
     f = max(1, int(n * params.f_fraction))
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=coords["detector"],
         n=n,
         f=f,
         horizon=params.horizon,
         seed=seed,
-    )
+    ).run()
     load = message_load(cluster.trace, horizon=params.horizon, n=n)
     kinds = {k: v for k, v in load.items() if k != "total"}
     dominant = max(kinds, key=kinds.get) if kinds else "-"

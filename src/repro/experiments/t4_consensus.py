@@ -23,6 +23,7 @@ from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import ExponentialLatency
 from .api import DetectorAxis, ExperimentSpec, FixedAxis, Metric, register_experiment
 from .report import Table
+from .scenarios import Scenario
 
 __all__ = ["T4Params", "SPEC", "run_cell", "tabulate"]
 
@@ -71,18 +72,18 @@ def run_cell(params: T4Params, coords: dict, seed: int) -> dict:
     else:
         # Process 1 coordinates round 1; crash it before anyone proposes.
         plan = FaultPlan.of(crashes=[CrashFault(1, 0.001)])
-    harness = ConsensusHarness(
-        n=params.n,
-        f=params.f,
-        protocol="ct",
+    scenario = Scenario(
         detector=coords["detector"],
         detector_params=_timing(params, coords["detector"]),
+        n=params.n,
+        f=params.f,
         latency=ExponentialLatency(params.delay_mean),
-        seed=seed,
         fault_plan=plan,
-        propose_at=0.01,
+        seed=seed,
+        start_stagger=0.0,
+        horizon=params.horizon,
     )
-    result = harness.run(until=params.horizon)
+    result = ConsensusHarness(scenario, protocol="ct", propose_at=0.01).run()
     outcome = result.instances[0]
     correct_rounds = [
         r for pid, r in outcome.rounds_executed.items() if pid in result.correct

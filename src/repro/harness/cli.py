@@ -395,8 +395,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         corrupt_before = cache.corrupt if cache is not None else 0
         try:
             # Misconfiguration can also surface while the grid wires up its
-            # detectors (e.g. a family with a required param like partial's
-            # `d` swept onto an experiment that cannot supply it).
+            # detectors (e.g. a knob the swept family lacks, set by the
+            # experiment's cells).
             if args.stream:
                 from .streaming import run_grid_streaming
 

@@ -374,25 +374,31 @@ def bench_consensus(n: int) -> float:
     decision-ledger bookkeeping together.
     """
     from ..consensus import ConsensusHarness
+    from ..experiments.scenarios import Scenario
     from ..metrics import consensus_message_load, consensus_stats
     from ..sim.latency import LogNormalLatency
 
     size = 16
     horizon = max(10.0, n / 12_000)
-    harness = ConsensusHarness(
+    scenario = Scenario(
+        detector="time-free",
         n=size,
         f=5,
-        protocol="ct",
-        detector="time-free",
         latency=LogNormalLatency(median=0.001, sigma=0.5),
         seed=13,
+        start_stagger=0.0,
+        horizon=horizon,
+    )
+    harness = ConsensusHarness(
+        scenario,
+        protocol="ct",
         instances=max(2, int(horizon // 2)),
         propose_at=0.5,
         instance_gap=2.0,
     )
 
     def run() -> None:
-        result = harness.run(until=horizon)
+        result = harness.run()
         consensus_stats(result)
         consensus_message_load(harness.cluster.trace, horizon=horizon, n=size)
 

@@ -139,9 +139,12 @@ class DetectorService:
                 f"for detector {detector!r}, not both"
             )
         resolved = spec.make_params(**params)
-        spec.check_required(resolved)
+        # The runtime's deployment is a full mesh: every range is all of it.
         context = DetectorContext(
-            process_id=config.process_id, membership=config.membership, f=config.f
+            process_id=config.process_id,
+            membership=config.membership,
+            f=config.f,
+            range_density=len(config.membership),
         )
         built = spec.build(context, resolved)
         if spec.mode is DetectorMode.QUERY:

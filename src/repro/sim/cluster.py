@@ -5,7 +5,7 @@ trace together from a handful of declarative parameters, so experiments and
 tests read as *what* is simulated rather than *how*.  The driver factory
 picks the detector under test; every registered family enters through
 :func:`repro.detectors.sim_driver_factory` (``sim_driver_factory("partial",
-f, d=d)`` for the learned view, ``sim_driver_factory("heartbeat", f,
+f)`` for the learned view, ``sim_driver_factory("heartbeat", f,
 period=..., timeout=...)`` for a baseline).
 """
 
@@ -52,6 +52,10 @@ class SimCluster:
             topology = full_mesh(range(1, int(n) + 1))
         self.topology = topology
         self.membership = frozenset(topology.ids())
+        #: the deployment's range density d (min degree + 1), read before any
+        #: driver is built and before late joiners are isolated or a fault
+        #: rewires the graph; the detector host hands it to every core
+        self.range_density = topology.range_density()
         self.scheduler = Scheduler()
         self.rng = RngStreams(seed)
         self.trace = TraceRecorder()

@@ -1,4 +1,4 @@
-"""What a running MANET cell holds: one graph (run_scenario's hand-over rule).
+"""What a running MANET cell holds: one graph (the Scenario hand-over rule).
 
 Counts and shapes only, no clock and no byte threshold.  e1 and e2 build a
 ``Topology``, validate it and run the cluster on ``Topology.copy()``; before

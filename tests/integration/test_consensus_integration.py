@@ -10,32 +10,34 @@ from repro.consensus.protocol import ChandraTouegConsensus, ConsensusConfig
 from repro.consensus.sim_runner import ConsensusNodeDriver
 from repro.core.effects import SendTo
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.scenarios import Scenario
 from repro.sim import ExponentialLatency
 from repro.sim.faults import CrashFault, FaultPlan
 
 
 def harness(
     n=5, f=2, *, detector="time-free", detector_params=None,
-    fault_plan=None, seed=1, proposals=None,
+    fault_plan=None, seed=1, proposals=None, horizon=60.0,
 ):
     if detector_params is None:
         detector_params = {"grace": 0.05}
-    return ConsensusHarness(
-        n=n,
-        f=f,
+    scenario = Scenario(
         detector=detector,
         detector_params=detector_params,
+        n=n,
+        f=f,
         latency=ExponentialLatency(0.001),
-        seed=seed,
         fault_plan=fault_plan,
-        proposals=proposals,
-        propose_at=0.01,
+        seed=seed,
+        start_stagger=0.0,
+        horizon=horizon,
     )
+    return ConsensusHarness(scenario, proposals=proposals, propose_at=0.01)
 
 
 class TestFaultFree:
     def test_all_decide_quickly_with_agreement_and_validity(self):
-        result = harness().run(until=30.0)
+        result = harness(horizon=30.0).run()
         assert result.instances[0].all_correct_decided
         assert result.agreement_holds
         assert result.validity_holds
@@ -43,25 +45,25 @@ class TestFaultFree:
 
     def test_custom_proposals_respected(self):
         proposals = {pid: pid * 100 for pid in range(1, 6)}
-        result = harness(proposals=proposals).run(until=30.0)
+        result = harness(proposals=proposals, horizon=30.0).run()
         assert set(result.instances[0].decisions.values()) <= set(proposals.values())
 
     def test_single_round_suffices(self):
-        result = harness().run(until=30.0)
+        result = harness(horizon=30.0).run()
         assert max(result.instances[0].rounds_executed.values()) <= 2
 
 
 class TestCoordinatorCrash:
     def test_crash_before_proposing(self):
         plan = FaultPlan.of(crashes=[CrashFault(1, 0.001)])
-        result = harness(fault_plan=plan).run(until=60.0)
+        result = harness(fault_plan=plan).run()
         assert result.instances[0].all_correct_decided
         assert result.agreement_holds
         assert result.validity_holds
 
     def test_two_consecutive_coordinators_crash(self):
         plan = FaultPlan.of(crashes=[CrashFault(1, 0.001), CrashFault(2, 0.001)])
-        result = harness(fault_plan=plan).run(until=60.0)
+        result = harness(fault_plan=plan).run()
         outcome = result.instances[0]
         assert outcome.all_correct_decided
         assert result.agreement_holds
@@ -72,7 +74,7 @@ class TestCoordinatorCrash:
 
     def test_crash_mid_run_of_non_coordinator(self):
         plan = FaultPlan.of(crashes=[CrashFault(4, 0.05)])
-        result = harness(fault_plan=plan).run(until=60.0)
+        result = harness(fault_plan=plan).run()
         assert result.instances[0].all_correct_decided
         assert result.agreement_holds
 
@@ -80,13 +82,13 @@ class TestCoordinatorCrash:
         # The motivating comparison: recovery speed is one query round for
         # the time-free detector vs a full Θ for the heartbeat detector.
         plan = FaultPlan.of(crashes=[CrashFault(1, 0.001)])
-        tf = harness(fault_plan=plan, seed=2).run(until=60.0).instances[0]
+        tf = harness(fault_plan=plan, seed=2).run().instances[0]
         hb = harness(
             detector="heartbeat",
             detector_params={"period": 0.5, "timeout": 1.0},
             fault_plan=plan,
             seed=2,
-        ).run(until=60.0).instances[0]
+        ).run().instances[0]
         assert tf.all_correct_decided and hb.all_correct_decided
         assert tf.last_decision_time < hb.last_decision_time
 
@@ -97,7 +99,7 @@ class TestSafetyUnderBadDetectors:
         # an absurdly aggressive timeout (constant false suspicions).
         result = harness(
             detector="heartbeat", detector_params={"period": 0.5, "timeout": 0.0001}
-        ).run(until=60.0)
+        ).run()
         assert result.agreement_holds
         assert result.validity_holds
         # Termination is *not* asserted: ◇S accuracy is genuinely violated.
@@ -110,13 +112,16 @@ class TestConfigValidation:
 
     def test_missing_proposits_rejected(self):
         with pytest.raises(ConfigurationError):
-            ConsensusHarness(n=3, f=1, proposals={1: "a"})
+            ConsensusHarness(
+                Scenario(detector="time-free", n=3, f=1, horizon=1.0),
+                proposals={1: "a"},
+            )
 
 
 class TestTeardown:
     def test_a_harness_runs_once(self):
-        runner = harness()
-        result = runner.run(until=5.0)
+        runner = harness(horizon=5.0)
+        result = runner.run()
         assert result.instances[0].all_correct_decided
         assert runner.cluster.trace.messages_total > 0
         # Every ballot, instance 1's included, travels enveloped.
@@ -124,11 +129,11 @@ class TestTeardown:
         assert kinds["consensus.instance"] > 0
         assert not any(kind.startswith("ct.") for kind in kinds)
         with pytest.raises(SimulationError, match="closed"):
-            runner.run(until=10.0)
+            runner.run()
 
     def test_every_node_driver_is_released(self):
-        runner = harness()
-        runner.run(until=5.0)
+        runner = harness(horizon=5.0)
+        runner.run()
         for driver in runner.cluster.drivers.values():
             assert driver.fd_driver.suspicion_listeners == []
             assert driver.fd_driver.round_listeners == []

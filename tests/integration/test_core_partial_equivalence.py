@@ -32,7 +32,7 @@ def run_core(plan, seed=13, horizon=15.0):
 def run_partial(plan, seed=13, horizon=15.0):
     cluster = SimCluster(
         n=N,  # full mesh
-        driver_factory=sim_driver_factory("partial", F, d=N, **PACING),
+        driver_factory=sim_driver_factory("partial", F, **PACING),
         latency=ExponentialLatency(0.001),
         seed=seed,
         fault_plan=plan,

@@ -46,18 +46,13 @@ CRASH_AT = 6.0
 HORIZON = 25.0
 
 
-def family_params(key: str) -> dict:
-    """Per-family required knobs for a full-mesh n=6 deployment."""
-    # Full mesh: range density d = n recovers the DSN 2003 core exactly.
-    return {"d": N} if key == "partial" else {}
-
-
 def unified_driver_factory(key: str):
     def factory(process, cluster):
+        # Full mesh: range density d = n recovers the DSN 2003 core exactly.
         context = DetectorContext(
-            process_id=process.pid, membership=cluster.membership, f=F
+            process_id=process.pid, membership=cluster.membership, f=F, range_density=N
         )
-        built = build_detector(key, context, **family_params(key))
+        built = build_detector(key, context)
         return TimedDriver(process, built.unified())
 
     return factory
@@ -67,7 +62,7 @@ def build_cluster(key: str, *, unified: bool, fault_plan=None) -> SimCluster:
     if unified:
         driver_factory = unified_driver_factory(key)
     else:
-        driver_factory = sim_driver_factory(key, F, **family_params(key))
+        driver_factory = sim_driver_factory(key, F)
     return SimCluster(
         n=N,
         driver_factory=driver_factory,

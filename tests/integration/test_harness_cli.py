@@ -218,6 +218,7 @@ class TestRegistryPlugins:
         code = """
 import contextlib, io, json
 from repro.consensus import ConsensusHarness
+from repro.experiments.scenarios import Scenario
 from repro.harness import cli
 
 def run(*argv):
@@ -227,7 +228,8 @@ def run(*argv):
     return [line.split()[0] for line in out.getvalue().splitlines()]
 
 listed = [run("detectors"), run("protocols"), run("run", "t1", "--detector", "zz-heartbeat", "--dry-run")[0]]
-result = ConsensusHarness(n=4, f=1, protocol="zz-ct", detector="zz-heartbeat").run(until=20.0)
+scenario = Scenario(detector="zz-heartbeat", n=4, f=1, start_stagger=0.0, horizon=20.0)
+result = ConsensusHarness(scenario, protocol="zz-ct").run()
 print(json.dumps([*listed, result.instances[0].all_correct_decided]))
 """
         detectors, protocols, dry_run, decided = json.loads(
@@ -287,12 +289,17 @@ class TestDetectorSweep:
         assert main(argv) == 2
         assert "unknown detector" in capsys.readouterr().err
 
-    def test_detector_missing_required_param_fails_cleanly(self, tmp_path, capsys):
-        # `partial` is registered (passes key validation) but needs `d`,
-        # which t1 cannot supply — must exit 2, not traceback.
-        argv = ["run", "t1", "--detector", "partial", "--out", str(tmp_path), "--quiet"]
-        assert main(argv) == 2
-        assert "needs the parameter" in capsys.readouterr().err
+    def test_partial_runs_on_the_density_of_the_deployment(self, tmp_path):
+        # t1 passes no range density: the partial family reads d = n from
+        # the full mesh it is deployed on, and detects the crash.
+        argv = [
+            "run", "t1", "--detector", "partial", "-p", "sizes=[6]", "-p", "trials=1",
+            "--out", str(tmp_path), "--quiet", "--no-cache",
+        ]
+        assert main(argv) == 0
+        payload = json.loads((tmp_path / "BENCH_T1.json").read_text())
+        (cell,) = payload["cells"]
+        assert cell["value"]["mean"] is not None and cell["value"]["max"] is not None
 
     def test_bare_string_on_sequence_field_fails_cleanly(self, tmp_path, capsys):
         argv = ["run", "t1", "-p", "detectors=phi", "--out", str(tmp_path), "--quiet"]

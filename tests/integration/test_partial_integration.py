@@ -15,12 +15,10 @@ from repro.sim.faults import CrashFault, FaultPlan, MobilityFault
 from repro.sim.topology import grid, manet_topology, ring
 
 
-def build(topology, d, f, *, fault_plan=None, seed=1, grace=0.2, mobility=True):
+def build(topology, f, *, fault_plan=None, seed=1, grace=0.2, mobility=True):
     return SimCluster(
         topology=topology,
-        driver_factory=sim_driver_factory(
-            "partial", f, d=d, grace=grace, mobility=mobility
-        ),
+        driver_factory=sim_driver_factory("partial", f, grace=grace, mobility=mobility),
         latency=ExponentialLatency(0.001),
         seed=seed,
         fault_plan=fault_plan,
@@ -35,7 +33,7 @@ class TestFloodingCompleteness:
         # learn it through suspicion flooding.
         topology = ring(range(1, 10))
         plan = FaultPlan.of(crashes=[CrashFault(5, 3.0)])
-        cluster = build(topology, d=3, f=1, fault_plan=plan)
+        cluster = build(topology, f=1, fault_plan=plan)
         cluster.run(until=20.0)
         for pid in cluster.correct_processes():
             assert 5 in cluster.suspects_of(pid), f"{pid} never learned of the crash"
@@ -43,7 +41,7 @@ class TestFloodingCompleteness:
     def test_grid_crash_detected_everywhere(self):
         topology = grid(4, 4)  # d = 3 (corners have degree 2)
         plan = FaultPlan.of(crashes=[CrashFault(6, 3.0)])
-        cluster = build(topology, d=3, f=1, fault_plan=plan)
+        cluster = build(topology, f=1, fault_plan=plan)
         cluster.run(until=20.0)
         for pid in cluster.correct_processes():
             assert 6 in cluster.suspects_of(pid)
@@ -54,7 +52,7 @@ class TestFloodingCompleteness:
         validate_f_covering(topology, 2)
         d = topology.range_density()
         plan = FaultPlan.of(crashes=[CrashFault(7, 3.0), CrashFault(21, 5.0)])
-        cluster = build(topology, d=d, f=2, fault_plan=plan)
+        cluster = build(topology, f=2, fault_plan=plan)
         cluster.run(until=25.0)
         for crash in plan.crashes:
             stats = detection_stats(
@@ -64,7 +62,7 @@ class TestFloodingCompleteness:
 
     def test_membership_is_learned_not_configured(self):
         topology = ring(range(1, 6))
-        cluster = build(topology, d=3, f=1)
+        cluster = build(topology, f=1)
         cluster.run(until=10.0)
         for pid, driver in cluster.drivers.items():
             known = driver.detector.known()
@@ -106,9 +104,7 @@ class TestMobilityScenario:
                 )
             ]
         )
-        cluster = build(
-            topology, d=d, f=1, fault_plan=plan, mobility=mobility, grace=0.5
-        )
+        cluster = build(topology, f=1, fault_plan=plan, mobility=mobility, grace=0.5)
         return cluster, mover
 
     def test_moving_node_is_suspected_while_away(self):

@@ -1,10 +1,11 @@
 """Batched merges pinned to the per-record oracle.
 
-``SuspicionState.merge_query`` (and its ``merge_remote_suspicions`` /
-``merge_remote_mistakes`` conveniences) is the protocol-core hot path: one
-fused pass, allocation-free when every record is stale.  The per-record
-``merge_remote_suspicion`` / ``merge_remote_mistake`` methods are the
-audited reference implementation.  Hypothesis drives both over identical
+``SuspicionState.merge_query`` (called one-sided by the oracle's
+``merge_remote_suspicions`` / ``merge_remote_mistakes``) is the
+protocol-core hot path: one fused pass, allocation-free when every record
+is stale.  The per-record ``merge_remote_suspicion`` /
+``merge_remote_mistake`` of ``tests/reference_tags.py`` are the audited
+reference implementation.  Hypothesis drives both over identical
 random record streams — including self-accusations (refutation), repeated
 subjects within one stream, and tag ties (mistake-beats-suspicion) — and
 the resulting states must be indistinguishable, with the compact delta
@@ -15,6 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tags import EMPTY_DELTA, MergeOutcome, SuspicionState, TaggedSet
+from tests.reference_tags import (
+    merge_remote_mistake,
+    merge_remote_mistakes,
+    merge_remote_suspicion,
+    merge_remote_suspicions,
+)
 
 OWNER = 0
 #: Tiny id/tag spaces force collisions: repeated subjects inside one stream,
@@ -53,13 +60,13 @@ def oracle_merge(state: SuspicionState, suspected, mistakes):
     mistakes_adopted = []
     self_refuted = False
     for pid, tag in suspected:
-        result = state.merge_remote_suspicion(pid, tag)
+        result = merge_remote_suspicion(state, pid, tag)
         if result.outcome is MergeOutcome.SUSPICION_ADOPTED:
             suspicions_adopted.append(pid)
         elif result.outcome is MergeOutcome.SELF_REFUTED:
             self_refuted = True
     for pid, tag in mistakes:
-        result = state.merge_remote_mistake(pid, tag)
+        result = merge_remote_mistake(state, pid, tag)
         if result.outcome is MergeOutcome.MISTAKE_ADOPTED:
             mistakes_adopted.append(pid)
     return tuple(suspicions_adopted), tuple(mistakes_adopted), self_refuted
@@ -91,7 +98,7 @@ class TestMergeQueryMatchesOracle:
     def test_suspicion_batch_matches(self, pre_s, pre_m, counter, records):
         batched = seeded_state(pre_s, pre_m, counter)
         oracle = clone(batched)
-        delta = batched.merge_remote_suspicions(records)
+        delta = merge_remote_suspicions(batched, records)
         s_adopted, _, refuted = oracle_merge(oracle, records, ())
         assert_same_state(batched, oracle)
         assert delta.suspicions_adopted == s_adopted
@@ -103,7 +110,7 @@ class TestMergeQueryMatchesOracle:
     def test_mistake_batch_matches(self, pre_s, pre_m, counter, records):
         batched = seeded_state(pre_s, pre_m, counter)
         oracle = clone(batched)
-        delta = batched.merge_remote_mistakes(records)
+        delta = merge_remote_mistakes(batched, records)
         _, m_adopted, _ = oracle_merge(oracle, (), records)
         assert_same_state(batched, oracle)
         assert delta.suspicions_adopted == ()
@@ -128,7 +135,7 @@ class TestMergeQueryMatchesOracle:
         batched = SuspicionState(owner=OWNER, counter=counter)
         oracle = SuspicionState(owner=OWNER, counter=counter)
         delta = batched.merge_query(((OWNER, tag),), ())
-        oracle.merge_remote_suspicion(OWNER, tag)
+        merge_remote_suspicion(oracle, OWNER, tag)
         assert_same_state(batched, oracle)
         assert delta.self_refuted
         assert OWNER not in batched.suspected

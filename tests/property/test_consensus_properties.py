@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consensus import ConsensusHarness
+from repro.experiments.scenarios import Scenario
 from repro.sim import ExponentialLatency
 from repro.sim.faults import CrashFault, FaultPlan
 
@@ -46,15 +47,20 @@ class TestConsensusProperties:
             crashes=[CrashFault(pid, time) for pid, time in crashes]
         )
         harness = ConsensusHarness(
-            n=n,
-            f=f,
-            detector_params={"grace": 0.05},
-            latency=ExponentialLatency(0.001),
-            seed=seed,
-            fault_plan=plan,
+            Scenario(
+                detector="time-free",
+                detector_params={"grace": 0.05},
+                n=n,
+                f=f,
+                latency=ExponentialLatency(0.001),
+                fault_plan=plan,
+                seed=seed,
+                start_stagger=0.0,
+                horizon=120.0,
+            ),
             propose_at=0.01,
         )
-        result = harness.run(until=120.0)
+        result = harness.run()
         assert result.agreement_holds
         assert result.validity_holds
         assert result.instances[0].all_correct_decided
@@ -67,15 +73,20 @@ class TestConsensusProperties:
     def test_decision_is_some_proposed_value(self, seed, values):
         proposals = {pid: values[pid - 1] for pid in range(1, 6)}
         harness = ConsensusHarness(
-            n=5,
-            f=2,
-            detector_params={"grace": 0.05},
-            latency=ExponentialLatency(0.001),
-            seed=seed,
+            Scenario(
+                detector="time-free",
+                detector_params={"grace": 0.05},
+                n=5,
+                f=2,
+                latency=ExponentialLatency(0.001),
+                seed=seed,
+                start_stagger=0.0,
+                horizon=60.0,
+            ),
             proposals=proposals,
             propose_at=0.01,
         )
-        outcome = harness.run(until=60.0).instances[0]
+        outcome = harness.run().instances[0]
         assert outcome.all_correct_decided
         decided = set(outcome.decisions.values())
         assert len(decided) == 1

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DetectorConfig, TimeFreeDetector
+from tests.reference_tags import merge_remote_mistake, merge_remote_suspicion
 
 from ..helpers import InstantExchange
 
@@ -43,9 +44,9 @@ def seed_records(detectors, records, n):
     for subject, kind, tag, holder_index in records:
         holder = detectors[(holder_index % n) + 1]
         if kind == "suspicion":
-            holder.state.merge_remote_suspicion(subject, tag)
+            merge_remote_suspicion(holder.state, subject, tag)
         else:
-            holder.state.merge_remote_mistake(subject, tag)
+            merge_remote_mistake(holder.state, subject, tag)
 
 
 def expected_winner(records_for_subject):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tags import MergeOutcome, SuspicionState
+from tests.reference_tags import merge_remote_mistake, merge_remote_suspicion
 
 OWNER = 0
 PIDS = st.integers(min_value=0, max_value=6)
@@ -32,9 +33,9 @@ OPERATIONS = st.one_of(
 def apply_operations(state: SuspicionState, operations) -> None:
     for op, pid, tag in operations:
         if op == "remote_suspicion":
-            state.merge_remote_suspicion(pid, tag)
+            merge_remote_suspicion(state, pid, tag)
         elif op == "remote_mistake":
-            state.merge_remote_mistake(pid, tag)
+            merge_remote_mistake(state, pid, tag)
         elif op == "local_suspicion":
             if pid not in state.suspected:
                 state.suspect_locally(pid)
@@ -79,24 +80,24 @@ class TestFreshnessMonotonicity:
     @given(PIDS.filter(lambda p: p != OWNER), TAGS, TAGS)
     def test_stored_tag_never_regresses(self, pid, first, second):
         state = SuspicionState(owner=OWNER)
-        state.merge_remote_suspicion(pid, first)
-        state.merge_remote_suspicion(pid, second)
+        merge_remote_suspicion(state, pid, first)
+        merge_remote_suspicion(state, pid, second)
         assert state.suspected.tag_of(pid) == max(first, second)
 
     @given(PIDS.filter(lambda p: p != OWNER), TAGS, TAGS)
     def test_mistake_tag_never_regresses(self, pid, first, second):
         state = SuspicionState(owner=OWNER)
-        state.merge_remote_mistake(pid, first)
-        state.merge_remote_mistake(pid, second)
+        merge_remote_mistake(state, pid, first)
+        merge_remote_mistake(state, pid, second)
         assert state.mistakes.tag_of(pid) == max(first, second)
 
     @given(PIDS.filter(lambda p: p != OWNER), TAGS)
     def test_merge_is_idempotent(self, pid, tag):
         state_once = SuspicionState(owner=OWNER)
-        state_once.merge_remote_suspicion(pid, tag)
+        merge_remote_suspicion(state_once, pid, tag)
         state_twice = SuspicionState(owner=OWNER)
-        state_twice.merge_remote_suspicion(pid, tag)
-        state_twice.merge_remote_suspicion(pid, tag)
+        merge_remote_suspicion(state_twice, pid, tag)
+        merge_remote_suspicion(state_twice, pid, tag)
         assert state_once.suspected == state_twice.suspected
         assert state_once.mistakes == state_twice.mistakes
 
@@ -107,24 +108,24 @@ class TestFreshnessMonotonicity:
         forward = SuspicionState(owner=OWNER)
         backward = SuspicionState(owner=OWNER)
         for pid, tag in records:
-            forward.merge_remote_suspicion(pid, tag)
+            merge_remote_suspicion(forward, pid, tag)
         for pid, tag in reversed(records):
-            backward.merge_remote_suspicion(pid, tag)
+            merge_remote_suspicion(backward, pid, tag)
         assert forward.suspected == backward.suspected
 
     @given(PIDS.filter(lambda p: p != OWNER), TAGS)
     def test_tie_goes_to_the_mistake(self, pid, tag):
         state = SuspicionState(owner=OWNER)
-        state.merge_remote_suspicion(pid, tag)
-        result = state.merge_remote_mistake(pid, tag)
+        merge_remote_suspicion(state, pid, tag)
+        result = merge_remote_mistake(state, pid, tag)
         assert result.outcome is MergeOutcome.MISTAKE_ADOPTED
         assert pid not in state.suspected
 
     @given(PIDS.filter(lambda p: p != OWNER), TAGS)
     def test_tie_does_not_go_to_the_suspicion(self, pid, tag):
         state = SuspicionState(owner=OWNER)
-        state.merge_remote_mistake(pid, tag)
-        result = state.merge_remote_suspicion(pid, tag)
+        merge_remote_mistake(state, pid, tag)
+        result = merge_remote_suspicion(state, pid, tag)
         assert result.outcome is MergeOutcome.IGNORED
         assert pid not in state.suspected
 
@@ -133,7 +134,7 @@ class TestRefutation:
     @given(TAGS)
     def test_self_accusation_always_refuted_with_greater_tag(self, tag):
         state = SuspicionState(owner=OWNER)
-        result = state.merge_remote_suspicion(OWNER, tag)
+        result = merge_remote_suspicion(state, OWNER, tag)
         assert result.outcome is MergeOutcome.SELF_REFUTED
         assert state.mistakes.tag_of(OWNER) > tag
 
@@ -141,5 +142,5 @@ class TestRefutation:
     def test_repeated_accusations_keep_counter_ahead(self, tags):
         state = SuspicionState(owner=OWNER)
         for tag in tags:
-            state.merge_remote_suspicion(OWNER, tag)
+            merge_remote_suspicion(state, OWNER, tag)
         assert state.counter > max(tags) or state.mistakes.tag_of(OWNER) >= max(tags)

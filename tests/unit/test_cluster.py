@@ -6,7 +6,7 @@ import pytest
 
 from repro.consensus import ConsensusHarness
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.scenarios import run_scenario
+from repro.experiments.scenarios import Scenario
 from repro.harness import get_spec, run_grid
 from repro.detectors import sim_driver_factory
 from repro.sim import ConstantLatency, SimCluster, SimProcess
@@ -155,12 +155,12 @@ class TestElectorDiscovery:
 
 
 def lossy_cell():
-    """An a2-shaped ``run_scenario`` (retries, loss, a crash)."""
-    return run_scenario(
+    """An a2-shaped ``Scenario`` run (retries, loss, a crash)."""
+    return Scenario(
         detector="time-free", detector_params={"grace": 0.2, "idle": 0.1, "retry": 0.3},
         n=6, f=1, horizon=6.0, seed=3, loss_rate=0.2,
         fault_plan=FaultPlan.of(crashes=[CrashFault(6, 2.0)]),
-    )
+    ).run()
 
 
 def trace_state(trace):

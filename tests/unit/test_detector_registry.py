@@ -32,12 +32,10 @@ BUILTIN_KEYS = {
 
 
 def ctx(pid=1, n=4, f=1) -> DetectorContext:
-    return DetectorContext(process_id=pid, membership=frozenset(range(1, n + 1)), f=f)
-
-
-def build_kwargs(key: str, n: int = 4) -> dict:
-    """Per-family required knobs (only partial has one)."""
-    return {"d": n} if key == "partial" else {}
+    """A full-mesh deployment: every range is all n processes."""
+    return DetectorContext(
+        process_id=pid, membership=frozenset(range(1, n + 1)), f=f, range_density=n
+    )
 
 
 class TestRegistryLookup:
@@ -124,7 +122,7 @@ class TestMakeParams:
 class TestBuild:
     @pytest.mark.parametrize("key", sorted(BUILTIN_KEYS))
     def test_core_matches_declared_mode(self, key):
-        built = build_detector(key, ctx(), **build_kwargs(key))
+        built = build_detector(key, ctx())
         assert isinstance(built, BuiltDetector)
         assert built.core.process_id == 1
         assert built.core.suspects() == frozenset()
@@ -132,10 +130,6 @@ class TestBuild:
             assert isinstance(built.core, QueryDetectorCore)
         else:
             assert isinstance(built.core, TimedProtocolCore)
-
-    def test_partial_requires_d(self):
-        with pytest.raises(ConfigurationError, match="range density"):
-            build_detector("partial", ctx())
 
     def test_time_free_with_omega_attaches_elector(self):
         built = build_detector("time-free", ctx(), with_omega=True)
@@ -157,7 +151,7 @@ class TestUnifiedFacade:
     def test_every_family_exposes_unified_core(self, key):
         from repro.detectors import DetectorCore
 
-        built = build_detector(key, ctx(), **build_kwargs(key))
+        built = build_detector(key, ctx())
         core = built.unified()
         assert isinstance(core, DetectorCore)
         effects = core.start(0.0)

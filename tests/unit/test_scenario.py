@@ -1,16 +1,20 @@
-"""``run_scenario`` names its detector by registry key and typed params.
+"""A ``Scenario`` names its detector by registry key and typed params.
 
-The same ``detector`` / ``detector_params`` pair ``ConsensusHarness`` and
-``LocalCluster`` take: a knob the family lacks is an error, never silently
-dropped, and the four comparable families keep their table labels.
+The same ``detector`` / ``detector_params`` pair ``LocalCluster`` takes: a
+knob the family lacks is an error, never silently dropped, and the four
+comparable families keep their table labels.  The range density is the
+deployment's, never a knob.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import a1_grace_ablation, scenarios
-from repro.experiments.scenarios import run_scenario, table_label
+from repro.experiments.scenarios import Scenario, table_label
 from repro.sim.node import QueryResponseDriver, TimedDriver
+from repro.sim.topology import ring
 
 
 def test_table_label_keeps_the_four_comparable_labels():
@@ -26,30 +30,30 @@ def test_any_other_key_labels_itself(key):
 
 
 def test_plain_key_runs_on_the_family_defaults():
-    cluster = run_scenario(detector="heartbeat", f=1, n=4, horizon=3.0)
+    cluster = Scenario(detector="heartbeat", f=1, n=4, horizon=3.0).run()
     assert isinstance(cluster.drivers[1], TimedDriver)
     assert cluster.drivers[1].core.timeout_of(2) == 2.0
     assert cluster.suspects_of(1) == frozenset()
 
 
 def test_typed_params_reach_the_driver():
-    cluster = run_scenario(
+    cluster = Scenario(
         detector="time-free", detector_params={"retry": 0.5}, f=1, n=4, horizon=1.0
-    )
+    ).run()
     driver = cluster.drivers[1]
     assert isinstance(driver, QueryResponseDriver)
     assert driver.core.pacing.retry == 0.5
 
 
 def driver_of(detector, **params):
-    cluster = run_scenario(
+    cluster = Scenario(
         detector=detector, detector_params=params, f=1, n=5, horizon=0.1
-    )
+    ).run()
     return cluster.drivers[1]
 
 
 class TestDriverFromKey:
-    """Each family's typed knobs reach the simulated driver ``run_scenario`` builds."""
+    """Each family's typed knobs reach the simulated driver a ``Scenario`` builds."""
 
     def test_time_free_builds_query_driver(self):
         driver = driver_of("time-free")
@@ -76,7 +80,7 @@ class TestDriverFromKey:
         assert driver_of("phi", threshold=5.0).core.threshold == 5.0
 
     def test_partial_kind_builds_query_driver(self):
-        assert isinstance(driver_of("partial", d=5), QueryResponseDriver)
+        assert isinstance(driver_of("partial"), QueryResponseDriver)
 
     def test_the_flat_phi_threshold_name_is_an_error(self):
         with pytest.raises(ConfigurationError, match=r"\['phi_threshold'\]"):
@@ -85,17 +89,45 @@ class TestDriverFromKey:
 
 def test_a_knob_the_family_lacks_is_an_error():
     with pytest.raises(ConfigurationError, match=r"unknown parameter\(s\) \['grace'\]"):
-        run_scenario(detector="heartbeat", detector_params={"grace": 0.5}, f=1, n=4, horizon=1.0)
+        Scenario(
+            detector="heartbeat", detector_params={"grace": 0.5}, f=1, n=4, horizon=1.0
+        ).run()
 
 
-def test_a_required_knob_must_be_given():
-    with pytest.raises(ConfigurationError, match="needs the parameter"):
-        run_scenario(detector="partial", f=1, n=4, horizon=1.0)
+def test_the_range_density_is_not_a_knob():
+    with pytest.raises(ConfigurationError, match=r"unknown parameter\(s\) \['d'\]"):
+        Scenario(detector="partial", detector_params={"d": 4}, f=1, n=4, horizon=1.0).run()
+
+
+def test_partial_reads_d_from_a_full_mesh():
+    cluster = Scenario(detector="partial", f=1, n=4, horizon=0.1).run()
+    assert cluster.drivers[1].detector.config.range_density == 4
+
+
+def test_partial_on_a_ring_reads_d_from_the_graph():
+    # A ring's smallest range is a node and its two neighbours: d = 3,
+    # quorum d - f = 2.  Nobody passes d.
+    cluster = Scenario(
+        detector="partial", topology=ring(range(1, 8)), f=1, horizon=0.1
+    ).run()
+    assert {driver.detector.config.range_density for driver in cluster.drivers.values()} == {3}
+    assert cluster.drivers[1].detector.config.quorum == 2
+
+
+def test_a_scenario_is_a_frozen_value_and_runs_once_per_cluster():
+    scenario = Scenario(detector="heartbeat", f=1, n=3, horizon=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.horizon = 1.0  # type: ignore[misc]
+    first, second = scenario.run(), scenario.run()
+    assert first is not second
+    assert first.trace.messages_total == second.trace.messages_total > 0
+    with pytest.raises(SimulationError, match="closed"):
+        first.run(until=1.0)
 
 
 def test_unknown_key_raises():
     with pytest.raises(ConfigurationError, match="unknown detector"):
-        run_scenario(detector="carrier-pigeon", f=1, n=4, horizon=1.0)
+        Scenario(detector="carrier-pigeon", f=1, n=4, horizon=1.0).run()
 
 
 def test_a1_on_a_timer_family_names_the_knobs_it_lacks():
@@ -125,5 +157,5 @@ def test_default_stagger_is_one_second_or_the_longer_period(
         return real(**kwargs)
 
     monkeypatch.setattr(scenarios, "SimCluster", spy)
-    run_scenario(detector=detector, detector_params=params, f=1, n=3, horizon=0.1)
+    Scenario(detector=detector, detector_params=params, f=1, n=3, horizon=0.1).run()
     assert seen == [stagger]

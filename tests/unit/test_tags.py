@@ -8,6 +8,12 @@ import pytest
 
 from repro.core import tags
 from repro.core.tags import EMPTY_DELTA, MergeDelta, MergeOutcome, SuspicionState, TaggedSet
+from tests.reference_tags import (
+    merge_remote_mistake,
+    merge_remote_mistakes,
+    merge_remote_suspicion,
+    merge_remote_suspicions,
+)
 
 
 class TestTaggedSet:
@@ -109,27 +115,27 @@ class TestRemoteSuspicionMerge:
 
     def test_unknown_process_is_adopted(self):
         state = SuspicionState(owner=1)
-        result = state.merge_remote_suspicion(3, 7)
+        result = merge_remote_suspicion(state, 3, 7)
         assert result.outcome is MergeOutcome.SUSPICION_ADOPTED
         assert state.suspected.tag_of(3) == 7
 
     def test_strictly_newer_tag_replaces_older_suspicion(self):
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(3, 5)
-        state.merge_remote_suspicion(3, 9)
+        merge_remote_suspicion(state, 3, 5)
+        merge_remote_suspicion(state, 3, 9)
         assert state.suspected.tag_of(3) == 9
 
     def test_equal_tag_suspicion_is_ignored(self):
         # Line 22 requires counter < counter_x (strict).
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(3, 5)
-        result = state.merge_remote_suspicion(3, 5)
+        merge_remote_suspicion(state, 3, 5)
+        result = merge_remote_suspicion(state, 3, 5)
         assert result.outcome is MergeOutcome.IGNORED
 
     def test_older_tag_is_ignored(self):
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(3, 5)
-        result = state.merge_remote_suspicion(3, 4)
+        merge_remote_suspicion(state, 3, 5)
+        result = merge_remote_suspicion(state, 3, 4)
         assert result.outcome is MergeOutcome.IGNORED
         assert state.suspected.tag_of(3) == 5
 
@@ -137,14 +143,14 @@ class TestRemoteSuspicionMerge:
         # Lines 27-28: adopting a suspicion removes the mistake record.
         state = SuspicionState(owner=1)
         state.mistakes.add(3, 4)
-        result = state.merge_remote_suspicion(3, 6)
+        result = merge_remote_suspicion(state, 3, 6)
         assert result.outcome is MergeOutcome.SUSPICION_ADOPTED
         assert 3 not in state.mistakes
 
     def test_suspicion_not_newer_than_mistake_is_ignored(self):
         state = SuspicionState(owner=1)
         state.mistakes.add(3, 6)
-        result = state.merge_remote_suspicion(3, 6)
+        result = merge_remote_suspicion(state, 3, 6)
         assert result.outcome is MergeOutcome.IGNORED
         assert 3 in state.mistakes
 
@@ -152,7 +158,7 @@ class TestRemoteSuspicionMerge:
         # Lines 23-25: pi adds itself to mistake_i with counter past the tag.
         state = SuspicionState(owner=1)
         state.counter = 2
-        result = state.merge_remote_suspicion(1, 10)
+        result = merge_remote_suspicion(state, 1, 10)
         assert result.outcome is MergeOutcome.SELF_REFUTED
         assert state.counter == 11
         assert state.mistakes.tag_of(1) == 11
@@ -161,15 +167,15 @@ class TestRemoteSuspicionMerge:
     def test_self_refutation_keeps_higher_local_counter(self):
         state = SuspicionState(owner=1)
         state.counter = 50
-        state.merge_remote_suspicion(1, 10)
+        merge_remote_suspicion(state, 1, 10)
         assert state.counter == 50
         assert state.mistakes.tag_of(1) == 50
 
     def test_stale_self_suspicion_is_ignored_after_refutation(self):
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(1, 10)
+        merge_remote_suspicion(state, 1, 10)
         refuted_tag = state.mistakes.tag_of(1)
-        result = state.merge_remote_suspicion(1, 10)
+        result = merge_remote_suspicion(state, 1, 10)
         assert result.outcome is MergeOutcome.IGNORED
         assert state.mistakes.tag_of(1) == refuted_tag
 
@@ -179,30 +185,30 @@ class TestRemoteMistakeMerge:
 
     def test_unknown_process_mistake_is_adopted(self):
         state = SuspicionState(owner=1)
-        result = state.merge_remote_mistake(4, 3)
+        result = merge_remote_mistake(state, 4, 3)
         assert result.outcome is MergeOutcome.MISTAKE_ADOPTED
         assert state.mistakes.tag_of(4) == 3
 
     def test_equal_tag_mistake_wins_over_suspicion(self):
         # Line 33 uses <= : on a tie the mistake takes precedence.
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(4, 5)
-        result = state.merge_remote_mistake(4, 5)
+        merge_remote_suspicion(state, 4, 5)
+        result = merge_remote_mistake(state, 4, 5)
         assert result.outcome is MergeOutcome.MISTAKE_ADOPTED
         assert 4 not in state.suspected
         assert state.mistakes.tag_of(4) == 5
 
     def test_older_mistake_is_ignored(self):
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(4, 5)
-        result = state.merge_remote_mistake(4, 4)
+        merge_remote_suspicion(state, 4, 5)
+        result = merge_remote_mistake(state, 4, 4)
         assert result.outcome is MergeOutcome.IGNORED
         assert 4 in state.suspected
 
     def test_mistake_clears_suspicion(self):
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(4, 5)
-        state.merge_remote_mistake(4, 8)
+        merge_remote_suspicion(state, 4, 5)
+        merge_remote_mistake(state, 4, 8)
         assert state.suspects() == frozenset()
         assert state.mistakes.tag_of(4) == 8
 
@@ -210,15 +216,15 @@ class TestRemoteMistakeMerge:
         # Lemma 4 relies on a repeated mistake failing line 33's predicate;
         # the <= only applies against a *suspicion* with the same tag.
         state = SuspicionState(owner=1)
-        first = state.merge_remote_mistake(4, 5)
-        second = state.merge_remote_mistake(4, 5)
+        first = merge_remote_mistake(state, 4, 5)
+        second = merge_remote_mistake(state, 4, 5)
         assert first.outcome is MergeOutcome.MISTAKE_ADOPTED
         assert second.outcome is MergeOutcome.IGNORED
 
     def test_strictly_newer_mistake_replaces_mistake(self):
         state = SuspicionState(owner=1)
-        state.merge_remote_mistake(4, 5)
-        result = state.merge_remote_mistake(4, 6)
+        merge_remote_mistake(state, 4, 5)
+        result = merge_remote_mistake(state, 4, 6)
         assert result.outcome is MergeOutcome.MISTAKE_ADOPTED
         assert state.mistakes.tag_of(4) == 6
 
@@ -325,9 +331,9 @@ class TestBatchedMerges:
 
     def test_convenience_wrappers_touch_only_their_stream(self):
         state = SuspicionState(owner=1)
-        sus_delta = state.merge_remote_suspicions(((2, 3),))
+        sus_delta = merge_remote_suspicions(state, ((2, 3),))
         assert sus_delta == MergeDelta(suspicions_adopted=(2,))
-        mis_delta = state.merge_remote_mistakes(((2, 4),))
+        mis_delta = merge_remote_mistakes(state, ((2, 4),))
         assert mis_delta == MergeDelta(mistakes_adopted=(2,))
         assert state.mistakes.tag_of(2) == 4
 
@@ -366,14 +372,14 @@ class TestInvariants:
 
     def test_self_mistake_at_or_below_counter_is_healthy(self):
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(1, 6)  # refutes: counter 7, tag 7
+        merge_remote_suspicion(state, 1, 6)  # refutes: counter 7, tag 7
         assert state.invariant_violations() == []
 
     def test_remote_tags_may_exceed_the_local_counter(self):
         # Tags about OTHER processes are issued against the remote counter
         # and legitimately run ahead of ours — not a violation.
         state = SuspicionState(owner=1)
-        state.merge_remote_suspicion(2, 50)
-        state.merge_remote_mistake(3, 60)
+        merge_remote_suspicion(state, 2, 50)
+        merge_remote_mistake(state, 3, 60)
         assert state.counter == 0
         assert state.invariant_violations() == []
