@@ -26,12 +26,17 @@ Multi-instance semantics (the "heavy traffic" shape):
 * Every decision is recorded into a per-instance
   :class:`InstanceOutcome` ledger — proposals, decision values/times,
   rounds, nacks — which :func:`repro.metrics.consensus_stats` summarises.
-* Decisions are **anti-entropied on the oracle's word**: when the local
+* Messages are **retransmitted on the oracle's word**: when the local
   detector withdraws a suspicion (the peer recovered, joined late, or the
   partition healed), the driver re-sends every locally decided instance's
-  ``DECIDE`` to the returning process.  The sans-I/O state machines stay
-  pure crash-stop CT; retransmission is an I/O-layer concern, and keying
-  it to suspicion retraction needs no timers.
+  ``DECIDE`` to the returning process, and every ballot an undecided
+  instance has sent it (the enveloped effects the driver keeps until that
+  instance decides).  Under ``partition`` and ``lossburst`` the channels
+  are fair-lossy, so a ballot lost inside the window would otherwise
+  strand its instance.  The sans-I/O state machines stay pure crash-stop
+  CT (their ballot maps are keyed by sender, so a duplicate is a no-op);
+  retransmission is an I/O-layer concern, and keying it to suspicion
+  retraction needs no timers.
 """
 
 from __future__ import annotations
@@ -92,6 +97,9 @@ class ConsensusNodeDriver:
         # instances are created lazily at their propose time.
         self.participants: dict[int, Any] = {1: participant_factory(1)}
         self._pending: dict[int, list[tuple[ProcessId, Any]]] = {}
+        #: the enveloped effects each undecided instance has sent, dropped
+        #: when it decides; re-sent to a peer whose suspicion is withdrawn
+        self._in_flight: dict[int, list[Effect]] = {}
         self._reported: set[int] = set()
         self._last_suspects: frozenset = frozenset(fd_driver.suspects())
         # Suspicion changes unblock phase-3 waits on a crashed coordinator.
@@ -171,30 +179,39 @@ class ConsensusNodeDriver:
         returned = self._last_suspects - current
         self._last_suspects = current
         if returned:
-            self._push_decisions(returned)
+            self._retransmit(returned)
         for instance in sorted(self.participants):
             self._run(instance, self.participants[instance].poke)
 
-    def _push_decisions(self, returned: frozenset) -> None:
-        """Oracle-driven anti-entropy: re-send decisions to returning peers.
+    def _retransmit(self, returned: frozenset) -> None:
+        """Oracle-driven retransmission to returning peers.
 
         A suspicion retraction means a process that was unreachable
         (crashed-and-recovered, late joiner, the far side of a healed
-        partition) is back; the CT state machines halt after deciding and
-        never retransmit, so the driver re-sends every locally decided
-        instance's ``DECIDE`` to it.  Retransmission on the detector's
-        word — no timers — and a no-op in runs where no suspicion is ever
-        withdrawn (every t4 scenario).
+        partition) is back, and what was sent to it meanwhile may be lost.
+        The CT state machines halt after deciding and never retransmit, so
+        the driver re-sends every locally decided instance's ``DECIDE`` to
+        it, then every kept ballot of an undecided instance addressed to
+        it.  Retransmission on the detector's word — no timers — and a
+        no-op in runs where no suspicion is ever withdrawn (every t4
+        scenario).
         """
         if not self.process.alive:
             return
+        targets = sorted(returned, key=repr)
         effects: list[Effect] = []
         for instance in sorted(self._reported):
             message = Decide(
                 sender=self.process.pid, value=self.participants[instance].decision
             )
-            for pid in sorted(returned, key=repr):
+            for pid in targets:
                 effects.append(self._enveloped(instance, SendTo(pid, message)))
+        for instance in sorted(self._in_flight):
+            for effect in self._in_flight[instance]:
+                if isinstance(effect, Broadcast):
+                    effects.extend(SendTo(pid, effect.message) for pid in targets)
+                elif effect.destination in returned:
+                    effects.append(effect)
         if effects:
             self.process.execute(effects)
 
@@ -202,9 +219,12 @@ class ConsensusNodeDriver:
         if not self.process.alive:
             return
         participant = self.participants[instance]
-        effects = step()
-        self.process.execute([self._enveloped(instance, e) for e in effects])
-        if participant.decided and instance not in self._reported:
+        effects = [self._enveloped(instance, e) for e in step()]
+        self.process.execute(effects)
+        if not participant.decided:
+            self._in_flight.setdefault(instance, []).extend(effects)
+        elif instance not in self._reported:
+            self._in_flight.pop(instance, None)
             self._reported.add(instance)
             now = self.process.scheduler.now
             if self._on_decide is not None:

@@ -11,14 +11,15 @@ latency, rounds to decide, oracle-aborted rounds — next to the detector's
 epoch-scored query accuracy from the very same trace, so one row links
 cause (detector mistakes/stalls) to effect (stalled or churning consensus).
 
-Expected shape: fault-free-ish scenarios (``lossburst``) decide every
-instance in one round for every family; ``coordcrash`` makes the in-flight
-instance pay the full crash-detection latency (query families ≈ Δ + δ,
-timer families ≈ Θ), separating the families on the latency axis; the
-``partition`` window (no majority side) stalls every instance until the
-heal, and timer families churn aborted rounds meanwhile, separating the
-nack axis.  Agreement and validity hold in every cell — safety does not
-depend on detector quality.
+Expected shape: ``coordcrash`` makes the in-flight instance pay the full
+crash-detection latency (query families ≈ Δ + δ, timer families ≈ Θ),
+separating the families on the latency axis; the ``partition`` window (no
+majority side) stalls every instance until the heal, and timer families
+churn aborted rounds meanwhile, separating the nack axis.  Ballots lost to
+``partition`` or ``lossburst`` are re-sent when a suspicion is withdrawn
+(docs/consensus.md), so a family that never suspects across the fault
+keeps its in-flight instance stranded.  Agreement and validity hold in
+every cell — safety does not depend on detector quality.
 """
 
 from __future__ import annotations
