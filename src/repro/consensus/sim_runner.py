@@ -354,18 +354,16 @@ class ConsensusRunResult:
 class ConsensusHarness:
     """Build-and-run helper for consensus workloads (t4/c1) and tests.
 
-    The deployment is a :class:`~repro.experiments.scenarios.Scenario`:
-    its detector registry key and params, membership, crash bound, latency,
-    fault plan, seed and horizon.  The harness builds its cluster through
-    the scenario (:meth:`Scenario.cluster` with this harness's composite
-    node driver wrapped around each detector driver) and runs it to
-    ``scenario.horizon``.  The consensus side is a **protocol registry
-    key** (``protocol=``, default CT, plus an optional ``protocol_params``
-    knob dict).  The two are joined by a
-    :class:`~repro.consensus.spec.ConsensusOracle` built from the per-node
-    driver: ``suspects()`` is pulled straight from the detector,
-    ``leader()`` uses the native Omega elector when the driver carries one
-    and the Ω-from-◇S emulation otherwise.
+    The deployment is a :class:`~repro.experiments.scenarios.Scenario`
+    (detector key and params, membership, ``f``, latency, faults, seed,
+    horizon): its cluster is ``scenario.cluster(wrap=...)``, a composite
+    node driver around each detector driver, run to ``scenario.horizon``.
+    The consensus side is a **protocol registry key** (``protocol=``,
+    default CT, plus an optional ``protocol_params`` knob dict).  The two
+    are joined by a :class:`~repro.consensus.spec.ConsensusOracle` built
+    from the per-node driver: ``suspects()`` is pulled straight from the
+    detector, ``leader()`` uses the native Omega elector when the driver
+    carries one and the Ω-from-◇S emulation otherwise.
     """
 
     def __init__(
@@ -390,7 +388,6 @@ class ConsensusHarness:
             k: InstanceOutcome(instance=k) for k in range(1, instances + 1)
         }
         self.result = ConsensusRunResult(instances=list(self._outcomes.values()))
-        self._drivers: dict[ProcessId, ConsensusNodeDriver] = {}
 
         def wrap(fd_factory):
             def composite_factory(process: SimProcess, cluster: SimCluster):
@@ -427,7 +424,6 @@ class ConsensusHarness:
                                 process.pid, frozenset()
                             )
                         )
-                self._drivers[process.pid] = driver
                 return driver
 
             return composite_factory
@@ -473,7 +469,8 @@ class ConsensusHarness:
         the run built outlives it in a reference cycle.
         """
         self.cluster.run(until=self.horizon)
-        for pid, driver in self._drivers.items():
+        # A volatile restart's driver replaced its predecessor in `drivers`.
+        for pid, driver in self.cluster.drivers.items():
             for instance, participant in driver.participants.items():
                 outcome = self._outcomes.get(instance)
                 if outcome is None:

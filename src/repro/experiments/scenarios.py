@@ -243,19 +243,14 @@ register_fault_scenario(
 class Scenario:
     """One simulated run as a value: the only way an experiment builds a cluster.
 
-    ``detector`` is a registry key and ``detector_params`` that family's
-    typed knobs; one the family lacks raises :class:`ConfigurationError`.
-    The deployment is ``n`` (a full mesh) or ``topology``; its range
-    density is the detector's ``d`` (read by the host, never passed).
-    ``latency`` defaults to the paper's δ ≈ 1 ms exponential delays and
-    ``start_stagger`` to ``max(1 s, grace, period)``.
-
-    Hand-over rule (docs/scenarios.md): ``topology`` becomes the cluster's
-    graph (mobility faults rewire it), so a scenario with a topology runs
-    once, and that graph should be the caller's only live one.  A cell reads
-    what it reports about the graph it validated first, then passes
-    ``Topology.copy()`` (the edge replay the goldens' bytes rest on) and
-    drops the original.
+    ``detector`` is a registry key and ``detector_params`` that family's typed
+    knobs (one it lacks raises :class:`ConfigurationError`); the range density
+    ``d`` is the deployment's, never a knob.  Hand-over rule
+    (docs/scenarios.md): ``topology`` becomes the cluster's graph, which
+    mobility faults rewire, so a scenario with a topology runs once and its
+    graph should be the caller's only live one.  A cell reads what it reports
+    about the graph it validated, then passes ``Topology.copy()`` (the edge
+    replay the goldens' bytes rest on) and drops the original.
     """
 
     detector: str
@@ -263,49 +258,42 @@ class Scenario:
     n: int | None = None
     topology: Topology | None = None
     f: int
+    #: None: the paper's δ ≈ 1 ms, exponentially distributed
     latency: LatencyModel | None = None
     fault_plan: FaultPlan | None = None
     seed: int = 1
     loss_rate: float = 0.0
+    #: None: max(1 s, grace, period) (docs/scenarios.md, "Start stagger")
     start_stagger: float | None = None
     horizon: float
 
     def cluster(
         self, wrap: Callable[[DriverFactory], DriverFactory] | None = None
     ) -> SimCluster:
-        """The built, unrun cluster.
-
-        ``wrap`` maps the detector's driver factory to the one every node is
-        built with: the seam for a driver that hosts the detector inside a
-        larger one (the consensus harness's composite node).
-        """
+        """The built, unrun cluster; ``wrap`` maps the detector's driver
+        factory to the one each node is built with (the consensus harness's
+        composite node)."""
         params = get_detector(self.detector).make_params(**(self.detector_params or {}))
-        start_stagger = self.start_stagger
-        if start_stagger is None:
-            # Desynchronise rounds/heartbeats by up to one period by default;
-            # never under 1 s (docs/scenarios.md, "Start stagger").
-            start_stagger = max(
-                1.0, getattr(params, "grace", 0.0), getattr(params, "period", 0.0)
-            )
+        stagger = self.start_stagger
+        if stagger is None:
+            # Desynchronise rounds/heartbeats by up to one period; never under 1 s.
+            stagger = max(1.0, getattr(params, "grace", 0.0), getattr(params, "period", 0.0))
         factory = sim_driver_factory(self.detector, self.f, params)
         return SimCluster(
             n=self.n,
             topology=self.topology,
             driver_factory=factory if wrap is None else wrap(factory),
-            # the paper's δ ≈ 1 ms
-            latency=self.latency if self.latency is not None else ExponentialLatency(mean=0.001),
+            latency=self.latency if self.latency is not None else ExponentialLatency(0.001),
             seed=self.seed,
             fault_plan=self.fault_plan,
             loss_rate=self.loss_rate,
-            start_stagger=start_stagger,
+            start_stagger=stagger,
         )
 
     def run(self) -> SimCluster:
-        """Build the cluster, run it to ``horizon``, return it closed.
-
-        :meth:`SimCluster.close` has run: the trace, ``drivers`` and
-        ``suspects_of`` read as before, and the cluster cannot run again.
-        """
+        """Build the cluster, run it to ``horizon`` and return it closed: its
+        trace, ``drivers`` and ``suspects_of`` stay readable, and it cannot
+        run again."""
         cluster = self.cluster()
         cluster.run(until=self.horizon)
         cluster.close()
