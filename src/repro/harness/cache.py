@@ -36,7 +36,7 @@ __all__ = ["CACHE_SCHEMA", "CacheStats", "PruneReport", "ResultCache", "cache_ke
 
 #: bump to invalidate every cached cell (e.g. after simulator changes that
 #: alter results for identical parameters).
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def cache_key(exp_id: str, params: Any, coords: Mapping[str, Any], seed: int) -> str:
