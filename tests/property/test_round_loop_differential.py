@@ -91,7 +91,7 @@ def factory(driver_cls, family, f, pacing, log):
                 process_id=process.pid,
                 membership=None,
                 f=f,
-                range_density=len(cluster.membership),
+                range_density=cluster.range_density,
             )
             detector = TimeFreeDetector(config)
         else:
