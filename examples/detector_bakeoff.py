@@ -18,8 +18,8 @@ Run with::
 """
 
 from repro.experiments.report import Table
-from repro.experiments.scenarios import Scenario, table_label
-from repro.metrics import detection_stats, message_load, mistake_stats
+from repro.experiments.scenarios import Scenario, table_label, victim_window
+from repro.metrics import message_load, mistake_stats
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.latency import BiasedLatency, ExponentialLatency, RegimeShiftLatency
 
@@ -68,8 +68,8 @@ def main() -> None:
             seed=2024,
         ).run()
         correct = cluster.correct_processes()
-        crash = detection_stats(cluster.trace, VICTIM, CRASH_AT, correct)
-        mistakes = mistake_stats(cluster.trace, correct, horizon=HORIZON)
+        crash = victim_window(cluster, VICTIM, HORIZON)
+        mistakes = mistake_stats(cluster.trace, plan, correct, horizon=HORIZON)
         rp_false = sum(
             len(cluster.trace.suspicion_intervals(obs, RESPONSIVE, horizon=HORIZON))
             for obs in correct

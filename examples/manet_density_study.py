@@ -46,12 +46,9 @@ def act_one_crash_detection() -> None:
         start_stagger=1.0,
     )
     cluster.run(until=30.0)
-    for crash in plan.crashes:
-        stats = detection_stats(
-            cluster.trace, crash.process, crash.time, cluster.correct_processes()
-        )
+    for stats in detection_stats(cluster.trace, plan, cluster.membership, horizon=30.0):
         print(
-            f"  crash of node {crash.process} at t={crash.time:.0f}s: detected by all "
+            f"  crash of node {stats.crashed} at t={stats.crash_time:.0f}s: detected by all "
             f"{len(stats.latencies)} correct nodes, mean {stats.mean_latency:.3f}s, "
             f"max {stats.max_latency:.3f}s (multi-hop flooding)"
         )

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics import detection_stats, mistake_stats
+from ..metrics import mistake_stats
 from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
 from .api import ExperimentSpec, Metric, Monotone, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import Scenario
+from .scenarios import Scenario, victim_window
 
 __all__ = ["A1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -70,8 +70,8 @@ def run_cell(params: A1Params, coords: dict, seed: int) -> dict:
         start_stagger=max(grace, params.idle),
     ).run()
     correct = cluster.correct_processes()
-    mistakes = mistake_stats(cluster.trace, correct, horizon=params.horizon)
-    crash = detection_stats(cluster.trace, victim, params.crash_at, correct)
+    mistakes = mistake_stats(cluster.trace, plan, correct, horizon=params.horizon)
+    crash = victim_window(cluster, victim, params.horizon)
     return {
         "false_suspicions": mistakes.count,
         "unresolved": mistakes.unresolved,

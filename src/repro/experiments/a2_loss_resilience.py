@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics import detection_stats
 from ..sim.faults import CrashFault, FaultPlan
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import Scenario
+from .scenarios import Scenario, victim_window
 
 __all__ = ["A2Params", "SPEC", "run_cell", "tabulate"]
 
@@ -69,7 +68,7 @@ def run_cell(params: A2Params, coords: dict, seed: int) -> dict:
     retransmissions = sum(
         getattr(driver.core, "retries_sent", 0) for driver in cluster.drivers.values()
     )
-    crash = detection_stats(cluster.trace, victim, params.crash_at, correct)
+    crash = victim_window(cluster, victim, params.horizon)
     return {
         "frozen": frozen,
         "rounds_per_process": len(cluster.trace.rounds) / (params.n - 1),

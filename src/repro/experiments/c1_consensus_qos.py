@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from ..consensus import ConsensusHarness
 from ..detectors import detector_keys, get_detector
-from ..metrics import consensus_message_load, consensus_stats, epoch_mistake_stats
+from ..metrics import consensus_stats, message_load, mistake_stats
 from ..sim.latency import LogNormalLatency
 from .api import (
     Banded,
@@ -143,7 +143,7 @@ def run_cell(params: C1Params, coords: dict, seed: int) -> dict:
     result = harness.run()
     stats = consensus_stats(result)
     trace = harness.cluster.trace
-    mistakes = epoch_mistake_stats(
+    mistakes = mistake_stats(
         trace, plan, harness.cluster.membership, horizon=params.horizon
     )
     return {
@@ -155,9 +155,9 @@ def run_cell(params: C1Params, coords: dict, seed: int) -> dict:
         "nacks": stats.nacks,
         "agreement": stats.agreement,
         "validity": stats.validity,
-        "consensus_msgs_per_s": consensus_message_load(
+        "consensus_msgs_per_s": message_load(
             trace, horizon=params.horizon, n=params.n
-        ),
+        ).get("consensus.instance", 0.0),
         # The detector's epoch-scored accuracy from the same trace — the
         # QoS number the latency column should correlate with.
         "query_accuracy": (

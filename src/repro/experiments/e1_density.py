@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics import all_detection_stats
+from ..metrics import detection_stats
 from ..partial import validate_f_covering, validate_f_covering_fast
 from ..sim.faults import uniform_crashes
 from ..sim.rng import RngStreams
@@ -133,7 +133,9 @@ def run_cell(params: E1Params, coords: dict, seed: int) -> dict:
         fault_plan=plan,
         seed=trial_seed,
     ).run()
-    stats = all_detection_stats(cluster.trace, plan, cluster.membership)
+    stats = detection_stats(
+        cluster.trace, plan, cluster.membership, horizon=params.horizon
+    )
     return {
         "actual_d": actual_d,
         "latencies": [

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics import detection_stats
 from ..sim.faults import CrashFault, FaultPlan
 from .api import (
     DetectorAxis,
@@ -25,7 +24,7 @@ from .api import (
     register_experiment,
 )
 from .report import Table
-from .scenarios import Scenario
+from .scenarios import Scenario, victim_window
 
 __all__ = ["F1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -58,9 +57,7 @@ def run_cell(params: F1Params, coords: dict, seed: int) -> dict:
         fault_plan=plan,
         seed=seed,
     ).run()
-    stats = detection_stats(
-        cluster.trace, victim, params.crash_at, cluster.correct_processes()
-    )
+    stats = victim_window(cluster, victim, params.horizon)
     return {"latencies": sorted(stats.latencies.values())}
 
 

@@ -117,7 +117,9 @@ def run_cell(params: F2Params, coords: dict, seed: int) -> dict:
         seed=seed,
     ).run()
     correct = cluster.correct_processes()
-    total = mistake_stats(cluster.trace, correct, horizon=params.horizon)
+    total = mistake_stats(
+        cluster.trace, cluster.fault_plan, correct, horizon=params.horizon
+    )
     responsive_suspicions = sum(
         len(cluster.trace.suspicion_intervals(obs, params.responsive, horizon=params.horizon))
         for obs in correct

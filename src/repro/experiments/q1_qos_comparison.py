@@ -27,13 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..detectors import detector_keys, get_detector
-from ..metrics import (
-    detection_stats,
-    epoch_detection_stats,
-    epoch_mistake_stats,
-    message_load,
-    mistake_stats,
-)
+from ..metrics import message_load, mistake_stats
 from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
 from .api import (
@@ -48,7 +42,7 @@ from .api import (
     stat_mean,
 )
 from .report import Table
-from .scenarios import Scenario, fault_plan_for, table_label
+from .scenarios import Scenario, fault_plan_for, table_label, victim_window
 
 __all__ = ["Q1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -138,8 +132,8 @@ def run_cell(params: Q1Params, coords: dict, seed: int) -> dict:
     if fault is not None:
         return _score_stress(params, cluster, plan, load)
     correct = cluster.correct_processes()
-    crash = detection_stats(cluster.trace, victim, params.crash_at, correct)
-    mistakes = mistake_stats(cluster.trace, correct, horizon=params.horizon)
+    crash = victim_window(cluster, victim, params.horizon)
+    mistakes = mistake_stats(cluster.trace, plan, correct, horizon=params.horizon)
     # With one survivor there are no monitored pairs and no accuracy to
     # speak of (n=2, f=1 is a legal grid) — report None, not a crash.
     pairs = len(correct) * (len(correct) - 1)
@@ -160,13 +154,8 @@ def run_cell(params: Q1Params, coords: dict, seed: int) -> dict:
 def _score_stress(params: Q1Params, cluster, plan: FaultPlan, load: dict) -> dict:
     """A stress cell's scores against epoch ground truth (a suspicion of a
     down-but-recovering node is correct until the recovery instant)."""
-    windows = epoch_detection_stats(
-        cluster.trace, plan, cluster.membership, horizon=params.horizon
-    )
-    crash = next(
-        w for w in windows if w.crashed == params.n and w.crash_time == params.crash_at
-    )
-    mistakes = epoch_mistake_stats(
+    crash = victim_window(cluster, params.n, params.horizon)
+    mistakes = mistake_stats(
         cluster.trace, plan, cluster.membership, horizon=params.horizon
     )
     alive_time = mistakes.alive_pair_time

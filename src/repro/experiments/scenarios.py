@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ..detectors import get_detector, sim_driver_factory
 from ..errors import ConfigurationError
 from ..ids import ProcessId
+from ..metrics import DetectionStats, detection_stats
 from ..registry import Registry
 from ..sim.cluster import DriverFactory, SimCluster
 from ..sim.faults import (
@@ -41,11 +42,23 @@ __all__ = [
     "FAULT_SCENARIOS",
     "Scenario",
     "table_label",
+    "victim_window",
     "register_fault_scenario",
     "get_fault_scenario",
     "fault_scenario_keys",
     "fault_plan_for",
 ]
+
+
+def victim_window(cluster: SimCluster, victim: ProcessId, horizon: float) -> DetectionStats:
+    """The victim's down window in a run cluster, scored against its plan.
+
+    A victim the plan crashes at or after the horizon never goes down in
+    the run: its window is empty (no observer detected anything).
+    """
+    windows = detection_stats(cluster.trace, cluster.fault_plan, cluster.membership, horizon=horizon)
+    empty = DetectionStats(crashed=victim, crash_time=horizon, latencies={}, undetected=frozenset())
+    return next((window for window in windows if window.crashed == victim), empty)
 
 
 #: table labels of the four comparable families (Δ = 1 s everywhere, Θ = 2 s:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics import detection_stats
 from ..sim.faults import CrashFault, FaultPlan
 from .api import (
     Banded,
@@ -30,7 +29,7 @@ from .api import (
     stat_mean,
 )
 from .report import Table
-from .scenarios import Scenario
+from .scenarios import Scenario, victim_window
 
 __all__ = ["T1Params", "SPEC", "run_cell", "tabulate"]
 
@@ -64,9 +63,7 @@ def run_cell(params: T1Params, coords: dict, seed: int) -> dict:
         fault_plan=plan,
         seed=seed,
     ).run()
-    stats = detection_stats(
-        cluster.trace, victim, params.crash_at, cluster.correct_processes()
-    )
+    stats = victim_window(cluster, victim, params.horizon)
     return {"mean": stats.mean_latency, "max": stats.max_latency}
 
 

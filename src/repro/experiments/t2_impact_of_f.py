@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean
 
-from ..metrics import detection_stats, mistake_stats
+from ..metrics import mistake_stats
 from ..sim.faults import CrashFault, FaultPlan
 from ..sim.latency import LogNormalLatency
 from .api import ExperimentSpec, Metric, ParamAxis, register_experiment
 from .report import Table
-from .scenarios import Scenario
+from .scenarios import Scenario, victim_window
 
 __all__ = ["T2Params", "SPEC", "run_cell", "tabulate"]
 
@@ -54,12 +54,10 @@ def run_cell(params: T2Params, coords: dict, seed: int) -> dict:
         fault_plan=plan,
         seed=seed,
     ).run()
-    stats = detection_stats(
-        cluster.trace, victim, params.crash_at, cluster.correct_processes()
-    )
+    stats = victim_window(cluster, victim, params.horizon)
     durations = [r.finished_at - r.started_at for r in cluster.trace.rounds]
     mistakes = mistake_stats(
-        cluster.trace, cluster.correct_processes(), horizon=params.horizon
+        cluster.trace, plan, cluster.correct_processes(), horizon=params.horizon
     )
     return {
         "detect_mean": stats.mean_latency,

@@ -335,7 +335,7 @@ def bench_trace(n: int) -> float:
 def bench_cells(n: int) -> float:
     """One end-to-end experiment cell: run a cluster, then tabulate QoS."""
     from ..detectors import sim_driver_factory
-    from ..metrics import all_detection_stats, message_load, mistake_stats
+    from ..metrics import detection_stats, message_load, mistake_stats
     from ..sim.cluster import SimCluster
     from ..sim.faults import CrashFault, FaultPlan
 
@@ -352,8 +352,8 @@ def bench_cells(n: int) -> float:
 
     def cell() -> None:
         cluster.run(until=horizon)
-        all_detection_stats(cluster.trace, cluster.fault_plan, cluster.membership)
-        mistake_stats(cluster.trace, cluster.correct_processes(), horizon=horizon)
+        detection_stats(cluster.trace, plan, cluster.membership, horizon=horizon)
+        mistake_stats(cluster.trace, plan, cluster.correct_processes(), horizon=horizon)
         message_load(cluster.trace, horizon=horizon, n=30)
 
     elapsed = _timed(cell)
@@ -368,14 +368,15 @@ def bench_consensus(n: int) -> float:
     ConsensusHarness` — an n=16 time-free cluster deciding a self-clocked
     chain of CT-◇S instances (each decision proposes the next) — then folds
     the decision ledger through :func:`~repro.metrics.consensus_stats` and
-    :func:`~repro.metrics.consensus_message_load`, the read path the ``c1``
+    the ``"consensus.instance"`` entry of
+    :func:`~repro.metrics.message_load`, the read path the ``c1``
     grid scales by.  Reported events are scheduler events processed, so the
     number covers ballot fan-out, envelope routing, oracle queries and the
     decision-ledger bookkeeping together.
     """
     from ..consensus import ConsensusHarness
     from ..experiments.scenarios import Scenario
-    from ..metrics import consensus_message_load, consensus_stats
+    from ..metrics import consensus_stats, message_load
     from ..sim.latency import LogNormalLatency
 
     size = 16
@@ -400,7 +401,9 @@ def bench_consensus(n: int) -> float:
     def run() -> None:
         result = harness.run()
         consensus_stats(result)
-        consensus_message_load(harness.cluster.trace, horizon=horizon, n=size)
+        message_load(harness.cluster.trace, horizon=horizon, n=size).get(
+            "consensus.instance", 0.0
+        )
 
     elapsed = _timed(run)
     bench_consensus.events = harness.cluster.scheduler.events_processed  # type: ignore[attr-defined]

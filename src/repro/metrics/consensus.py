@@ -5,9 +5,9 @@ Vieira for the application side) frames detector quality as a *proxy*: what
 an application actually experiences is decision latency and wasted rounds.
 This module summarises a
 :class:`~repro.consensus.sim_runner.ConsensusRunResult`'s per-instance
-ledger into exactly those numbers, plus the consensus share of the message
-load read off the run trace (every ballot travels in one
-``consensus.instance`` envelope, so that share is one trace kind).
+ledger into exactly those numbers.  The consensus share of the message load is
+one entry of :func:`repro.metrics.message_load`: every ballot travels in
+one ``consensus.instance`` envelope, so that share is one trace kind.
 
 All statistics are over **correct** processes (per the run's ground
 truth) and over instances that every correct process decided; open
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ExperimentError
-
-__all__ = ["ConsensusStats", "consensus_stats", "consensus_message_load"]
+__all__ = ["ConsensusStats", "consensus_stats"]
 
 
 @dataclass(frozen=True)
@@ -69,15 +67,3 @@ def consensus_stats(result) -> ConsensusStats:
         validity=all(out.validity_holds for out in outcomes),
     )
 
-
-def consensus_message_load(trace, *, horizon: float, n: int) -> float:
-    """Consensus messages per second per process.
-
-    Counts the ``consensus.instance`` envelopes recorded on the trace (every
-    instance's ballots travel in one) — the price the workload pays on top
-    of the detector's own load (which :func:`repro.metrics.message_load`
-    reports by kind).
-    """
-    if horizon <= 0 or n <= 0:
-        raise ExperimentError("horizon and n must be positive")
-    return trace.messages_by_kind["consensus.instance"] / horizon / n

@@ -14,14 +14,8 @@ from ..sim.trace import TraceRecorder
 __all__ = [
     "DetectionStats",
     "MistakeStats",
-    "EpochMistakeStats",
-    "PairQoS",
     "detection_stats",
-    "all_detection_stats",
-    "epoch_detection_stats",
     "mistake_stats",
-    "epoch_mistake_stats",
-    "pair_qos",
     "accuracy_stabilization",
     "false_suspicion_series",
     "message_load",
@@ -30,13 +24,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectionStats:
-    """Detection of one crash, seen from every correct observer."""
+    """Detection of one down window, seen from every observer up when it
+    closes."""
 
+    #: the process that was down, and when its window opened
     crashed: ProcessId
     crash_time: float
-    #: observer -> detection latency (permanent-suspicion start - crash time)
+    #: observer -> detection latency (detecting suspicion - window start)
     latencies: dict[ProcessId, float]
-    #: correct observers that never (permanently) suspected the crash
+    #: observers that never detected the window
     undetected: frozenset[ProcessId]
 
     @property
@@ -58,108 +54,30 @@ class DetectionStats:
         return max(self.latencies.values(), default=None)
 
 
-def detection_stats(
-    trace: TraceRecorder,
-    crashed: ProcessId,
-    crash_time: float,
-    observers: Iterable[ProcessId],
-) -> DetectionStats:
-    """Per-observer detection latencies of one crash."""
-    latencies: dict[ProcessId, float] = {}
-    undetected: set[ProcessId] = set()
-    for observer in observers:
-        if observer == crashed:
-            continue
-        start = trace.permanent_suspicion_time(observer, crashed)
-        if start is None:
-            undetected.add(observer)
-        else:
-            # The permanent interval may have begun before the crash (a
-            # false suspicion that the crash then made true); latency is
-            # measured from the crash, floored at zero.
-            latencies[observer] = max(0.0, start - crash_time)
-    return DetectionStats(
-        crashed=crashed,
-        crash_time=crash_time,
-        latencies=latencies,
-        undetected=frozenset(undetected),
-    )
-
-
-def all_detection_stats(
-    trace: TraceRecorder,
-    fault_plan: FaultPlan,
-    membership: Iterable[ProcessId],
-) -> list[DetectionStats]:
-    """Detection stats for every crash in the plan, observed by correct nodes."""
-    correct = fault_plan.correct_processes(membership)
-    return [
-        detection_stats(trace, fault.process, fault.time, correct)
-        for fault in fault_plan.crashes
-    ]
-
-
-@dataclass(frozen=True)
-class MistakeStats:
-    """False suspicions of correct processes by correct observers."""
-
-    #: number of wrong suspicion intervals across all (observer, target) pairs
-    count: int
-    total_duration: float
-    horizon: float
-    #: pairs that were wrongly suspected at the end of the run
-    unresolved: int
-
-    @property
-    def mean_duration(self) -> float | None:
-        """Chen's T_M: average length of a mistake."""
-        return self.total_duration / self.count if self.count else None
-
-    @property
-    def rate(self) -> float:
-        """Chen's lambda_M analogue: mistakes per unit time, whole system."""
-        return self.count / self.horizon if self.horizon > 0 else 0.0
-
-
-def mistake_stats(
-    trace: TraceRecorder,
-    correct: Iterable[ProcessId],
-    *,
-    horizon: float,
-) -> MistakeStats:
-    """Aggregate false-suspicion statistics among correct processes."""
-    correct_set = frozenset(correct)
-    count = 0
-    total = 0.0
-    unresolved = 0
-    for observer in correct_set:
-        # Pairs with no suspicion history contribute nothing; skipping them
-        # via the observer's ever-suspected set turns the quadratic pair
-        # sweep into one bounded by actual suspicions (large-n grids).
-        suspected_ever = trace.targets_of(observer)
-        for target in suspected_ever & correct_set:
-            if observer == target:
-                continue
-            intervals = trace.suspicion_intervals(observer, target, horizon=horizon)
-            count += len(intervals)
-            total += sum(end - start for start, end in intervals)
-            if intervals and intervals[-1][1] >= horizon:
-                unresolved += 1
-    return MistakeStats(
-        count=count, total_duration=total, horizon=horizon, unresolved=unresolved
-    )
-
-
 def _intersect(
     intervals: Sequence[tuple[float, float]],
     windows: Sequence[tuple[float, float]],
+    *,
+    horizon: float,
 ) -> list[tuple[float, float]]:
-    """Pairwise intersection of two sorted, disjoint interval lists."""
+    """Pairwise intersection of two sorted, disjoint interval lists.
+
+    Windows are half-open, ``[start, end)``, except that one ending at
+    ``horizon`` holds the horizon too.  An instant in ``intervals``
+    (``start == end``: a suspicion withdrawn at the time it began) is kept
+    when a window holds it.
+    """
     result: list[tuple[float, float]] = []
     wi = 0
     for start, end in intervals:
         while wi < len(windows) and windows[wi][1] <= start:
             wi += 1
+        if start == end:
+            if (wi < len(windows) and windows[wi][0] <= start) or (
+                windows and start == windows[-1][1] == horizon
+            ):
+                result.append((start, end))
+            continue
         probe = wi
         while probe < len(windows) and windows[probe][0] < end:
             lo = max(start, windows[probe][0])
@@ -170,14 +88,8 @@ def _intersect(
     return result
 
 
-def _overlap_length(
-    a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]
-) -> float:
-    return sum(end - start for start, end in _intersect(a, b))
-
-
 @dataclass(frozen=True)
-class EpochMistakeStats:
+class MistakeStats:
     """False suspicions scored against epoch ground truth.
 
     A suspicion of a target is a mistake only while the target is *up*
@@ -197,6 +109,7 @@ class EpochMistakeStats:
 
     @property
     def mean_duration(self) -> float | None:
+        """Chen's T_M: average length of a mistake."""
         return self.total_duration / self.count if self.count else None
 
     @property
@@ -212,21 +125,25 @@ class EpochMistakeStats:
         return max(0.0, 1.0 - self.total_duration / self.alive_pair_time)
 
 
-def epoch_mistake_stats(
+def mistake_stats(
     trace: TraceRecorder,
     fault_plan: FaultPlan,
     membership: Iterable[ProcessId],
     *,
     horizon: float,
-) -> EpochMistakeStats:
-    """Aggregate false suspicions against per-epoch aliveness.
+) -> MistakeStats:
+    """Aggregate false suspicions among ``membership`` against per-epoch
+    aliveness.
 
-    Generalizes :func:`mistake_stats` to plans with recovery, partitions
-    and dynamic membership: each suspicion interval of ``(observer,
-    target)`` is clipped to the time both endpoints are up, and the
-    accuracy denominator is the co-alive pair time rather than ``n^2 *
-    horizon``.  With a crash-only plan this reproduces the legacy notion
-    (mistakes among correct pairs, pre-crash time only).
+    Each suspicion interval of ``(observer, target)`` is clipped to the
+    time both endpoints are up, and the accuracy denominator is the
+    co-alive pair time rather than ``n^2 * horizon``.  A suspicion
+    withdrawn at the instant it began counts as one mistake of length 0
+    when both endpoints are up then (Chen's mistake is the transition).
+    Scoring a crash-only plan over its correct set counts every suspicion
+    among correct pairs, as the crash-stop experiments always have.  Pairs
+    are visited in ``repr`` order of the members, so the float sums do not
+    depend on the hash seed.
     """
     if horizon <= 0:
         raise ExperimentError(f"horizon must be > 0, got {horizon}")
@@ -246,18 +163,17 @@ def epoch_mistake_stats(
         for target in members:
             if target == observer:
                 continue
-            target_alive = alive[target]
-            co_alive = _intersect(observer_alive, target_alive)
+            co_alive = _intersect(observer_alive, alive[target], horizon=horizon)
             alive_pair_time += sum(end - start for start, end in co_alive)
             if target not in suspected_ever:
                 continue
             intervals = trace.suspicion_intervals(observer, target, horizon=horizon)
-            mistakes = _intersect(intervals, co_alive)
+            mistakes = _intersect(intervals, co_alive, horizon=horizon)
             count += len(mistakes)
             total += sum(end - start for start, end in mistakes)
             if mistakes and mistakes[-1][1] >= horizon:
                 unresolved += 1
-    return EpochMistakeStats(
+    return MistakeStats(
         count=count,
         total_duration=total,
         alive_pair_time=alive_pair_time,
@@ -266,7 +182,7 @@ def epoch_mistake_stats(
     )
 
 
-def epoch_detection_stats(
+def detection_stats(
     trace: TraceRecorder,
     fault_plan: FaultPlan,
     membership: Iterable[ProcessId],
@@ -277,21 +193,27 @@ def epoch_detection_stats(
 
     Each element covers one ``[start, end)`` down interval of one process
     (a permanent crash, a recovery window, a pre-join gap, or a
-    departure).  For a terminal window (the process never comes back) the
-    legacy permanent-suspicion notion applies; for a transient window an
-    observer detects by suspecting the target at any point inside it.
-    Observers are the processes the ground truth says are up when the
-    window closes.
+    departure).  For a terminal window (the process never comes back) an
+    observer detects with its final, never-withdrawn suspicion; for a
+    transient window an observer detects by suspecting the target at any
+    point inside it.  Observers are the members the ground truth says are
+    up when the window closes.
+
+    Windows are listed process by process, in the order the plan first
+    names each process (crashes, then recoveries, joins and leaves, each
+    in declaration order), and within a process by start time.  A victim's
+    window is ``next(w for w in windows if w.crashed == victim)``.
     """
     if horizon <= 0:
         raise ExperimentError(f"horizon must be > 0, got {horizon}")
     members = frozenset(membership)
+    faults = (*fault_plan.crashes, *fault_plan.recoveries, *fault_plan.joins, *fault_plan.leaves)
+    named = dict.fromkeys(fault.process for fault in faults if fault.process in members)
     stats: list[DetectionStats] = []
-    for pid in sorted(members, key=repr):
+    for pid in named:
         for start, end in fault_plan.down_intervals(pid, horizon=horizon):
             terminal = end >= horizon and not fault_plan.alive_at(pid, horizon)
-            observed_at = min(end, horizon)
-            observers = fault_plan.correct_at(observed_at, members) - {pid}
+            observers = fault_plan.correct_at(end, members) - {pid}
             latencies: dict[ProcessId, float] = {}
             undetected: set[ProcessId] = set()
             for observer in observers:
@@ -308,6 +230,9 @@ def epoch_detection_stats(
                 if first is None:
                     undetected.add(observer)
                 else:
+                    # The permanent interval may have begun before the
+                    # window (a false suspicion that the fault then made
+                    # true); latency is floored at zero.
                     latencies[observer] = max(0.0, first - start)
             stats.append(
                 DetectionStats(
@@ -318,73 +243,6 @@ def epoch_detection_stats(
                 )
             )
     return stats
-
-
-@dataclass(frozen=True)
-class PairQoS:
-    """Chen-Toueg-Aguilera QoS of one (observer, target) monitored pair."""
-
-    observer: ProcessId
-    target: ProcessId
-    horizon: float
-    #: crash-detection latency; None when the target never crashed
-    detection_time: float | None
-    mistake_count: int
-    mistake_total_duration: float
-
-    @property
-    def mistake_rate(self) -> float:
-        return self.mistake_count / self.horizon if self.horizon > 0 else 0.0
-
-    @property
-    def average_mistake_duration(self) -> float | None:
-        if self.mistake_count == 0:
-            return None
-        return self.mistake_total_duration / self.mistake_count
-
-    @property
-    def query_accuracy_probability(self) -> float:
-        """P_A: fraction of (pre-crash) time the pair's output was correct."""
-        if self.horizon <= 0:
-            return 1.0
-        return max(0.0, 1.0 - self.mistake_total_duration / self.horizon)
-
-
-def pair_qos(
-    trace: TraceRecorder,
-    observer: ProcessId,
-    target: ProcessId,
-    *,
-    horizon: float,
-    crash_time: float | None = None,
-) -> PairQoS:
-    """QoS of one monitored pair over ``[0, horizon]``.
-
-    When the target crashed at ``crash_time``, suspicion intervals after the
-    crash are correct behavior and excluded from the mistake tally.
-    """
-    if horizon <= 0:
-        raise ExperimentError(f"horizon must be > 0, got {horizon}")
-    truth_end = crash_time if crash_time is not None else horizon
-    intervals = trace.suspicion_intervals(observer, target, horizon=horizon)
-    mistakes = [
-        (start, min(end, truth_end))
-        for start, end in intervals
-        if start < truth_end
-    ]
-    detection: float | None = None
-    if crash_time is not None:
-        start = trace.permanent_suspicion_time(observer, target)
-        if start is not None:
-            detection = max(0.0, start - crash_time)
-    return PairQoS(
-        observer=observer,
-        target=target,
-        horizon=horizon,
-        detection_time=detection,
-        mistake_count=len(mistakes),
-        mistake_total_duration=sum(end - start for start, end in mistakes),
-    )
 
 
 def accuracy_stabilization(

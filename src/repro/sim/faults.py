@@ -31,7 +31,7 @@ recovery instant.  :meth:`FaultPlan.alive_at`, :meth:`FaultPlan.down_at`,
 :meth:`FaultPlan.down_intervals`, :meth:`FaultPlan.alive_intervals` and
 :meth:`FaultPlan.incarnation_of` answer the per-epoch questions;
 :mod:`repro.metrics.qos` scores suspicions against them
-(``epoch_mistake_stats`` / ``epoch_detection_stats``).
+(``detection_stats`` / ``mistake_stats``).
 """
 
 from __future__ import annotations
@@ -365,15 +365,6 @@ class FaultPlan:
         departed = frozenset(fault.process for fault in self.leaves)
         return frozenset(membership) - self.crashed_processes() - departed
 
-    def crash_time(self, process: ProcessId) -> float | None:
-        for fault in self.crashes:
-            if fault.process == process:
-                return fault.time
-        return None
-
-    def crashed_by(self, time: float) -> frozenset[ProcessId]:
-        return frozenset(f.process for f in self.crashes if f.time <= time)
-
     # -- epoch-aware ground truth ---------------------------------------------
     def down_intervals(
         self, process: ProcessId, *, horizon: float = _INF
@@ -443,9 +434,8 @@ class FaultPlan:
     def down_at(self, time: float) -> frozenset[ProcessId]:
         """Every process that is down at ``time``.
 
-        With only :class:`CrashFault` faults this equals
-        :meth:`crashed_by` — the pre-epoch notion the legacy experiments
-        score against.
+        With only :class:`CrashFault` faults these are the processes that
+        crashed at or before ``time``.
         """
         processes = set(fault.process for fault in self.crashes)
         processes.update(rec.process for rec in self.recoveries)
@@ -459,9 +449,7 @@ class FaultPlan:
         self, time: float, membership: Iterable[ProcessId]
     ) -> frozenset[ProcessId]:
         """The members that are up at ``time`` (the per-epoch correct set)."""
-        return frozenset(
-            pid for pid in membership if self.alive_at(pid, time)
-        )
+        return frozenset(membership) - self.down_at(time)
 
     def epoch_times(self) -> tuple[float, ...]:
         """Every instant at which the ground truth changes, sorted."""

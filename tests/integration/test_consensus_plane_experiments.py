@@ -169,9 +169,11 @@ class TestOpenFindings:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "docs/consensus.md, `churn`: phi-accrual never suspects a process "
-            "it has no heartbeat samples from, so consensus deadlocks "
-            "(0 decided)"
+            "docs/consensus.md, `churn`: the joiner p1 is round 1's coordinator "
+            "and the other processes' round-1 estimates to it were lost before "
+            "its join at 3.0 s; phi-accrual never suspects a process it has no "
+            "heartbeat samples from, so there is no suspicion, so no nack, and "
+            "round 1 waits forever (0 decided)"
         ),
     )
     def test_churn_phi_accrual_decides(self):

@@ -8,7 +8,7 @@ must first *learn* the membership from queries.
 """
 
 from repro.detectors import sim_driver_factory
-from repro.metrics import detection_stats
+from repro.experiments.scenarios import victim_window
 from repro.sim import ExponentialLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan
 
@@ -66,8 +66,8 @@ class TestEquivalenceOnFullMesh:
         plan = FaultPlan.of(crashes=[CrashFault(6, 5.0)])
         core = run_core(plan)
         partial = run_partial(plan)
-        core_stats = detection_stats(core.trace, 6, 5.0, core.correct_processes())
-        partial_stats = detection_stats(partial.trace, 6, 5.0, partial.correct_processes())
+        core_stats = victim_window(core, 6, 15.0)
+        partial_stats = victim_window(partial, 6, 15.0)
         assert core_stats.detected_by_all and partial_stats.detected_by_all
         # Same pacing, same network, same quorum: latencies within a round.
         assert abs(core_stats.mean_latency - partial_stats.mean_latency) < 0.2

@@ -8,7 +8,7 @@ eviction rule.
 import random
 
 from repro.detectors import sim_driver_factory
-from repro.metrics import detection_stats
+from repro.experiments.scenarios import victim_window
 from repro.partial import validate_f_covering
 from repro.sim import ExponentialLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan, MobilityFault
@@ -55,9 +55,7 @@ class TestFloodingCompleteness:
         cluster = build(topology, f=2, fault_plan=plan)
         cluster.run(until=25.0)
         for crash in plan.crashes:
-            stats = detection_stats(
-                cluster.trace, crash.process, crash.time, cluster.correct_processes()
-            )
+            stats = victim_window(cluster, crash.process, 25.0)
             assert stats.detected_by_all, f"crash of {crash.process} missed"
 
     def test_membership_is_learned_not_configured(self):

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.properties import responsive_processes
 from repro.errors import ConfigurationError
-from repro.metrics import detection_stats, mistake_stats
+from repro.experiments.scenarios import victim_window
+from repro.metrics import mistake_stats
 from repro.runtime import LocalCluster, ServicePacing
 from repro.sim import ExponentialLatency, QueryPacing, SimCluster, UniformLatency
 from repro.detectors import sim_driver_factory
@@ -42,7 +43,7 @@ class TestRetryOnSimulator:
         cluster.run(until=30.0)
         late = [r for r in cluster.trace.rounds if r.finished_at > 22.5]
         assert {r.querier for r in late} == cluster.correct_processes()
-        stats = detection_stats(cluster.trace, 8, 10.0, cluster.correct_processes())
+        stats = victim_window(cluster, 8, 30.0)
         assert stats.detected_by_all
         assert any(driver.core.retries_sent > 0 for driver in cluster.drivers.values())
 
@@ -97,7 +98,9 @@ class TestDiamondPRegime:
     def test_no_correct_process_is_ever_suspected(self):
         cluster = self.build()
         cluster.run(until=20.0)
-        stats = mistake_stats(cluster.trace, cluster.correct_processes(), horizon=20.0)
+        stats = mistake_stats(
+            cluster.trace, cluster.fault_plan, cluster.correct_processes(), horizon=20.0
+        )
         assert stats.count == 0
 
     def test_oracle_certifies_every_correct_process_responsive(self):

@@ -1,7 +1,8 @@
 """End-to-end runs of the timer-based baselines on the simulator."""
 
 from repro.detectors import sim_driver_factory
-from repro.metrics import detection_stats, mistake_stats
+from repro.experiments.scenarios import victim_window
+from repro.metrics import mistake_stats
 from repro.sim import ExponentialLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.latency import RegimeShiftLatency
@@ -26,7 +27,7 @@ class TestHeartbeatEndToEnd:
         plan = FaultPlan.of(crashes=[CrashFault(4, 5.0)])
         cluster = build_heartbeat(5, fault_plan=plan)
         cluster.run(until=15.0)
-        stats = detection_stats(cluster.trace, 4, 5.0, cluster.correct_processes())
+        stats = victim_window(cluster, 4, 15.0)
         assert stats.detected_by_all
         # Θ = 1.0, Δ = 0.5: detection inside [Θ - Δ, Θ] (+ small network δ).
         assert all(0.4 <= lat <= 1.1 for lat in stats.latencies.values())
@@ -34,7 +35,9 @@ class TestHeartbeatEndToEnd:
     def test_no_false_suspicions_with_calm_network(self):
         cluster = build_heartbeat(5)
         cluster.run(until=15.0)
-        stats = mistake_stats(cluster.trace, cluster.correct_processes(), horizon=15.0)
+        stats = mistake_stats(
+            cluster.trace, cluster.fault_plan, cluster.correct_processes(), horizon=15.0
+        )
         assert stats.count == 0
 
     def test_regime_shift_causes_false_suspicions(self):
@@ -44,7 +47,9 @@ class TestHeartbeatEndToEnd:
         )
         cluster = build_heartbeat(5, latency=latency)
         cluster.run(until=25.0)
-        stats = mistake_stats(cluster.trace, cluster.correct_processes(), horizon=25.0)
+        stats = mistake_stats(
+            cluster.trace, cluster.fault_plan, cluster.correct_processes(), horizon=25.0
+        )
         assert stats.count > 0
 
 
@@ -78,7 +83,9 @@ class TestGossipEndToEnd:
             start_stagger=0.5,
         )
         cluster.run(until=20.0)
-        stats = mistake_stats(cluster.trace, cluster.correct_processes(), horizon=20.0)
+        stats = mistake_stats(
+            cluster.trace, cluster.fault_plan, cluster.correct_processes(), horizon=20.0
+        )
         # Fresh heartbeats flood around the ring well inside Θ = 1.5 s.
         assert stats.unresolved == 0
 
@@ -98,7 +105,7 @@ class TestPhiEndToEnd:
             start_stagger=0.5,
         )
         cluster.run(until=30.0)
-        stats = detection_stats(cluster.trace, 4, 10.0, cluster.correct_processes())
+        stats = victim_window(cluster, 4, 30.0)
         assert stats.detected_by_all
 
     def test_adapts_to_slow_but_steady_cadence(self):
@@ -115,5 +122,7 @@ class TestPhiEndToEnd:
             start_stagger=0.5,
         )
         cluster.run(until=60.0)
-        stats = mistake_stats(cluster.trace, cluster.correct_processes(), horizon=60.0)
+        stats = mistake_stats(
+            cluster.trace, cluster.fault_plan, cluster.correct_processes(), horizon=60.0
+        )
         assert stats.unresolved == 0

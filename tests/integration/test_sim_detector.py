@@ -9,7 +9,8 @@ latencies, pacing and fault injection.
 
 from repro.core.properties import find_mp_witness
 from repro.detectors import sim_driver_factory
-from repro.metrics import accuracy_stabilization, detection_stats, mistake_stats
+from repro.experiments.scenarios import victim_window
+from repro.metrics import accuracy_stabilization, mistake_stats
 from repro.sim import BiasedLatency, ExponentialLatency, LogNormalLatency, SimCluster
 from repro.sim.faults import CrashFault, FaultPlan
 
@@ -63,7 +64,7 @@ class TestStrongCompleteness:
         plan = FaultPlan.of(crashes=[CrashFault(4, 5.0)])
         cluster = build(6, 2, fault_plan=plan, grace=0.2)
         cluster.run(until=15.0)
-        stats = detection_stats(cluster.trace, 4, 5.0, cluster.correct_processes())
+        stats = victim_window(cluster, 4, 15.0)
         assert stats.detected_by_all
         assert stats.max_latency < 1.0
 
@@ -129,7 +130,9 @@ class TestEventualWeakAccuracy:
         # (no pair may remain wrongly suspected once delays quiet down).
         cluster = build(8, 3, latency=LogNormalLatency(0.005, 1.5), grace=0.01, idle=0.05)
         cluster.run(until=30.0)
-        stats = mistake_stats(cluster.trace, cluster.correct_processes(), horizon=30.0)
+        stats = mistake_stats(
+            cluster.trace, cluster.fault_plan, cluster.correct_processes(), horizon=30.0
+        )
         if stats.count:
             stabilization = accuracy_stabilization(
                 cluster.trace, cluster.correct_processes(), horizon=30.0

@@ -5,9 +5,9 @@ down-but-will-recover is *correct* until the recovery instant."""
 import pytest
 
 from repro.metrics import (
-    EpochMistakeStats,
-    epoch_detection_stats,
-    epoch_mistake_stats,
+    MistakeStats,
+    detection_stats,
+    mistake_stats,
 )
 from repro.sim.faults import (
     CrashFault,
@@ -30,10 +30,10 @@ def record_suspicion(trace, observer, target, start, end=None):
 class TestEpochMistakeStats:
     def test_no_suspicions_is_perfect(self):
         trace = TraceRecorder()
-        stats = epoch_mistake_stats(
+        stats = mistake_stats(
             trace, FaultPlan.none(), MEMBERS, horizon=10.0
         )
-        assert isinstance(stats, EpochMistakeStats)
+        assert isinstance(stats, MistakeStats)
         assert stats.count == 0
         assert stats.total_duration == 0.0
         assert stats.query_accuracy_probability == 1.0
@@ -43,7 +43,7 @@ class TestEpochMistakeStats:
     def test_false_suspicion_counts(self):
         trace = TraceRecorder()
         record_suspicion(trace, 1, 2, 2.0, 5.0)
-        stats = epoch_mistake_stats(
+        stats = mistake_stats(
             trace, FaultPlan.none(), MEMBERS, horizon=10.0
         )
         assert stats.count == 1
@@ -55,7 +55,7 @@ class TestEpochMistakeStats:
         trace = TraceRecorder()
         # Suspected exactly while down: zero mistake time.
         record_suspicion(trace, 1, 2, 3.0, 7.0)
-        stats = epoch_mistake_stats(trace, plan, MEMBERS, horizon=10.0)
+        stats = mistake_stats(trace, plan, MEMBERS, horizon=10.0)
         assert stats.count == 0
         assert stats.total_duration == 0.0
 
@@ -64,7 +64,7 @@ class TestEpochMistakeStats:
         trace = TraceRecorder()
         # Suspicion [3, 9): wrong only on [7, 9) after the recovery.
         record_suspicion(trace, 1, 2, 3.0, 9.0)
-        stats = epoch_mistake_stats(trace, plan, MEMBERS, horizon=10.0)
+        stats = mistake_stats(trace, plan, MEMBERS, horizon=10.0)
         assert stats.count == 1
         assert stats.total_duration == pytest.approx(2.0)
 
@@ -73,13 +73,13 @@ class TestEpochMistakeStats:
         trace = TraceRecorder()
         # Observer 1 is down from t=4; its lingering suspicion stops counting.
         record_suspicion(trace, 1, 2, 2.0)  # never withdrawn
-        stats = epoch_mistake_stats(trace, plan, MEMBERS, horizon=10.0)
+        stats = mistake_stats(trace, plan, MEMBERS, horizon=10.0)
         assert stats.total_duration == pytest.approx(2.0)  # only [2, 4)
 
     def test_alive_pair_time_shrinks_with_downtime(self):
         plan = FaultPlan.of(crashes=[CrashFault(3, 5.0)])
         trace = TraceRecorder()
-        stats = epoch_mistake_stats(trace, plan, MEMBERS, horizon=10.0)
+        stats = mistake_stats(trace, plan, MEMBERS, horizon=10.0)
         # Pairs within {1,2}: 2 * 10.  Pairs touching 3: 4 * 5.
         assert stats.alive_pair_time == pytest.approx(20.0 + 20.0)
 
@@ -90,7 +90,7 @@ class TestEpochDetectionStats:
         trace = TraceRecorder()
         record_suspicion(trace, 1, 3, 5.0)
         record_suspicion(trace, 2, 3, 6.0)
-        windows = epoch_detection_stats(trace, plan, MEMBERS, horizon=10.0)
+        windows = detection_stats(trace, plan, MEMBERS, horizon=10.0)
         assert len(windows) == 1
         window = windows[0]
         assert window.crashed == 3
@@ -104,7 +104,7 @@ class TestEpochDetectionStats:
         trace = TraceRecorder()
         record_suspicion(trace, 1, 3, 5.0, 6.0)  # withdrawn: not permanent
         record_suspicion(trace, 2, 3, 6.0)
-        windows = epoch_detection_stats(trace, plan, MEMBERS, horizon=10.0)
+        windows = detection_stats(trace, plan, MEMBERS, horizon=10.0)
         window = windows[0]
         assert window.undetected == frozenset({1})
         assert not window.detected_by_all
@@ -116,7 +116,7 @@ class TestEpochDetectionStats:
         # withdrawal after the recovery still counts as a detection.
         record_suspicion(trace, 1, 3, 1.0, 2.0)
         record_suspicion(trace, 1, 3, 5.5, 8.2)
-        windows = epoch_detection_stats(trace, plan, MEMBERS, horizon=10.0)
+        windows = detection_stats(trace, plan, MEMBERS, horizon=10.0)
         assert len(windows) == 1
         window = windows[0]
         assert window.crash_time == 4.0
@@ -126,7 +126,7 @@ class TestEpochDetectionStats:
     def test_undetected_transient_window(self):
         plan = FaultPlan.of(recoveries=[RecoveryFault(3, crash=4.0, recover=8.0)])
         trace = TraceRecorder()
-        windows = epoch_detection_stats(trace, plan, MEMBERS, horizon=10.0)
+        windows = detection_stats(trace, plan, MEMBERS, horizon=10.0)
         assert windows[0].latencies == {}
         assert windows[0].undetected == frozenset({1, 2})
 
@@ -136,7 +136,7 @@ class TestEpochDetectionStats:
         )
         trace = TraceRecorder()
         record_suspicion(trace, 1, 3, 5.0)
-        windows = epoch_detection_stats(trace, plan, MEMBERS, horizon=10.0)
+        windows = detection_stats(trace, plan, MEMBERS, horizon=10.0)
         crash_window = next(w for w in windows if w.crashed == 3)
         # Only 1 is a correct observer at the end of 3's window.
         assert set(crash_window.latencies) | crash_window.undetected == {1}
@@ -150,7 +150,7 @@ class TestEpochDetectionStats:
             ]
         )
         trace = TraceRecorder()
-        windows = epoch_detection_stats(trace, plan, MEMBERS, horizon=10.0)
+        windows = detection_stats(trace, plan, MEMBERS, horizon=10.0)
         assert [(w.crashed, w.crash_time) for w in windows] == [(3, 2.0), (3, 6.0)]
 
 
@@ -158,14 +158,14 @@ class TestEpochEdgeCases:
     def test_everything_down_means_perfect_accuracy(self):
         plan = FaultPlan.of(crashes=[CrashFault(pid, 0.0) for pid in MEMBERS])
         trace = TraceRecorder()
-        stats = epoch_mistake_stats(trace, plan, MEMBERS, horizon=10.0)
+        stats = mistake_stats(trace, plan, MEMBERS, horizon=10.0)
         assert stats.alive_pair_time == 0.0
         assert stats.query_accuracy_probability == 1.0
 
     def test_unresolved_suspicion_clips_to_horizon(self):
         trace = TraceRecorder()
         record_suspicion(trace, 1, 2, 8.0)  # never withdrawn
-        stats = epoch_mistake_stats(trace, FaultPlan.none(), MEMBERS, horizon=10.0)
+        stats = mistake_stats(trace, FaultPlan.none(), MEMBERS, horizon=10.0)
         assert stats.total_duration == pytest.approx(2.0)
         assert stats.unresolved == 1
 
@@ -173,12 +173,55 @@ class TestEpochEdgeCases:
         trace = TraceRecorder()
         record_suspicion(trace, 1, 2, 1.0, 2.0)
         record_suspicion(trace, 1, 2, 4.0, 5.0)
-        stats = epoch_mistake_stats(trace, FaultPlan.none(), MEMBERS, horizon=10.0)
+        stats = mistake_stats(trace, FaultPlan.none(), MEMBERS, horizon=10.0)
         assert stats.count == 2
         assert stats.rate == pytest.approx(0.2)
         assert stats.mean_duration == pytest.approx(1.0)
 
     def test_crash_only_plan_matches_legacy_down_at(self):
         plan = FaultPlan.of(crashes=[CrashFault(2, 5.0)])
-        for t in (0.0, 4.999, 5.0, 7.5, 1e9):
-            assert plan.down_at(t) == plan.crashed_by(t)
+        for t in (0.0, 4.999):
+            assert plan.down_at(t) == frozenset()
+        for t in (5.0, 7.5, 1e9):
+            assert plan.down_at(t) == frozenset({2})
+
+    def test_instant_suspicion_of_an_up_target_is_a_mistake(self):
+        # Suspected and withdrawn at one instant: one mistake of length 0.
+        trace = TraceRecorder()
+        record_suspicion(trace, 1, 2, 3.0, 3.0)
+        stats = mistake_stats(trace, FaultPlan.none(), MEMBERS, horizon=10.0)
+        assert (stats.count, stats.total_duration, stats.unresolved) == (1, 0.0, 0)
+
+    def test_instant_suspicion_of_a_down_target_is_not(self):
+        plan = FaultPlan.of(recoveries=[RecoveryFault(2, crash=3.0, recover=7.0)])
+        trace = TraceRecorder()
+        record_suspicion(trace, 1, 2, 3.0, 3.0)
+        record_suspicion(trace, 1, 2, 7.0, 7.0)  # up again at its recovery
+        stats = mistake_stats(trace, plan, MEMBERS, horizon=10.0)
+        assert stats.count == 1
+
+    def test_suspicion_begun_at_the_horizon_is_unresolved(self):
+        trace = TraceRecorder()
+        record_suspicion(trace, 1, 2, 10.0)
+        stats = mistake_stats(trace, FaultPlan.none(), MEMBERS, horizon=10.0)
+        assert (stats.count, stats.total_duration, stats.unresolved) == (1, 0.0, 1)
+
+
+class TestWindowOrder:
+    def test_processes_in_the_order_the_plan_names_them(self):
+        plan = FaultPlan.of(
+            crashes=[CrashFault(3, 6.0), CrashFault(1, 2.0)],
+            recoveries=[
+                RecoveryFault(2, crash=5.0, recover=6.0),
+                RecoveryFault(2, crash=1.0, recover=2.0),
+            ],
+        )
+        windows = detection_stats(TraceRecorder(), plan, (1, 2, 3, 4), horizon=10.0)
+        assert [(w.crashed, w.crash_time) for w in windows] == [
+            (3, 6.0), (1, 2.0), (2, 1.0), (2, 5.0)
+        ]
+
+    def test_processes_outside_the_membership_are_not_scored(self):
+        plan = FaultPlan.of(crashes=[CrashFault(9, 1.0), CrashFault(3, 2.0)])
+        windows = detection_stats(TraceRecorder(), plan, MEMBERS, horizon=10.0)
+        assert [w.crashed for w in windows] == [3]

@@ -44,16 +44,10 @@ class TestGroundTruth:
         plan = FaultPlan.of(crashes=[CrashFault(2, 1.0)])
         assert plan.correct_processes([1, 2, 3]) == frozenset({1, 3})
 
-    def test_crash_time(self):
+    def test_a_crash_is_a_down_window_that_never_closes(self):
         plan = FaultPlan.of(crashes=[CrashFault(2, 1.5)])
-        assert plan.crash_time(2) == 1.5
-        assert plan.crash_time(1) is None
-
-    def test_crashed_by(self):
-        plan = FaultPlan.of(crashes=[CrashFault(2, 1.0), CrashFault(3, 5.0)])
-        assert plan.crashed_by(0.5) == frozenset()
-        assert plan.crashed_by(1.0) == frozenset({2})
-        assert plan.crashed_by(9.0) == frozenset({2, 3})
+        assert plan.down_intervals(2) == ((1.5, math.inf),)
+        assert plan.down_intervals(1) == ()
 
     def test_empty_plan(self):
         plan = FaultPlan.none()
@@ -175,7 +169,7 @@ class TestRecoveryFault:
             crashes=[CrashFault(1, 10.0)],
             recoveries=[RecoveryFault(1, crash=2.0, recover=4.0)],
         )
-        assert plan.crash_time(1) == 10.0
+        assert plan.down_intervals(1) == ((2.0, 4.0), (10.0, math.inf))
 
 
 class TestMembershipFaults:
@@ -274,10 +268,11 @@ class TestEpochQueries:
         assert plan.down_at(4.0) == frozenset({1})
         assert plan.down_at(9.0) == frozenset({3, 4})
 
-    def test_down_at_matches_crashed_by_for_crash_only_plans(self):
+    def test_down_at_of_crash_only_plans(self):
         plan = FaultPlan.of(crashes=[CrashFault(2, 1.0), CrashFault(3, 5.0)])
-        for t in (0.0, 1.0, 3.0, 5.0, 9.0):
-            assert plan.down_at(t) == plan.crashed_by(t)
+        expected = {0.0: set(), 1.0: {2}, 3.0: {2}, 5.0: {2, 3}, 9.0: {2, 3}}
+        for t, down in expected.items():
+            assert plan.down_at(t) == frozenset(down)
 
     def test_correct_at(self):
         plan = self.plan()

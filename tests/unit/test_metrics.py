@@ -5,12 +5,10 @@ import pytest
 from repro.errors import ExperimentError
 from repro.metrics import (
     accuracy_stabilization,
-    all_detection_stats,
     detection_stats,
     false_suspicion_series,
     message_load,
     mistake_stats,
-    pair_qos,
 )
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.trace import TraceRecorder
@@ -28,10 +26,15 @@ def trace_with(observer_events):
     return trace
 
 
+def windows_of(trace, crashes, members, horizon=20.0):
+    plan = FaultPlan.of(crashes=[CrashFault(pid, at) for pid, at in crashes])
+    return detection_stats(trace, plan, members, horizon=horizon)
+
+
 class TestDetectionStats:
     def test_latencies_per_observer(self):
         trace = trace_with({1: [(12.0, {9})], 2: [(13.5, {9})]})
-        stats = detection_stats(trace, crashed=9, crash_time=10.0, observers=[1, 2])
+        [stats] = windows_of(trace, [(9, 10.0)], [1, 2, 9])
         assert stats.latencies == {1: 2.0, 2: 3.5}
         assert stats.detected_by_all
         assert stats.min_latency == 2.0
@@ -40,36 +43,35 @@ class TestDetectionStats:
 
     def test_undetected_observer_is_reported(self):
         trace = trace_with({1: [(12.0, {9})]})
-        stats = detection_stats(trace, 9, 10.0, observers=[1, 2])
+        [stats] = windows_of(trace, [(9, 10.0)], [1, 2, 9])
         assert stats.undetected == frozenset({2})
         assert not stats.detected_by_all
 
     def test_revoked_suspicion_does_not_count(self):
         trace = trace_with({1: [(12.0, {9}), (13.0, set())]})
-        stats = detection_stats(trace, 9, 10.0, observers=[1])
+        [stats] = windows_of(trace, [(9, 10.0)], [1, 9])
         assert stats.undetected == frozenset({1})
 
     def test_pre_crash_suspicion_floors_latency_at_zero(self):
         # Observer suspected 9 before it actually crashed and never revoked.
         trace = trace_with({1: [(8.0, {9})]})
-        stats = detection_stats(trace, 9, 10.0, observers=[1])
+        [stats] = windows_of(trace, [(9, 10.0)], [1, 9])
         assert stats.latencies[1] == 0.0
 
     def test_crashed_observer_is_skipped(self):
         trace = trace_with({1: [(12.0, {9})]})
-        stats = detection_stats(trace, 9, 10.0, observers=[1, 9])
+        [stats] = windows_of(trace, [(9, 10.0)], [1, 9])
         assert 9 not in stats.latencies
         assert 9 not in stats.undetected
 
-    def test_all_detection_stats_covers_every_crash(self):
+    def test_every_crash_gets_a_window(self):
         trace = trace_with(
             {
                 1: [(12.0, {9}), (22.0, {9, 8})],
                 8: [(12.5, {9})],
             }
         )
-        plan = FaultPlan.of(crashes=[CrashFault(9, 10.0), CrashFault(8, 20.0)])
-        stats = all_detection_stats(trace, plan, membership=[1, 8, 9])
+        stats = windows_of(trace, [(9, 10.0), (8, 20.0)], [1, 8, 9], horizon=30.0)
         assert len(stats) == 2
         assert stats[0].crashed == 9
         # Only process 1 is correct for the second crash.
@@ -84,7 +86,7 @@ class TestMistakeStats:
                 2: [(5.0, {1})],  # open until horizon
             }
         )
-        stats = mistake_stats(trace, correct=[1, 2], horizon=10.0)
+        stats = mistake_stats(trace, FaultPlan.none(), [1, 2], horizon=10.0)
         assert stats.count == 2
         assert stats.total_duration == pytest.approx(2.0 + 5.0)
         assert stats.mean_duration == pytest.approx(3.5)
@@ -93,37 +95,45 @@ class TestMistakeStats:
 
     def test_crashed_targets_are_excluded(self):
         trace = trace_with({1: [(1.0, {9})]})
-        stats = mistake_stats(trace, correct=[1, 2], horizon=10.0)
+        plan = FaultPlan.of(crashes=[CrashFault(9, 0.5)])
+        stats = mistake_stats(trace, plan, [1, 2, 9], horizon=10.0)
         assert stats.count == 0
 
     def test_no_mistakes(self):
-        stats = mistake_stats(TraceRecorder(), correct=[1, 2], horizon=10.0)
+        stats = mistake_stats(TraceRecorder(), FaultPlan.none(), [1, 2], horizon=10.0)
         assert stats.count == 0
         assert stats.mean_duration is None
 
 
 class TestPairQoS:
+    """One monitored pair's QoS, read off the two scorers."""
+
     def test_mistakes_only_before_crash(self):
         trace = trace_with({1: [(1.0, {9}), (2.0, set()), (12.0, {9})]})
-        qos = pair_qos(trace, 1, 9, horizon=20.0, crash_time=10.0)
-        assert qos.mistake_count == 1
-        assert qos.mistake_total_duration == pytest.approx(1.0)
-        assert qos.detection_time == pytest.approx(2.0)
+        plan = FaultPlan.of(crashes=[CrashFault(9, 10.0)])
+        mistakes = mistake_stats(trace, plan, [1, 9], horizon=20.0)
+        assert mistakes.count == 1
+        assert mistakes.total_duration == pytest.approx(1.0)
+        [window] = detection_stats(trace, plan, [1, 9], horizon=20.0)
+        assert window.latencies == {1: pytest.approx(2.0)}
 
     def test_no_crash_means_no_detection_time(self):
         trace = trace_with({1: [(1.0, {9}), (2.0, set())]})
-        qos = pair_qos(trace, 1, 9, horizon=20.0)
-        assert qos.detection_time is None
-        assert qos.mistake_rate == pytest.approx(1 / 20.0)
+        assert detection_stats(trace, FaultPlan.none(), [1, 9], horizon=20.0) == []
+        mistakes = mistake_stats(trace, FaultPlan.none(), [1, 9], horizon=20.0)
+        assert mistakes.rate == pytest.approx(1 / 20.0)
 
     def test_query_accuracy_probability(self):
+        # Two ordered pairs over 10 s; 1 wrongly suspects 9 for half of it.
         trace = trace_with({1: [(0.0, {9}), (5.0, set())]})
-        qos = pair_qos(trace, 1, 9, horizon=10.0)
-        assert qos.query_accuracy_probability == pytest.approx(0.5)
+        mistakes = mistake_stats(trace, FaultPlan.none(), [1, 9], horizon=10.0)
+        assert mistakes.query_accuracy_probability == pytest.approx(0.75)
 
     def test_invalid_horizon(self):
         with pytest.raises(ExperimentError):
-            pair_qos(TraceRecorder(), 1, 2, horizon=0.0)
+            mistake_stats(TraceRecorder(), FaultPlan.none(), [1, 2], horizon=0.0)
+        with pytest.raises(ExperimentError):
+            detection_stats(TraceRecorder(), FaultPlan.none(), [1, 2], horizon=0.0)
 
 
 class TestAccuracyStabilization:

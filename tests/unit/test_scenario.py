@@ -12,7 +12,8 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import a1_grace_ablation, scenarios
-from repro.experiments.scenarios import Scenario, table_label
+from repro.experiments.scenarios import Scenario, table_label, victim_window
+from repro.sim.faults import CrashFault, FaultPlan
 from repro.sim.node import QueryResponseDriver, TimedDriver
 from repro.sim.topology import ring
 
@@ -123,6 +124,19 @@ def test_a_scenario_is_a_frozen_value_and_runs_once_per_cluster():
     assert first.trace.messages_total == second.trace.messages_total > 0
     with pytest.raises(SimulationError, match="closed"):
         first.run(until=1.0)
+
+
+@pytest.mark.parametrize("crash_at", [2.0, 8.0])
+def test_victim_window_reads_the_victims_down_window(crash_at):
+    plan = FaultPlan.of(crashes=[CrashFault(4, crash_at)])
+    cluster = Scenario(detector="heartbeat", n=4, f=1, horizon=6.0, fault_plan=plan).run()
+    window = victim_window(cluster, 4, 6.0)
+    assert window.crashed == 4
+    if crash_at < 6.0:
+        assert window.crash_time == crash_at and window.detected_by_all
+    else:
+        # The run ends before the crash: nothing went down, nothing was detected.
+        assert (window.latencies, window.mean_latency) == ({}, None)
 
 
 def test_unknown_key_raises():
