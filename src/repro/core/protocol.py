@@ -193,11 +193,12 @@ class TimeFreeDetector(FailureDetector):
         #: ``known_i``: on a given view Pi itself, one frozenset shared by
         #: every process (the node always responds to its own query, so the
         #: line-9 sweep never names it); on a learned view, every process a
-        #: query was received from (line 20) and not evicted since
+        #: query was received from (line 20) and not evicted since, as the
+        #: keys of a dict (a set's hash table is 2-4x larger at range size)
         self._learns = config.membership is None
         self._evicts = self._learns and mobility
-        self._known: set[ProcessId] | frozenset[ProcessId] = (
-            set() if self._learns else config.membership  # type: ignore[assignment]
+        self._known: dict[ProcessId, None] | frozenset[ProcessId] = (
+            {} if self._learns else config.membership  # type: ignore[assignment]
         )
         self._extra_provider = extra_provider
         self._extra_consumer = extra_consumer
@@ -261,7 +262,7 @@ class TimeFreeDetector(FailureDetector):
 
     def known(self) -> frozenset[ProcessId]:
         """``known_i``: the other processes an unanswered round can suspect."""
-        return frozenset(self._known - {self.process_id})
+        return frozenset(self._known) - {self.process_id}
 
     # ------------------------------------------------------------------
     # task T1: query rounds
@@ -331,8 +332,13 @@ class TimeFreeDetector(FailureDetector):
         newly: list[ProcessId] = []
         # Line 9: known processes that did not respond and are not already
         # suspected become suspected, in repr order.  In steady state every
-        # known process responded, so the common case sorts nothing.
-        missing = self._known.difference(rec_from)
+        # known process responded, so the common case sorts nothing.  Both
+        # forms build only the (usually empty) result; ``keys() - rec_from``
+        # would copy ``_known`` first.
+        if self._learns:
+            missing = [pj for pj in self._known if pj not in rec_from]
+        else:
+            missing = self._known.difference(rec_from)
         if missing:
             for pj in sorted(missing, key=repr):
                 result = self._state.suspect_locally(pj)
@@ -376,7 +382,7 @@ class TimeFreeDetector(FailureDetector):
         if sender == self.process_id:
             return None  # own broadcast echoed back; carries no new information
         if self._learns:
-            self._known.add(sender)  # line 20: learn the sender
+            self._known[sender] = None  # line 20: learn the sender
         if self._extra_consumer is not None and query.extra:
             self._extra_consumer(sender, query.extra_payload())
         # Batched T2 merge: one fused pass over both record streams,
@@ -390,7 +396,7 @@ class TimeFreeDetector(FailureDetector):
             owner = self.process_id
             for pid in delta.mistakes_adopted:
                 if pid != sender and pid != owner:
-                    self._known.discard(pid)
+                    self._known.pop(pid, None)
         if self._extra_provider is None:
             response = self._response_cache
             if response is None or response.round_id != query.round_id:

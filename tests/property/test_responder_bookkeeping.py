@@ -103,7 +103,7 @@ class ListAndSetPartial(_ListAndSet, TimeFreeDetector):
                 f"{len(self._responders)}/{self._config.quorum} responses; "
                 "cannot terminate the query before the quorum (line 7)"
             )
-        return self._close(sorted(self._known - self._responder_set, key=repr))
+        return self._close(sorted(set(self._known) - self._responder_set, key=repr))
 
 
 def time_free_pair():

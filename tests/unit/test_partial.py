@@ -1,7 +1,10 @@
 """Unit tests for the detector over a learned membership view (unknown participants)."""
 
+import tracemalloc
+
 import pytest
 
+from repro.core import protocol
 from repro.core.messages import Query, Response
 from repro.core.protocol import DetectorConfig, TimeFreeDetector
 from repro.errors import ConfigurationError, ProtocolError
@@ -68,6 +71,22 @@ class TestMembershipLearning:
         detector = TimeFreeDetector(DetectorConfig.for_process(1, [1, 5, 7], f=1))
         detector.on_query(query_from(7, mistakes=((5, 3),)))
         assert detector.known() == frozenset({5, 7})
+
+    def test_known_holds_a_hundred_peers_in_a_dict_sized_table(self):
+        # ``known_i`` is the keys of a dict: 100 learned peers take ≈ 4.6 KiB
+        # of table, where a set (grown 4x, at most 60 % full) took 8 KiB.
+        detector = make(pid=0)
+        queries = [query_from(peer) for peer in range(1, 101)]
+        tracemalloc.start()
+        try:
+            for query in queries:
+                detector.on_query(query)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        mine = snapshot.filter_traces([tracemalloc.Filter(True, protocol.__file__)])
+        assert detector.known() == frozenset(range(1, 101))
+        assert sum(stat.size for stat in mine.statistics("filename")) < 6 * 1024
 
     def test_responses_do_not_teach(self):
         # known_j is defined by received *queries* only (line 20).
