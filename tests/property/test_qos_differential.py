@@ -17,10 +17,13 @@ suspicion of an up target is one mistake of length 0.
 
 ``total_duration`` is a float sum over pairs.  The epoch scorer adds the
 pairs in ``repr`` order of the members (so its sums do not depend on the
-hash seed), the oracle in set order; for ids ``1..9`` the two orders agree.
-So the sum is bit-equal for up to nine ids at any times, and for any number
-of ids at times on a binary grid (every partial sum exact); with ten or
-more ids at arbitrary times only the last place may differ.
+hash seed), the oracle in set order: observers in ``frozenset(correct)``,
+each one's targets in ``targets_of(observer) & correct``.  An intersection
+of a few ids lives in an 8-slot table, so ``8`` and ``9`` come before
+``1..7`` there (``{3, 6, 8}`` iterates ``8, 3, 6``).  So the sum is
+bit-equal whenever the two orders agree (always for ids ``1..7``), and for
+any number of ids at times on a binary grid (every partial sum exact);
+otherwise only the last place may differ.
 """
 
 import math
@@ -111,6 +114,28 @@ def assert_same_scores(members, plan, trace, *, exact_sum=True):
         assert math.isclose(mistakes.total_duration, reference.total_duration, rel_tol=1e-12)
 
 
+def oracle_sums_in_repr_order(members, plan, trace):
+    """Whether the oracle visits the mistake pairs in ``repr`` order."""
+    correct = frozenset(plan.correct_processes(members))
+    observers = list(correct)
+    if observers != sorted(observers, key=repr):
+        return False
+    for observer in observers:
+        targets = list(trace.targets_of(observer) & correct)
+        if targets != sorted(targets, key=repr):
+            return False
+    return True
+
+
+def eight_before_three_and_six():
+    """Observer 1's targets ``{3, 6, 8}`` iterate ``8, 3, 6``; the two sums
+    differ in the last place."""
+    members = tuple(range(1, 9))
+    plan = FaultPlan.of(crashes=[])
+    events = [(1, 0.1, 3, False), (1, 0.1, 6, False), (1, 0.2, 8, False)]
+    return members, plan, record(members, plan, events)
+
+
 def instant_then_crash_out_of_pid_order():
     """Victim 3 crashes before victim 2; both accused beforehand, 3 accuses
     2 before its crash, and 1 holds an instant suspicion of 2 and one begun
@@ -128,8 +153,22 @@ class TestCrashOnlyPlans:
     @settings(max_examples=300, deadline=None)
     @given(cells(ids=st.integers(2, 9), crash_times=FLOAT_CRASHES, event_times=FLOAT_EVENTS))
     @example(instant_then_crash_out_of_pid_order())
+    @example(eight_before_three_and_six())
     def test_up_to_nine_ids_at_any_time(self, cell):
-        assert_same_scores(*cell)
+        assert_same_scores(*cell, exact_sum=oracle_sums_in_repr_order(*cell))
+
+    def test_the_oracle_sums_ids_up_to_seven_in_repr_order(self):
+        members = tuple(range(1, 8))
+        plan = FaultPlan.of(crashes=[CrashFault(7, 1.0)])
+        events = [(o, 0.5, t, False) for o in members for t in members]
+        assert oracle_sums_in_repr_order(members, plan, record(members, plan, events))
+
+    def test_the_oracle_sums_eight_first(self):
+        cell = eight_before_three_and_six()
+        assert not oracle_sums_in_repr_order(*cell)
+        mistakes = mistake_stats(cell[2], cell[1], cell[0], horizon=HORIZON)
+        reference = reference_qos.mistake_stats(cell[2], cell[0], horizon=HORIZON)
+        assert mistakes.total_duration != reference.total_duration
 
     @settings(max_examples=200, deadline=None)
     @given(cells(ids=st.integers(10, 14), crash_times=GRID_CRASHES, event_times=GRID_EVENTS))
