@@ -27,13 +27,12 @@ the F3 experiment measures the degradation when the assumption is weakened.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from ..errors import ConfigurationError
 from ..ids import ProcessId
-from .protocol import DetectorConfig, QueryRoundOutcome, TimeFreeDetector
+from .protocol import DetectorConfig, QueryRoundOutcome
 
-__all__ = ["OmegaElector", "make_leader_detector"]
+__all__ = ["OmegaElector"]
 
 _PAYLOAD_KEY = "omega.accusations"
 
@@ -43,8 +42,8 @@ class OmegaElector:
 
     The elector is passive: the round driver must call
     :meth:`observe_round` with each :class:`QueryRoundOutcome`, and the
-    detector must be constructed with this elector's hooks (use
-    :func:`make_leader_detector`).
+    detector must carry its hooks (the ``time-free`` family built
+    ``with_omega=True`` is both, wired).
     """
 
     def __init__(self, config: DetectorConfig) -> None:
@@ -85,25 +84,3 @@ class OmegaElector:
         for pid, count in records:
             if pid in self._accusations and count > self._accusations[pid]:
                 self._accusations[pid] = count
-
-
-def make_leader_detector(
-    process_id: ProcessId, membership: Iterable[ProcessId], f: int
-) -> tuple[TimeFreeDetector, OmegaElector]:
-    """Build a detector/elector pair wired together via the piggyback slot.
-
-    The caller drives the detector as usual and must forward every
-    :class:`QueryRoundOutcome` to ``elector.observe_round``;
-    :class:`repro.detectors.facade.QueryRoundFacade` does this automatically
-    when given the elector.
-    """
-    config = DetectorConfig.for_process(process_id, membership, f)
-    if config.n < 2:
-        raise ConfigurationError("leader election needs at least two processes")
-    elector = OmegaElector(config)
-    detector = TimeFreeDetector(
-        config,
-        extra_provider=elector.payload,
-        extra_consumer=elector.consume,
-    )
-    return detector, elector

@@ -9,8 +9,9 @@ transports —
 * :class:`~repro.runtime.udp.UdpTransport` — JSON datagrams over UDP for
   actual multi-process clusters;
 * :class:`~repro.runtime.service.DetectorService` — any registered core
-  hosted on the event loop with callbacks, exposing ``suspects()`` and an
-  async ``watch()`` stream of suspicion changes;
+  hosted on the event loop with callbacks, exposing ``suspects()``, an
+  async ``watch()`` stream of suspicion changes and, for a time-free
+  service built ``with_omega=True``, the Omega leader as ``elector``;
 * :class:`~repro.runtime.cluster.LocalCluster` — n services over a memory
   hub in one call (the quickstart entry point).
 
@@ -21,7 +22,6 @@ measurements belong on the simulator.
 """
 
 from .cluster import LocalCluster
-from .leader import LeaderElectorService
 from .memory import MemoryHub, MemoryTransport
 from .service import DetectorService, ServicePacing
 from .transport import Transport
@@ -29,7 +29,6 @@ from .udp import UdpTransport
 
 __all__ = [
     "DetectorService",
-    "LeaderElectorService",
     "LocalCluster",
     "MemoryHub",
     "MemoryTransport",

@@ -10,7 +10,8 @@ or the partial extension) behind
 loop and the object the simulator hosts too.  The transport's handler
 feeds ``on_message``; one ``loop.call_at`` timer honours ``next_wakeup()``
 and is re-armed only when a deadline moves earlier than the pending one
-(the simulator's ``TimedDriver._rearm`` rule).  **No step of failure
+(:meth:`~repro.core.effects.CoreHost._arm`, the rule the simulator's
+``TimedDriver`` shares).  **No step of failure
 detection awaits a timeout**: a query core's timer paces rounds (grace,
 idle) and lossy-channel retries, and never raises a suspicion.
 
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from math import inf
 from typing import Any
 
-from ..core.effects import Broadcast, SendTo
+from ..core.effects import Broadcast, CoreHost, SendTo
 from ..core.protocol import DetectorConfig, QueryPacing, TimeFreeDetector
 from ..errors import ConfigurationError
 from ..ids import ProcessId
@@ -47,7 +47,7 @@ class ServicePacing(QueryPacing):
     grace: float = 0.05
 
 
-class DetectorService:
+class DetectorService(CoreHost):
     """Runs any registered failure-detector core over a transport.
 
     By default the core is the paper's :class:`TimeFreeDetector`; pass
@@ -55,7 +55,9 @@ class DetectorService:
     membership) or use :meth:`from_registry` to deploy another family.
     ``detector`` is the core the service drives: a query core arrives
     there wrapped in a :class:`~repro.detectors.facade.QueryRoundFacade`
-    paced by ``pacing``.
+    paced by ``pacing``.  A service built with the Omega layer
+    (``from_registry("time-free", ..., with_omega=True)``) exposes the
+    leader oracle as ``elector``.
     """
 
     def __init__(
@@ -86,19 +88,14 @@ class DetectorService:
                 f"{type(core).__name__} is neither a query core nor a "
                 "timed core; see repro.detectors.facade.DetectorCore"
             )
+        super().__init__(core)
         self.config = config
-        self.detector = core
         self.transport = transport
         self.pacing = pacing
         self._peers = list(config.peers_sorted)
         self._watchers: list[asyncio.Queue] = []
         #: the loop the service runs on; None while stopped
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._timer: asyncio.TimerHandle | None = None
-        #: when the pending timer fires (inf: no timer)
-        self._timer_at = inf
-        #: the suspect set as last announced
-        self._suspects = core.suspects()
 
     @classmethod
     def from_registry(
@@ -162,21 +159,26 @@ class DetectorService:
         return self.config.process_id
 
     @property
+    def detector(self) -> Any:
+        """The core the service drives (the host's ``core``)."""
+        return self.core
+
+    @property
     def running(self) -> bool:
         return self._loop is not None
 
     @property
     def rounds_completed(self) -> int:
         """Query rounds closed so far (0 for a timer-based core)."""
-        return getattr(self.detector, "rounds_completed", 0)
+        return getattr(self.core, "rounds_completed", 0)
 
     @property
     def retries_sent(self) -> int:
         """Lossy-channel query rebroadcasts so far (0 for a timer-based core)."""
-        return getattr(self.detector, "retries_sent", 0)
+        return getattr(self.core, "retries_sent", 0)
 
     def suspects(self) -> frozenset[ProcessId]:
-        return self.detector.suspects()
+        return self.core.suspects()
 
     def watch(self) -> asyncio.Queue:
         """A queue receiving every subsequent suspect-set change."""
@@ -215,8 +217,10 @@ class DetectorService:
         await self.transport.start()
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
+            self._now = self._loop.time
+            self._call_at = self._loop.call_at
             self.transport.set_handler(self._on_message)
-            self._step(self.detector.start(self._loop.time()))
+            self._step(self.core.start(self._now()))
 
     async def stop(self) -> None:
         self._halt()
@@ -226,47 +230,19 @@ class DetectorService:
         """Stop hosting: cancel the timer and drop the edges back into the
         service (the transport's handler, the core's round listeners), so a
         stopped service is freed by refcounting."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-            self._timer_at = inf
+        self._cancel_timer()
         self._loop = None
         # Through the attribute: `set_handler` is a registration point that
         # tracing tools wrap, and a wrapped None would still be a handler.
         self.transport._handler = None
-        listeners = getattr(self.detector, "round_listeners", None)
-        if listeners:
-            listeners.clear()
+        if self.round_listeners:
+            self.round_listeners.clear()
 
     # -- the host ---------------------------------------------------------------
     def _on_message(self, src: ProcessId, message: object) -> None:
-        effects = self.detector.on_message(self._loop.time(), src, message)
+        effects = self.core.on_message(self._now(), src, message)
         if effects is not None:  # None: no effects, deadline and suspects unmoved
             self._step(effects)
-
-    def _wakeup(self) -> None:
-        self._timer = None
-        self._timer_at = inf
-        self._step(self.detector.on_wakeup(self._loop.time()))
-
-    def _step(self, effects) -> None:
-        """After a core call: execute, re-arm, announce a suspect-set change."""
-        detector = self.detector
-        if effects:
-            self._execute(effects)
-        deadline = detector.next_wakeup()
-        if deadline is not None and deadline < self._timer_at:
-            # Only an earlier deadline moves the timer: one that moved later
-            # (or went away) lets it fire, find nothing due, and re-arm.
-            if self._timer is not None:
-                self._timer.cancel()
-            self._timer_at = deadline
-            self._timer = self._loop.call_at(deadline, self._wakeup)
-        suspects = detector.suspects()
-        if suspects is not self._suspects and suspects != self._suspects:
-            self._suspects = suspects
-            for queue in self._watchers:
-                queue.put_nowait(suspects)
 
     def _execute(self, effects) -> None:
         """Put core effects on the wire (transport sends never suspend)."""
@@ -277,3 +253,7 @@ class DetectorService:
                 self.transport.send(effect.destination, effect.message)
             else:
                 raise ConfigurationError(f"unknown effect {effect!r}")
+
+    def _announce(self, before: frozenset, suspects: frozenset) -> None:
+        for queue in self._watchers:
+            queue.put_nowait(suspects)

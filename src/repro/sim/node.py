@@ -14,23 +14,22 @@ The driver records every suspect-set change in the trace and announces it
 to ``suspicion_listeners`` (the consensus layer subscribes); for a query
 core it writes each round's :class:`~repro.sim.trace.RoundRecord` before
 the facade's other ``round_listeners`` (the Omega elector's consumers,
-the message-pattern monitor) see the outcome.  The host contract is in
-``docs/architecture.md``, "Hosting a core: the contract".
+the message-pattern monitor) see the outcome.  The stepping rule is
+:class:`~repro.core.effects.CoreHost`'s, shared with the runtime.
 """
 
 from __future__ import annotations
 
-from math import inf as _INF
 from typing import Callable, Protocol, runtime_checkable
 
-from ..core.effects import Broadcast, Effect, SendTo
+from ..core.effects import Broadcast, CoreHost, Effect, SendTo
 from ..core.messages import Query, Response
 from ..core.omega import OmegaElector
 from ..core.protocol import QueryPacing, QueryRoundOutcome
 from ..detectors.facade import DetectorCore, QueryRoundFacade
 from ..errors import SimulationError
 from ..ids import ProcessId
-from .engine import EventHandle, Scheduler
+from .engine import Scheduler
 from .network import SimNetwork
 from .trace import RoundRecord, TraceRecorder
 
@@ -241,31 +240,25 @@ class _Driver(Protocol):
     def suspects(self) -> frozenset: ...
 
 
-class TimedDriver:
-    """Hosts any :class:`TimedProtocolCore` — every registered family.
+class TimedDriver(CoreHost):
+    """Hosts any :class:`TimedProtocolCore` — every registered family — on
+    the simulator, by the :class:`~repro.core.effects.CoreHost` rule.
 
     A query core arrives wrapped in a
     :class:`~repro.detectors.facade.QueryRoundFacade` (see
-    :class:`QueryResponseDriver`); its ``round_listeners`` and ``elector``
-    are exposed here, and the driver's own listener, first in that list,
-    writes the round's :class:`~repro.sim.trace.RoundRecord` from the
-    facade's start, quorum and close times.  ``round_listeners`` and
-    ``elector`` are ``None`` for a timer-based core.
+    :class:`QueryResponseDriver`); the driver's own round listener, first
+    in its ``round_listeners``, writes the round's
+    :class:`~repro.sim.trace.RoundRecord` from the facade's start, quorum
+    and close times.
     """
 
     def __init__(self, process: SimProcess, core: TimedProtocolCore) -> None:
+        super().__init__(core)
         self.process = process
-        self.core = core
         self.suspicion_listeners: list[SuspicionListener] = []
-        self.round_listeners: list | None = getattr(core, "round_listeners", None)
-        self.elector: OmegaElector | None = getattr(core, "elector", None)
         if self.round_listeners is not None:
             self.round_listeners.insert(0, self._record_round)
-        self._timer: EventHandle | None = None
-        #: when the pending timer fires (inf: no timer)
-        self._timer_at = _INF
-        #: the suspect set as last recorded
-        self._suspects = core.suspects()
+        self._call_at = process.scheduler.schedule_at
         self._started = False
 
     def on_start(self) -> None:
@@ -315,60 +308,27 @@ class TimedDriver:
         if effects is not None:  # None: no effects, deadline and suspects unmoved
             self._step(effects)
 
-    def _wakeup(self) -> None:
-        self._timer = None
-        self._timer_at = _INF
-        if not self.process.alive or not self.process.attached:
-            return
-        self._step(self.core.on_wakeup(self.process.scheduler.now))
+    # -- what the simulator supplies to the host ------------------------------
+    def _now(self) -> float:
+        return self.process.scheduler.now
 
-    def _step(self, effects: list[Effect] | Effect | None) -> None:
-        """After a core call: execute, re-arm, record a suspect-set change."""
-        core = self.core
+    def _live(self) -> bool:  # a node that is down or detached does not step
+        return self.process.alive and self.process.attached
+
+    def _execute(self, effects: list[Effect] | Effect) -> None:
         process = self.process
         if type(effects) is SendTo:
             # A query's answer, the commonest effect: straight to the wire.
             if process.alive:
                 process.network.send(process.pid, effects.destination, effects.message)
-        elif effects:
+        else:
             process.execute(effects)
-        deadline = core.next_wakeup()
-        if deadline is not None and deadline < self._timer_at:
-            self._arm(deadline)
-        # Cores may hand back the identical frozenset while nothing changed
-        # (the built-in ones do): one pointer comparison per call.  A core
-        # that builds a fresh set per call falls through to equality.
-        suspects = core.suspects()
-        before = self._suspects
-        if suspects is not before and suspects != before:
-            self._suspects = suspects
-            process.trace.record_suspicion_change(
-                process.scheduler.now, process.pid, before, suspects
-            )
-            for listener in self.suspicion_listeners:
-                listener(process.pid, suspects)
 
-    def _arm(self, deadline: float) -> None:
-        """Move the timer to ``deadline``, earlier than the pending one.
-
-        A deadline that moved later, or went away, leaves the pending timer
-        alone: it fires on time, finds nothing due, and re-arms from there.
-        """
-        scheduler = self.process.scheduler
-        if deadline < scheduler.now:
-            deadline = scheduler.now
-            if self._timer_at <= deadline:
-                return  # the pending timer fires first; it will re-arm
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer_at = deadline
-        self._timer = scheduler.schedule_at(deadline, self._wakeup)
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-            self._timer_at = _INF
+    def _announce(self, before: frozenset, suspects: frozenset) -> None:
+        process = self.process
+        process.trace.record_suspicion_change(process.scheduler.now, process.pid, before, suspects)
+        for listener in self.suspicion_listeners:
+            listener(process.pid, suspects)
 
     def _record_round(self, pid: ProcessId, outcome: QueryRoundOutcome) -> None:
         core = self.core

@@ -1,9 +1,13 @@
-"""Leader election over the asyncio runtime."""
+"""Leader election over the asyncio runtime.
+
+A runtime Omega service is the time-free family built ``with_omega=True``
+through the registry; its leader is read through the host's ``elector``.
+"""
 
 import asyncio
 
 from repro.core.protocol import DetectorConfig
-from repro.runtime import LeaderElectorService, MemoryHub, ServicePacing
+from repro.runtime import DetectorService, MemoryHub
 from repro.sim.latency import ConstantLatency
 
 
@@ -13,10 +17,17 @@ def build_services(n, f, *, seed=1):
     services = {}
     for pid in sorted(membership):
         config = DetectorConfig(process_id=pid, membership=membership, f=f)
-        services[pid] = LeaderElectorService(
-            config, hub.create_transport(pid), pacing=ServicePacing(grace=0.01)
+        services[pid] = DetectorService.from_registry(
+            "time-free", config, hub.create_transport(pid), grace=0.01, with_omega=True
         )
     return hub, services
+
+
+async def wait_for_leader(service, predicate, *, timeout):
+    """Poll ``service.elector.leader()`` until ``predicate`` holds."""
+    async with asyncio.timeout(timeout):
+        while not predicate(service.elector.leader()):
+            await asyncio.sleep(0.01)
 
 
 def run(coro):
@@ -29,7 +40,7 @@ class TestLeaderElectionRuntime:
             hub, services = build_services(4, 1)
             await asyncio.gather(*(s.start() for s in services.values()))
             await asyncio.sleep(0.3)
-            leaders = {pid: s.leader() for pid, s in services.items()}
+            leaders = {pid: s.elector.leader() for pid, s in services.items()}
             await asyncio.gather(*(s.stop() for s in services.values()))
             return leaders
 
@@ -48,35 +59,17 @@ class TestLeaderElectionRuntime:
             survivors = [services[pid] for pid in (2, 3, 4)]
             await asyncio.gather(
                 *(
-                    s.wait_for_leader(lambda leader: leader != 1, timeout=20.0)
+                    wait_for_leader(s, lambda leader: leader != 1, timeout=20.0)
                     for s in survivors
                 )
             )
-            leaders = {s.process_id: s.leader() for s in survivors}
+            leaders = {s.process_id: s.elector.leader() for s in survivors}
             await asyncio.gather(*(s.stop() for s in survivors))
             return leaders
 
         leaders = run(scenario())
         assert all(leader != 1 for leader in leaders.values())
         assert len(set(leaders.values())) == 1
-
-    def test_watch_leader_stream(self):
-        async def scenario():
-            hub, services = build_services(3, 1, seed=3)
-            await asyncio.gather(*(s.start() for s in services.values()))
-            queue = services[2].watch_leader()
-            hub.crash(1)
-            await services[1].stop()
-            async with asyncio.timeout(20.0):
-                while True:
-                    leader = await queue.get()
-                    if leader != 1:
-                        break
-            await services[2].stop()
-            await services[3].stop()
-            return leader
-
-        assert run(scenario()) in (2, 3)
 
     def test_accusations_gossip_between_services(self):
         async def scenario():

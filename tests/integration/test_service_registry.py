@@ -88,7 +88,7 @@ class TestTimedCoresOverMemoryTransport:
 
 class TestTimedLoopWakeups:
     def test_the_loop_wakes_per_deadline_not_per_message(self):
-        """``_rearm``'s rule in the runtime host: a beat that only moves a
+        """``CoreHost._arm``'s rule in the runtime host: a beat that only moves a
         peer's timer later must not re-arm the timer set for the next
         emission.  Counts, not timings: timers the services hand the event
         loop against beats sent and messages received."""

@@ -1,10 +1,12 @@
-"""UDP end-to-end smoke test for the *timed* detector families.
+"""UDP end-to-end smoke test for the *timed* detector families and Omega.
 
 The query-core-over-UDP path is covered by ``test_runtime_asyncio``; this
 is the missing half (ROADMAP item): a heartbeat-family core running over
 real localhost UDP sockets via ``DetectorService.from_registry`` — encode,
 datagram, decode, timed wake-up loop — asserting logical outcomes only
-(who is suspected), never precise timing.
+(who is suspected, who leads), never precise timing.  The Omega elector's
+accusation counters ride the query piggyback, so its test is the one that
+sends them through the UDP codec.
 """
 
 import asyncio
@@ -84,3 +86,29 @@ class TestHeartbeatOverUdp:
 
         quiet = run(scenario())
         assert all(not suspects for suspects in quiet.values()), quiet
+
+
+class TestOmegaOverUdp:
+    def test_survivors_agree_on_a_leader_other_than_the_stopped_one(self):
+        async def scenario():
+            services = await _udp_services(
+                {1, 2, 3, 4}, "time-free", grace=0.01, with_omega=True
+            )
+            survivors = [services[pid] for pid in (2, 3, 4)]
+
+            def leaders():
+                return {s.process_id: s.elector.leader() for s in survivors}
+
+            try:
+                await asyncio.sleep(0.2)
+                await services[1].stop()
+                async with asyncio.timeout(20.0):
+                    while 1 in leaders().values() or len(set(leaders().values())) > 1:
+                        await asyncio.sleep(0.01)
+                return leaders()
+            finally:
+                for service in survivors:
+                    await service.stop()
+
+        leaders = run(scenario())
+        assert 1 not in leaders.values() and len(set(leaders.values())) == 1

@@ -173,6 +173,19 @@ class TestTimedDriver:
         assert core.wakeups[1] == 5.0
         assert core.wakeups[2:] == [6.0, 7.0]
 
+    def test_a_wakeup_of_a_node_that_is_down_does_not_step_the_core(self):
+        # the simulator's guard: a timer left pending over a crash or a
+        # detach must not run the core
+        scheduler, network, trace = make_world()
+        process = SimProcess(1, scheduler, network, trace)
+        core = _FakeTimedCore()
+        driver = TimedDriver(process, core)
+        process.alive = False
+        driver._wakeup()
+        process.alive, process.attached = True, False
+        driver._wakeup()
+        assert core.wakeups == []
+
 
 def test_reattach_catch_up_suspicion_is_recorded():
     scheduler, network, trace = make_world()

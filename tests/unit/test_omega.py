@@ -1,10 +1,8 @@
 """Tests for the accusation-counter Omega elector."""
 
-import pytest
-
-from repro.core.omega import OmegaElector, make_leader_detector
+from repro.core.omega import OmegaElector
 from repro.core.protocol import DetectorConfig, QueryRoundOutcome
-from repro.errors import ConfigurationError
+from repro.detectors import DetectorContext, build_detector
 
 
 def outcome_with_responders(responders, round_id=1):
@@ -73,19 +71,25 @@ class TestGossip:
         assert elector.accusations()[1] == 0
 
 
+def omega_core(pid, membership, f):
+    """The time-free core and its Omega elector, as the registry builds them."""
+    membership = frozenset(membership)
+    context = DetectorContext(
+        process_id=pid, membership=membership, f=f, range_density=len(membership)
+    )
+    built = build_detector("time-free", context, with_omega=True)
+    return built.core, built.elector
+
+
 class TestFactory:
     def test_detector_and_elector_are_wired(self):
-        detector, elector = make_leader_detector(1, [1, 2, 3], f=1)
+        detector, elector = omega_core(1, [1, 2, 3], f=1)
         broadcast = detector.start_round()
         assert "omega.accusations" in broadcast.message.extra_payload()
 
-    def test_single_process_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_leader_detector(1, [1], f=0)
-
     def test_convergence_through_piggyback(self):
-        d1, e1 = make_leader_detector(1, [1, 2, 3], f=1)
-        d2, e2 = make_leader_detector(2, [1, 2, 3], f=1)
+        d1, e1 = omega_core(1, [1, 2, 3], f=1)
+        d2, e2 = omega_core(2, [1, 2, 3], f=1)
         # p1 observes p3 missing a few rounds, then queries p2: the gossip
         # rides the query and p2 learns the accusations.
         for round_id in range(1, 4):
