@@ -10,12 +10,14 @@ for the full design note): two 256-slot levels of width ``2**-10`` and
 ``256 * 2**-10`` virtual-time units, plus a sorted spill list for events
 beyond the wheel's ~64k-tick span.  Inserts are O(1) regardless of how
 many events are pending (the property that matters for grids with
-thousands of processes), slots are sorted by ``(time, seq)`` only when the
-cursor reaches them, and a free list recycles ``_Event`` objects so the
-steady state of a simulation performs zero event allocations.  The
-binary-heap loop it replaced lives on as a reference model in
-``tests/reference_scheduler.py``; ``tests/property/test_wheel_vs_heap.py``
-requires identical workloads to produce identical fire sequences on both.
+thousands of processes), and slots are sorted by ``(time, seq)`` only when
+the cursor reaches them.  Every queued entry is one ``(time, seq,
+callback, args)`` tuple; a cancellable event is queued as ``(time, seq,
+None, handle)`` and its :class:`EventHandle` holds the callback, the args
+and the state.  The binary-heap loop the wheel replaced lives on as a
+reference model in ``tests/reference_scheduler.py``;
+``tests/property/test_wheel_vs_heap.py`` requires identical workloads to
+produce identical fire sequences on both.
 
 Semantics:
 
@@ -27,10 +29,9 @@ Semantics:
 * :meth:`Scheduler.schedule_batch` inserts many events at once (broadcast
   deliveries, cluster start-up staggering) and assigns sequence numbers in
   item order, so batching changes cost, never order;
-* the ``schedule_fire`` / ``handles=False`` fast paths skip
-  :class:`EventHandle` creation for fire-and-forget events (the data
-  plane's message deliveries), which is a measurable share of schedule
-  cost in large runs.
+* :meth:`Scheduler.schedule_fire` and :meth:`Scheduler.schedule_batch`
+  create no :class:`EventHandle` for fire-and-forget events (the data
+  plane's message deliveries).
 """
 
 from __future__ import annotations
@@ -38,16 +39,15 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from math import inf as _INF
-from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from ..errors import SimulationError
 
 __all__ = ["EventHandle", "Scheduler"]
 
-#: event states — pending in the queue, already fired, or cancelled
-#: (still in the queue awaiting lazy removal).
-_PENDING, _FIRED, _CANCELLED = 0, 1, 2
+#: handle states — pending in the queue, already fired, cancelled (still in
+#: the queue awaiting lazy removal), or dropped by :meth:`Scheduler.clear`.
+_PENDING, _FIRED, _CANCELLED, _CLEARED = 0, 1, 2, 3
 
 #: sweep policy: rebuild the pending structure when at least this many
 #: cancelled events are buried in it *and* they outnumber the live ones.
@@ -70,116 +70,64 @@ _SPAN = 1 << (2 * _L0_BITS)  # 65536 ticks covered by both levels
 #: bucketing cost only, never event ordering.
 _QUANTUM = 2.0**-10
 
-#: freelist bound — beyond this, recycled events are left to the GC.
-_FREELIST_MAX = 65536
 
-#: slot-drain sort key; C-level attribute fetch, so same-tick ordering
-#: costs one Timsort pass over an almost-always-tiny list.
-_EVENT_KEY = attrgetter("time", "seq")
-
-#: bare allocator for EventHandle — the scheduling hot paths fill the
-#: slots inline rather than paying for an ``__init__`` frame per handle.
-_new_handle = object.__new__
-
-#: total `_Event` allocations, ever — the zero-allocation tripwire tests
-#: read this module global around a steady-state run.
-_EVENTS_CREATED = 0
+def _is_dead(entry: tuple) -> bool:
+    """True for the entry of a cancelled handle (plain entries never die)."""
+    return entry[2] is None and entry[3].state != _PENDING
 
 
-class _Event:
-    """One scheduled callback.
+class EventHandle:
+    """A cancellable scheduled event: its callback, args and state.
 
-    ``gen`` is the recycling generation: the scheduler returns fired
-    and reaped events to a free list, bumping ``gen`` so any outstanding
-    :class:`EventHandle` (which captured the old generation) can tell that
-    its event is gone without keeping the object alive.
+    The scheduler queues the handle itself (as a ``(time, seq, None,
+    handle)`` entry) and drops the callback and args once the event fired,
+    was cancelled or was cleared, so a handle kept after that pins nothing.
+    ``time`` is the virtual time the event was scheduled to fire at.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "state", "gen", "owner")
+    __slots__ = ("time", "callback", "args", "state", "owner")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., None],
         args: tuple[Any, ...],
         owner: "Scheduler",
     ) -> None:
-        global _EVENTS_CREATED
-        _EVENTS_CREATED += 1
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.state = _PENDING
-        self.gen = 0
         self.owner = owner
-
-    def __lt__(self, other: "_Event") -> bool:
-        # Events never reach heap/sort comparisons directly (ordering runs
-        # on (time, seq) tuples or the C-level attrgetter key); kept for
-        # explicit sorts and debugging.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = {_PENDING: "pending", _FIRED: "fired", _CANCELLED: "cancelled"}[self.state]
-        return f"_Event(time={self.time!r}, seq={self.seq}, {state})"
-
-
-class EventHandle:
-    """Cancellation handle for a scheduled event.
-
-    The handle captures the event's recycling generation and timestamp at
-    creation, so it keeps answering :attr:`time`, :attr:`fired` and
-    :attr:`cancelled` correctly even after the scheduler has recycled
-    the underlying :class:`_Event` into a new scheduling.
-    """
-
-    __slots__ = ("_event", "_gen", "_time", "_cancelled")
-
-    def __init__(self, event: _Event):
-        self._event = event
-        self._gen = event.gen
-        self._time = event.time
-        self._cancelled = False
-
-    @property
-    def time(self) -> float:
-        """The virtual time this event was scheduled to fire at."""
-        return self._time
 
     @property
     def cancelled(self) -> bool:
         """True once :meth:`cancel` has succeeded on this handle."""
-        return self._cancelled
+        return self.state == _CANCELLED
 
     @property
     def fired(self) -> bool:
         """True once the event's callback has run."""
-        if self._cancelled:
-            return False
-        event = self._event
-        # A recycled event (generation moved on) can only have left the
-        # queue by firing — cancellation through this handle is recorded
-        # locally above.
-        return event.gen != self._gen or event.state == _FIRED
+        return self.state == _FIRED
 
     def cancel(self) -> bool:
         """Cancel the event; returns False if it already fired/was cancelled."""
-        event = self._event
-        if self._cancelled or event.gen != self._gen or event.state != _PENDING:
+        if self.state != _PENDING:
             return False
-        event.state = _CANCELLED
-        self._cancelled = True
-        owner = event.owner
+        self.state = _CANCELLED
+        self.callback = None  # type: ignore[assignment]
+        self.args = ()
+        owner = self.owner
         owner._live -= 1
         dead = owner._dead + 1
         owner._dead = dead
         if dead >= _SWEEP_MIN and dead > owner._live:
             owner._sweep()
         return True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = ("pending", "fired", "cancelled", "cleared")[self.state]
+        return f"EventHandle(time={self.time!r}, {state})"
 
 
 class Scheduler:
@@ -207,22 +155,22 @@ class Scheduler:
         #: block start of the last block the run loop visited; the visit
         #: check cascades a block's level-1 slot exactly once on entry.
         self._block = -1
-        self._l0: list[list[_Event]] = [[] for _ in range(_L0_SIZE)]
-        self._l1: list[list[_Event]] = [[] for _ in range(_L0_SIZE)]
+        #: every tier holds (time, seq, callback, args) entries; a
+        #: cancellable event is (time, seq, None, handle)
+        self._l0: list[list[tuple]] = [[] for _ in range(_L0_SIZE)]
+        self._l1: list[list[tuple]] = [[] for _ in range(_L0_SIZE)]
         self._l0_count = 0  # events (incl. cancelled) currently in level 0
         self._l1_count = 0  # events (incl. cancelled) currently in level 1
-        #: overflow tier: (time, seq, event) tuples, kept sorted ascending
-        self._spill: list[tuple[float, int, _Event]] = []
-        #: recycled _Event objects (the zero-allocation steady state)
-        self._free: list[_Event] = []
-        #: while a slot is being drained, this is its (min-)heap of
-        #: (time, seq, event) entries for same-tick inserts; None otherwise
-        self._active: list[tuple[float, int, _Event]] | None = None
+        #: overflow tier, kept sorted ascending
+        self._spill: list[tuple] = []
+        #: while a slot is being drained, this is its (min-)heap of entries
+        #: for same-tick inserts; None otherwise
+        self._active: list[tuple] | None = None
         #: reusable drain buffers: `_merge_buf` backs `_active` and
         #: `_spare` replaces a detached slot list, so a steady-state
         #: drain allocates no lists at all.  Both are empty between runs.
-        self._merge_buf: list[tuple[float, int, _Event]] = []
-        self._spare: list[_Event] = []
+        self._merge_buf: list[tuple] = []
+        self._spare: list[tuple] = []
 
     # ------------------------------------------------------------------
     @property
@@ -246,49 +194,8 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule an event at {time} before current time {self.now}"
             )
-        free = self._free
-        seq = self._seq
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.state = _PENDING
-        else:
-            event = _Event(time, seq, callback, args, self)
-        self._seq = seq + 1
-        self._live += 1
-        # Tier dispatch, written out in each schedule_* method: scheduling
-        # is the hot path and a shared helper's frame costs more than the
-        # dispatch itself.  A tick at or behind the cursor goes to the
-        # cursor's own slot (safe because drains sort by real (time, seq),
-        # never by tick) or, while that slot is mid-drain, to its merge
-        # heap, so it fires in exact (time, seq) position.
-        tick = int(time * self._inv_quantum)
-        delta = tick - self._cursor
-        if delta < _L0_SIZE:
-            if delta > 0:
-                self._l0[tick & _L0_MASK].append(event)
-                self._l0_count += 1
-            else:
-                active = self._active
-                if active is not None:
-                    heapq.heappush(active, (time, seq, event))
-                else:
-                    self._l0[self._cursor & _L0_MASK].append(event)
-                    self._l0_count += 1
-        elif delta < _SPAN:
-            self._l1[(tick >> _L0_BITS) & _L0_MASK].append(event)
-            self._l1_count += 1
-        else:
-            insort(self._spill, (time, seq, event))
-        # EventHandle(event), without the __init__ frame.
-        handle = _new_handle(EventHandle)
-        handle._event = event
-        handle._gen = event.gen
-        handle._time = time
-        handle._cancelled = False
+        handle = EventHandle(time, callback, args, self)
+        self._insert(time, None, handle)
         return handle
 
     def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
@@ -296,44 +203,8 @@ class Scheduler:
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         time = self.now + delay
-        free = self._free
-        seq = self._seq
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.state = _PENDING
-        else:
-            event = _Event(time, seq, callback, args, self)
-        self._seq = seq + 1
-        self._live += 1
-        # Tier dispatch, as in schedule_at.
-        tick = int(time * self._inv_quantum)
-        delta = tick - self._cursor
-        if delta < _L0_SIZE:
-            if delta > 0:
-                self._l0[tick & _L0_MASK].append(event)
-                self._l0_count += 1
-            else:
-                active = self._active
-                if active is not None:
-                    heapq.heappush(active, (time, seq, event))
-                else:
-                    self._l0[self._cursor & _L0_MASK].append(event)
-                    self._l0_count += 1
-        elif delta < _SPAN:
-            self._l1[(tick >> _L0_BITS) & _L0_MASK].append(event)
-            self._l1_count += 1
-        else:
-            insort(self._spill, (time, seq, event))
-        # EventHandle(event), without the __init__ frame.
-        handle = _new_handle(EventHandle)
-        handle._event = event
-        handle._gen = event.gen
-        handle._time = time
-        handle._cancelled = False
+        handle = EventHandle(time, callback, args, self)
+        self._insert(time, None, handle)
         return handle
 
     def schedule_fire(self, time: float, callback: Callable[..., None], *args: Any) -> None:
@@ -348,55 +219,17 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule an event at {time} before current time {self.now}"
             )
-        free = self._free
-        seq = self._seq
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.state = _PENDING
-        else:
-            event = _Event(time, seq, callback, args, self)
-        self._seq = seq + 1
-        self._live += 1
-        # Tier dispatch, as in schedule_at.
-        tick = int(time * self._inv_quantum)
-        delta = tick - self._cursor
-        if delta < _L0_SIZE:
-            if delta > 0:
-                self._l0[tick & _L0_MASK].append(event)
-                self._l0_count += 1
-            else:
-                active = self._active
-                if active is not None:
-                    heapq.heappush(active, (time, seq, event))
-                else:
-                    self._l0[self._cursor & _L0_MASK].append(event)
-                    self._l0_count += 1
-        elif delta < _SPAN:
-            self._l1[(tick >> _L0_BITS) & _L0_MASK].append(event)
-            self._l1_count += 1
-        else:
-            insort(self._spill, (time, seq, event))
+        self._insert(time, callback, args)
 
     def schedule_batch(
-        self,
-        items: Iterable[tuple[float, Callable[..., None], tuple[Any, ...]]],
-        *,
-        handles: bool = True,
-    ) -> list[EventHandle]:
-        """Schedule many ``(time, callback, args)`` events at once.
+        self, items: Iterable[tuple[float, Callable[..., None], tuple[Any, ...]]]
+    ) -> None:
+        """Schedule many fire-and-forget ``(time, callback, args)`` events.
 
         Sequence numbers are assigned in item order, so the fire order of
         same-timestamp events is exactly as if each had been passed to
-        :meth:`schedule_at` in turn — batching changes cost, never order.
+        :meth:`schedule_fire` in turn — batching changes cost, never order.
         Validation is atomic: one bad item rejects the whole batch.
-
-        With ``handles=False`` no :class:`EventHandle` objects are created
-        and an empty list is returned — the fast path for fire-and-forget
-        fan-out (network broadcast).
         """
         staged = list(items)
         now = self.now
@@ -405,50 +238,38 @@ class Scheduler:
                 raise SimulationError(
                     f"cannot schedule an event at {time} before current time {now}"
                 )
-        if not staged:
-            return []
-        free = self._free
-        seq = self._seq
-        out: list[EventHandle] = []
-        l0 = self._l0
-        l1 = self._l1
-        cursor = self._cursor
-        inv = self._inv_quantum
-        active = self._active
+        insert = self._insert
         for time, callback, args in staged:
-            if free:
-                event = free.pop()
-                event.time = time
-                event.seq = seq
-                event.callback = callback
-                event.args = args
-                event.state = _PENDING
+            insert(time, callback, args)
+
+    def _insert(self, time: float, callback: Callable[..., None] | None, args: Any) -> None:
+        """Queue one entry in its tier; the one tier dispatch.
+
+        A tick at or behind the cursor goes to the cursor's own slot (safe
+        because drains sort by real ``(time, seq)``, never by tick) or,
+        while that slot is mid-drain, to its merge heap, so it fires in
+        exact ``(time, seq)`` position.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        entry = (time, seq, callback, args)
+        tick = int(time * self._inv_quantum)
+        delta = tick - self._cursor
+        if delta < _L0_SIZE:
+            if delta > 0:
+                self._l0[tick & _L0_MASK].append(entry)
+                self._l0_count += 1
+            elif self._active is not None:
+                heapq.heappush(self._active, entry)
             else:
-                event = _Event(time, seq, callback, args, self)
-            # Tier dispatch, as in schedule_at, hoisted into the batch loop
-            # (broadcast fan-out is the simulator's hottest scheduling site).
-            tick = int(time * inv)
-            delta = tick - cursor
-            if delta < _L0_SIZE:
-                if delta > 0:
-                    l0[tick & _L0_MASK].append(event)
-                    self._l0_count += 1
-                elif active is not None:
-                    heapq.heappush(active, (time, seq, event))
-                else:
-                    l0[cursor & _L0_MASK].append(event)
-                    self._l0_count += 1
-            elif delta < _SPAN:
-                l1[(tick >> _L0_BITS) & _L0_MASK].append(event)
-                self._l1_count += 1
-            else:
-                insort(self._spill, (time, seq, event))
-            if handles:
-                out.append(EventHandle(event))
-            seq += 1
-        self._seq = seq
-        self._live += len(staged)
-        return out
+                self._l0[self._cursor & _L0_MASK].append(entry)
+                self._l0_count += 1
+        elif delta < _SPAN:
+            self._l1[(tick >> _L0_BITS) & _L0_MASK].append(entry)
+            self._l1_count += 1
+        else:
+            insort(self._spill, entry)
 
     # -- control ---------------------------------------------------------
     def stop(self) -> None:
@@ -458,32 +279,22 @@ class Scheduler:
     def clear(self) -> None:
         """Drop every pending event; :attr:`now` and :attr:`events_processed` stay.
 
-        Pending events end cancelled without a generation bump, so their
-        outstanding handles read neither fired nor cancellable.  Emptying the
-        free list too leaves no ``_Event`` (each holds ``owner``) reachable
-        from here: a finished simulation is then freed by refcounting alone.
+        Outstanding handles of pending events then read neither fired nor
+        cancellable, and lose their callback and args: a finished
+        simulation is freed by refcounting alone.
         """
         if self._active is not None:
             raise SimulationError("clear() while run() is draining a slot")
-        for slot in (*self._l0, *self._l1, [entry[2] for entry in self._spill]):
-            for event in slot:
-                event.state = _CANCELLED
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
+        for slot in (*self._l0, *self._l1, self._spill):
+            for _time, _seq, callback, handle in slot:
+                if callback is None and handle.state == _PENDING:
+                    handle.state = _CLEARED
+                    handle.callback = None
+                    handle.args = ()
             slot.clear()
-        self._spill.clear()
-        self._free.clear()
         self._live = self._dead = self._l0_count = self._l1_count = 0
 
     # -- internal maintenance -------------------------------------------
-    def _recycle(self, event: _Event) -> None:
-        event.gen += 1
-        event.callback = None  # type: ignore[assignment]
-        event.args = ()
-        free = self._free
-        if len(free) < _FREELIST_MAX:
-            free.append(event)
-
     def _sweep(self) -> None:
         """Drop buried cancelled events from every tier.
 
@@ -496,35 +307,20 @@ class Scheduler:
         sweep is only the memory backstop for garbage parked far ahead
         of the cursor, hence the high `_SWEEP_MIN` trigger.
         """
-        recycle = self._recycle
         for slots in (self._l0, self._l1):
             count = 0
             for index, slot in enumerate(slots):
                 if not slot:
                     continue
-                live = 0
-                for event in slot:
-                    if event.state == _PENDING:
-                        live += 1
-                if live != len(slot):
-                    for event in slot:
-                        if event.state == _CANCELLED:
-                            recycle(event)
-                    slots[index] = [event for event in slot if event.state == _PENDING]
-                count += live
+                live = [entry for entry in slot if not _is_dead(entry)]
+                if len(live) != len(slot):
+                    slots[index] = live
+                count += len(live)
             if slots is self._l0:
                 self._l0_count = count
             else:
                 self._l1_count = count
-        spill = self._spill
-        if spill:
-            dirty = False
-            for _, _, event in spill:
-                if event.state == _CANCELLED:
-                    recycle(event)
-                    dirty = True
-            if dirty:
-                self._spill = [entry for entry in spill if entry[2].state == _PENDING]
+        self._spill = [entry for entry in self._spill if not _is_dead(entry)]
         self._dead = 0
 
     def _cascade(self, block: int) -> None:
@@ -541,22 +337,14 @@ class Scheduler:
         self._l1_count -= len(slot)
         l0 = self._l0
         inv = self._inv_quantum
-        free = self._free
         moved = 0
-        for event in slot:
-            if event.state == _PENDING:
-                l0[int(event.time * inv) & _L0_MASK].append(event)
-                moved += 1
-            else:
-                # _recycle, inlined: cancel-heavy workloads reap most of
-                # their garbage right here.
+        for entry in slot:
+            if _is_dead(entry):
                 if self._dead > 0:
                     self._dead -= 1
-                event.gen += 1
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
-                if len(free) < _FREELIST_MAX:
-                    free.append(event)
+            else:
+                l0[int(entry[0] * inv) & _L0_MASK].append(entry)
+                moved += 1
         self._l0_count += moved
 
     def _refill_from_spill(self) -> None:
@@ -568,20 +356,19 @@ class Scheduler:
         cursor = self._cursor
         horizon = cursor + _SPAN
         taken = 0
-        for time, _seq, event in spill:
-            tick = int(time * inv)
+        for entry in spill:
+            tick = int(entry[0] * inv)
             if tick >= horizon:
                 break
             taken += 1
-            if event.state != _PENDING:
+            if _is_dead(entry):
                 if self._dead > 0:
                     self._dead -= 1
-                self._recycle(event)
             elif tick - cursor < _L0_SIZE:
-                self._l0[(tick if tick > cursor else cursor) & _L0_MASK].append(event)
+                self._l0[(tick if tick > cursor else cursor) & _L0_MASK].append(entry)
                 self._l0_count += 1
             else:
-                self._l1[(tick >> _L0_BITS) & _L0_MASK].append(event)
+                self._l1[(tick >> _L0_BITS) & _L0_MASK].append(entry)
                 self._l1_count += 1
         if taken:
             del spill[:taken]
@@ -607,8 +394,7 @@ class Scheduler:
         limit_tick = (1 << 62) if until is None else int(until * inv)
         limit = (1 << 62) if max_events is None else max_events
         l0 = self._l0
-        heappush, heappop = heapq.heappush, heapq.heappop
-        free = self._free
+        heappop = heapq.heappop
         while not self._stopped:
             if processed >= limit:
                 # Garbage-independent rule: the break counts as truncated
@@ -691,13 +477,15 @@ class Scheduler:
             # -- drain the slot ----------------------------------------
             # The slot list is swapped against the (empty) spare and the
             # merge heap reuses a persistent buffer: no allocations here.
+            # Entries sort as plain tuples: seq is unique, so a comparison
+            # never reaches the callback.
             index = cursor & _L0_MASK
             batch = l0[index]
             l0[index] = self._spare
             self._spare = batch
             self._l0_count -= len(batch)
             if len(batch) > 1:
-                batch.sort(key=_EVENT_KEY)
+                batch.sort()
             self._active = extra = self._merge_buf
             i = 0
             blen = len(batch)
@@ -708,58 +496,46 @@ class Scheduler:
                         # Rare merge path: a callback scheduled into the
                         # slot being drained — interleave by (time, seq).
                         if i < blen:
-                            event = batch[i]
-                            head = extra[0]
-                            if head[0] < event.time or (
-                                head[0] == event.time and head[1] < event.seq
-                            ):
-                                event = heappop(extra)[2]
+                            entry = batch[i]
+                            if extra[0] < entry:
+                                entry = heappop(extra)
                             else:
                                 i += 1
                         else:
-                            event = heappop(extra)[2]
+                            entry = heappop(extra)
                     elif i < blen:
-                        event = batch[i]
+                        entry = batch[i]
                         i += 1
                     else:
                         break
-                    if event.state != _PENDING:
+                    time, _seq, callback, args = entry
+                    if callback is None and args.state != _PENDING:
                         # lazily-deleted cancellation surfacing
                         if self._dead > 0:
                             self._dead -= 1
-                        event.gen += 1
-                        event.callback = None  # type: ignore[assignment]
-                        event.args = ()
-                        if len(free) < _FREELIST_MAX:
-                            free.append(event)
                         continue
-                    time = event.time
                     # The limit check comes first: when `max_events` is
                     # exhausted AND the next event lies beyond `until`,
                     # the run counts as truncated (clock parked), not as
                     # drained (clock advanced to `until`).
                     if processed >= limit:
-                        self._putback(index, event, batch, i, extra)
+                        self._putback(index, entry, batch, i, extra)
                         truncated = True
                         interrupted = True
                         break
                     if time > until_f:
-                        self._putback(index, event, batch, i, extra)
+                        self._putback(index, entry, batch, i, extra)
                         interrupted = True
                         break
-                    event.state = _FIRED
+                    if callback is None:
+                        handle = args
+                        handle.state = _FIRED
+                        callback = handle.callback
+                        args = handle.args
+                        handle.callback = None
+                        handle.args = ()
                     self._live -= 1
                     self.now = time
-                    callback = event.callback
-                    args = event.args
-                    # Recycle before the callback runs, so a re-scheduling
-                    # callback (the chain/heartbeat pattern) reuses this
-                    # same object straight off the free list.
-                    event.gen += 1
-                    event.callback = None  # type: ignore[assignment]
-                    event.args = ()
-                    if len(free) < _FREELIST_MAX:
-                        free.append(event)
                     callback(*args)
                     processed += 1
                     self._events_processed += 1
@@ -794,15 +570,15 @@ class Scheduler:
     def _putback(
         self,
         index: int,
-        current: _Event | None,
-        batch: list[_Event],
+        current: tuple | None,
+        batch: list[tuple],
         i: int,
-        extra: list[tuple[float, int, _Event]],
+        extra: list[tuple],
     ) -> None:
         """Return undrained events to their slot after an early break."""
         slot = self._l0[index]
         if current is not None:
             slot.append(current)
         slot.extend(batch[i:])
-        slot.extend(entry[2] for entry in extra)
+        slot.extend(extra)
         self._l0_count += len(slot)

@@ -255,7 +255,7 @@ class SimNetwork:
                     f"for {src!r}->{dst!r}"
                 )
             deliveries.append((now + delay, deliver, (src, dst, message)))
-        self.scheduler.schedule_batch(deliveries, handles=False)
+        self.scheduler.schedule_batch(deliveries)
         self.trace.record_messages(message_kind_of(message), src, len(deliveries))
         return len(deliveries)
 

@@ -200,7 +200,7 @@ class TestClear:
         scheduler, fired, _handles = self.loaded()
         scheduler.clear()
         assert scheduler.pending_events() == 0
-        assert scheduler._free == [] and scheduler._spill == []
+        assert scheduler._spill == []
         assert scheduler._l0_count == scheduler._l1_count == scheduler._dead == 0
         assert not any(scheduler._l0) and not any(scheduler._l1)
         assert scheduler.run() == 0
@@ -410,16 +410,17 @@ class TestScheduleBatch:
         scheduler.run()
         assert fired == ["single", "batched"]
 
-    def test_batch_handles_cancel(self):
+    def test_cancel_between_batched_events(self):
         scheduler = Scheduler()
         fired = []
-        handles = scheduler.schedule_batch(
-            [(1.0, fired.append, (i,)) for i in range(4)]
-        )
-        handles[1].cancel()
+        scheduler.schedule_batch([(1.0, fired.append, (0,))])
+        doomed = scheduler.schedule_at(1.0, fired.append, 1)
+        kept = scheduler.schedule_at(1.0, fired.append, 2)
+        assert scheduler.schedule_batch([(1.0, fired.append, (3,))]) is None
+        doomed.cancel()
         scheduler.run()
         assert fired == [0, 2, 3]
-        assert [handle.fired for handle in handles] == [True, False, True, True]
+        assert (doomed.fired, kept.fired) == (False, True)
 
     def test_batch_in_the_past_is_rejected_atomically(self):
         scheduler = Scheduler()
@@ -432,7 +433,7 @@ class TestScheduleBatch:
 
     def test_empty_batch_is_a_no_op(self):
         scheduler = Scheduler()
-        assert scheduler.schedule_batch([]) == []
+        assert scheduler.schedule_batch([]) is None
         assert scheduler.pending_events() == 0
 
     def test_batch_matches_sequential_scheduling_exactly(self):
