@@ -262,8 +262,8 @@ class Scenario:
     (docs/scenarios.md): ``topology`` becomes the cluster's graph, which
     mobility faults rewire, so a scenario with a topology runs once and its
     graph should be the caller's only live one.  A cell reads what it reports
-    about the graph it validated, then passes ``Topology.copy()`` (the edge
-    replay the goldens' bytes rest on) and drops the original.
+    about the graph it validated, then passes ``Topology.copy()`` and drops
+    the original.
     """
 
     detector: str

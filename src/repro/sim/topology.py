@@ -143,8 +143,16 @@ class Topology:
             self.add_edge(pid, other)
 
     def copy(self) -> "Topology":
+        """An independent graph with the same nodes, edges, positions and reach.
+
+        Each neighbour dict is copied as it stands (node and neighbour
+        order included) instead of replaying :meth:`edges`.
+        """
         reach = self.transmission_range
-        return Topology(self.ids(), self.edges(), self.positions, transmission_range=reach)
+        clone = Topology(self._adjacency, positions=self.positions, transmission_range=reach)
+        for pid, nbrs in self._adjacency.items():
+            clone._adjacency[pid].update(nbrs)
+        return clone
 
     # -- metrics used by the paper ------------------------------------------
     def range_density(self) -> int:

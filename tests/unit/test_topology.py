@@ -61,6 +61,15 @@ class TestTopologyBasics:
         clone.remove_edge(1, 2)
         assert topo.has_edge(1, 2)
 
+    def test_copy_keeps_every_neighbour_dict_as_it_stands(self):
+        topo = Topology([3, 1, 2, 4], [(2, 4), (1, 2), (3, 2)], {1: (0.0, 1.0)})
+        clone = topo.copy()
+        assert list(clone._adjacency) == list(topo._adjacency)
+        for pid, nbrs in topo._adjacency.items():
+            assert list(clone._adjacency[pid]) == list(nbrs)
+            assert clone._adjacency[pid] is not nbrs
+        assert clone.positions == topo.positions and clone.positions is not topo.positions
+
     def test_edges_are_undirected_and_unique(self):
         topo = full_mesh([1, 2, 3])
         assert len(list(topo.edges())) == 3
