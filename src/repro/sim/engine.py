@@ -81,7 +81,7 @@ class EventHandle:
 
     The scheduler queues the handle itself (as a ``(time, seq, None,
     handle)`` entry) and drops the callback and args once the event fired,
-    was cancelled or was cleared, so a handle kept after that pins nothing.
+    was cancelled or was cleared, so a kept handle pins no callback.
     ``time`` is the virtual time the event was scheduled to fire at.
     """
 
@@ -124,10 +124,6 @@ class EventHandle:
         if dead >= _SWEEP_MIN and dead > owner._live:
             owner._sweep()
         return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("pending", "fired", "cancelled", "cleared")[self.state]
-        return f"EventHandle(time={self.time!r}, {state})"
 
 
 class Scheduler:
@@ -299,13 +295,13 @@ class Scheduler:
         """Drop buried cancelled events from every tier.
 
         ``(time, seq)`` totally orders events and slot drains sort, so
-        filtering slots in place can never change the fire sequence.
-        Clean slots are detected in one counting pass and left untouched,
-        so the sweep's cost scales with the events it inspects rather
-        than with the wheel geometry.  The wheel's cascade already reaps
-        cancelled events block by block as the cursor reaches them; this
-        sweep is only the memory backstop for garbage parked far ahead
-        of the cursor, hence the high `_SWEEP_MIN` trigger.
+        filtering slots can never change the fire sequence.  Empty slots
+        are skipped, so the sweep's cost scales with the events it
+        inspects rather than with the wheel geometry.  The wheel's
+        cascade already reaps cancelled events block by block as the
+        cursor reaches them; this sweep is only the memory backstop for
+        garbage parked far ahead of the cursor, hence the high
+        `_SWEEP_MIN` trigger.
         """
         for slots in (self._l0, self._l1):
             count = 0
@@ -339,7 +335,9 @@ class Scheduler:
         inv = self._inv_quantum
         moved = 0
         for entry in slot:
-            if _is_dead(entry):
+            # _is_dead, inlined: cancel-heavy workloads reap most of their
+            # garbage right here.
+            if entry[2] is None and entry[3].state != _PENDING:
                 if self._dead > 0:
                     self._dead -= 1
             else:

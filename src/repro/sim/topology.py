@@ -145,8 +145,8 @@ class Topology:
     def copy(self) -> "Topology":
         """An independent graph with the same nodes, edges, positions and reach.
 
-        Each neighbour dict is copied as it stands (node and neighbour
-        order included) instead of replaying :meth:`edges`.
+        Each neighbour dict is copied as it stands, node and neighbour
+        order included.
         """
         reach = self.transmission_range
         clone = Topology(self._adjacency, positions=self.positions, transmission_range=reach)
