@@ -335,9 +335,7 @@ class Scheduler:
         inv = self._inv_quantum
         moved = 0
         for entry in slot:
-            # _is_dead, inlined: cancel-heavy workloads reap most of their
-            # garbage right here.
-            if entry[2] is None and entry[3].state != _PENDING:
+            if _is_dead(entry):
                 if self._dead > 0:
                     self._dead -= 1
             else:

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.experiments.c1_consensus_qos import C1Params
 from repro.harness import run_grid, write_artifact
 from repro.harness.registry import get_spec
 
@@ -21,6 +22,13 @@ from tests.goldens import CONSENSUS_PRESETS, GOLDEN_DIR, consensus_params
 @lru_cache(maxsize=None)
 def _consensus_run(preset: str):
     return run_grid(get_spec("c1"), consensus_params()[preset])
+
+
+@lru_cache(maxsize=None)
+def _default_size_lossburst_run():
+    # ``repro run c1 -p faults=lossburst`` at its default size (n = 8,
+    # 4 instances, horizon 40 s): a fourth instance the smoke grids lack.
+    return run_grid(get_spec("c1"), C1Params.lossburst())
 
 
 def _metric_by_detector(result, metric: str) -> dict:
@@ -123,6 +131,16 @@ class TestWorkloadSeparation:
             "partial": 3, "time-free": 3,
         }, decided
 
+    def test_lossburst_at_default_size_decides_every_instance_but_on_adaptive(self):
+        # The smoke grid's three instances do not reach every re-send a
+        # burst needs; the default size's fourth instance does.  A bound on
+        # the ballots kept for re-sending that drops one a laggard still
+        # needs shows here first (heartbeat-adaptive: TestOpenFindings).
+        decided = _metric_by_detector(_default_size_lossburst_run(), "decided")
+        assert {
+            key: n for key, n in decided.items() if key != "heartbeat-adaptive"
+        } == {"gossip": 4, "heartbeat": 4, "partial": 4, "phi": 4, "time-free": 4}, decided
+
     def test_crashrec_decisions_recover_via_anti_entropy(self):
         # The volatile victim loses all consensus state; the decision push
         # on suspicion retraction lets it rejoin the sequence, so every
@@ -135,7 +153,7 @@ class TestWorkloadSeparation:
 
 
 class TestOpenFindings:
-    """What the three open consensus findings should become once fixed.
+    """What the four open consensus findings should become once fixed.
 
     Strict: the day a fix makes one pass, the xfail fails and has to go.
     """
@@ -165,6 +183,18 @@ class TestOpenFindings:
     def test_lossburst_phi_accrual_decides_every_instance(self):
         decided = _metric_by_detector(_consensus_run("lossburst"), "decided")
         assert decided["phi"] == 3, decided
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "at c1's default size (n = 8, 4 instances, horizon 40 s) "
+            "heartbeat-adaptive decides 3 of 4 under `lossburst`; cause not "
+            "investigated"
+        ),
+    )
+    def test_lossburst_at_default_size_adaptive_decides_every_instance(self):
+        decided = _metric_by_detector(_default_size_lossburst_run(), "decided")
+        assert decided["heartbeat-adaptive"] == 4, decided
 
     @pytest.mark.xfail(
         strict=True,
