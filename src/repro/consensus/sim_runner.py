@@ -100,6 +100,10 @@ class ConsensusNodeDriver:
         #: the enveloped effects each undecided instance has sent, dropped
         #: when it decides; re-sent to a peer whose suspicion is withdrawn
         self._in_flight: dict[int, list[Effect]] = {}
+        #: the highest ballot round delivered from each (instance, sender):
+        #: a peer that sent a round-r ballot is in round r or later, and CT
+        #: reads only its current round's ballots
+        self._peer_round: dict[tuple[int, ProcessId], int] = {}
         self._reported: set[int] = set()
         self._last_suspects: frozenset = frozenset(fd_driver.suspects())
         # Suspicion changes unblock phase-3 waits on a crashed coordinator.
@@ -146,6 +150,9 @@ class ConsensusNodeDriver:
 
     # -- consensus plumbing ---------------------------------------------------
     def _deliver(self, instance: int, src: ProcessId, payload: Any) -> None:
+        round_ = getattr(payload, "round", None)
+        if round_ is not None and round_ > self._peer_round.get((instance, src), 0):
+            self._peer_round[instance, src] = round_
         participant = self.participants.get(instance)
         if participant is None or not participant.proposed:
             # The state machine drops pre-propose ballots; buffer and replay
@@ -192,9 +199,10 @@ class ConsensusNodeDriver:
         The CT state machines halt after deciding and never retransmit, so
         the driver re-sends every locally decided instance's ``DECIDE`` to
         it, then every kept ballot of an undecided instance addressed to
-        it.  Retransmission on the detector's word — no timers — and a
-        no-op in runs where no suspicion is ever withdrawn (every t4
-        scenario).
+        it whose round is at least the highest round that peer has sent
+        this instance (an older ballot is one the peer would ignore).
+        Retransmission on the detector's word — no timers — and a no-op in
+        runs where no suspicion is ever withdrawn (every t4 scenario).
         """
         if not self.process.alive:
             return
@@ -208,10 +216,12 @@ class ConsensusNodeDriver:
                 effects.append(self._enveloped(instance, SendTo(pid, message)))
         for instance in sorted(self._in_flight):
             for effect in self._in_flight[instance]:
-                if isinstance(effect, Broadcast):
-                    effects.extend(SendTo(pid, effect.message) for pid in targets)
-                elif effect.destination in returned:
-                    effects.append(effect)
+                # a kept ballot is never a DECIDE, so it carries a round
+                round_ = effect.message.payload.round
+                to = targets if isinstance(effect, Broadcast) else (effect.destination,)
+                for pid in to:
+                    if pid in returned and round_ >= self._peer_round.get((instance, pid), 0):
+                        effects.append(SendTo(pid, effect.message))
         if effects:
             self.process.execute(effects)
 

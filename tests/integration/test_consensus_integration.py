@@ -5,7 +5,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.consensus import ConsensusHarness
-from repro.consensus.messages import Ack, Estimate, InstanceEnvelope, Proposal
+from repro.consensus.messages import (
+    Ack,
+    Decide,
+    Estimate,
+    InstanceEnvelope,
+    Nack,
+    Proposal,
+)
 from repro.consensus.protocol import ChandraTouegConsensus, ConsensusConfig
 from repro.consensus.sim_runner import ConsensusNodeDriver
 from repro.core.effects import SendTo
@@ -97,12 +104,16 @@ class TestSafetyUnderBadDetectors:
     def test_agreement_even_with_wildly_wrong_suspicions(self):
         # Safety must not depend on detector quality: use a heartbeat with
         # an absurdly aggressive timeout (constant false suspicions).
-        result = harness(
+        runner = harness(
             detector="heartbeat", detector_params={"period": 0.5, "timeout": 0.0001}
-        ).run()
+        )
+        result = runner.run()
         assert result.agreement_holds
         assert result.validity_holds
         # Termination is *not* asserted: ◇S accuracy is genuinely violated.
+        # Every retraction re-sends kept ballots; re-sending those older
+        # than the peer's round made this run send 485 937 of them.
+        assert runner.cluster.trace.messages_by_kind["consensus.instance"] < 150_000
 
 
 class TestConfigValidation:
@@ -168,4 +179,51 @@ class TestOnePath:
         assert sent == [
             SendTo(1, InstanceEnvelope(1, Estimate(sender=2, round=1, value="value-2", ts=0))),
             SendTo(1, InstanceEnvelope(1, Ack(sender=2, round=1))),
+        ]
+
+    def test_a_retraction_resends_only_ballots_the_peer_can_still_use(self):
+        # Peer 1 has sent a round-2 ballot of instance 2, so it is in round 2
+        # or later: the retraction re-sends the kept round-2 proposal, not
+        # the round-1 estimate and nack, and still pushes instance 1's DECIDE.
+        calls = []
+        suspected = set()
+        host = SimpleNamespace(
+            pid=2,
+            alive=True,
+            scheduler=SimpleNamespace(now=0.0, schedule_at=lambda at, call: call()),
+            execute=calls.append,
+        )
+        detector = SimpleNamespace(
+            suspects=lambda: frozenset(suspected),
+            suspicion_listeners=[],
+            on_start=lambda: None,
+        )
+        config = ConsensusConfig(process_id=2, membership=frozenset({1, 2, 3}), f=1)
+        driver = ConsensusNodeDriver(
+            host,
+            detector,
+            lambda instance: ChandraTouegConsensus(config, lambda: frozenset(suspected)),
+            lambda instance: "value-2",
+            instances=2,
+        )
+        (listener,) = detector.suspicion_listeners
+        driver.on_start()
+        driver.on_message(1, InstanceEnvelope(1, Decide(sender=1, value="v")))
+        suspected.add(1)
+        listener(2, frozenset(suspected))  # round 1 nacks coordinator 1
+        driver.on_message(3, InstanceEnvelope(2, Estimate(sender=3, round=2, value="v3", ts=0)))
+        driver.on_message(1, InstanceEnvelope(2, Estimate(sender=1, round=2, value="v1", ts=0)))
+        sent = [effect for batch in calls for effect in batch]
+        round_1 = [
+            SendTo(1, InstanceEnvelope(2, Estimate(sender=2, round=1, value="value-2", ts=0))),
+            SendTo(1, InstanceEnvelope(2, Nack(sender=2, round=1))),
+        ]
+        proposal = SendTo(1, InstanceEnvelope(2, Proposal(sender=2, round=2, value="value-2")))
+        assert all(effect in sent for effect in round_1 + [proposal]), sent
+        mark = len(calls)
+        suspected.discard(1)
+        listener(2, frozenset(suspected))
+        assert calls[mark] == [
+            SendTo(1, InstanceEnvelope(1, Decide(sender=2, value="v"))),
+            proposal,
         ]

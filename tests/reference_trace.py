@@ -1,26 +1,35 @@
-"""Reference model of the trace stores: the list-of-dataclasses recorder.
+"""Reference model of the trace recorder: the list-of-dataclasses recorder.
 
-These are the change and round stores ``repro.sim.trace`` used before the
-columnar store: every ``SuspicionChange`` / ``RoundRecord`` kept as an
-object in a plain list (each change carrying a full ``suspects`` snapshot)
-with a lazily built per-observer index.  They are kept verbatim as the
-audited oracle: ``tests/property/test_trace_backends.py``, the fault-plane
-differential and the trace unit suites drive the production recorder and
-:class:`ReferenceTraceRecorder` through identical scripts and require equal
-query results; ``tests/unit/test_microbench.py`` measures the memory the
-columnar store saves against it.
+This is the recorder ``repro.sim.trace`` used before the columnar store:
+every ``SuspicionChange`` / ``RoundRecord`` kept as an object in a plain
+list (each change carrying a full ``suspects`` snapshot) with a lazily
+built per-observer index, behind the recorder shell that delegated every
+record and query to its two stores.  It is kept verbatim as the audited
+oracle, a recorder of its own like the other reference models:
+``tests/property/test_trace_backends.py``, the fault-plane differential
+and the trace unit suites drive the production recorder and
+:class:`ReferenceTraceRecorder` through identical scripts and require
+equal query results; ``tests/unit/test_microbench.py`` measures the
+memory the columnar store saves against it.
 
-:class:`ReferenceTraceRecorder` is ``TraceRecorder`` with the two stores
-swapped in: the recorder only ever talks to ``_changes`` / ``_rounds``, so
-those two slots are the whole seam.
+The shell's constructor installs the object stores and takes no
+``checkpoint_interval`` (the object stores keep no checkpoints).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 
 from repro.ids import ProcessId
-from repro.sim.trace import RoundRecord, SuspicionChange, TraceRecorder
+from repro.sim.trace import (
+    CrashEvent,
+    MembershipEvent,
+    MobilityEvent,
+    RecoveryEvent,
+    RoundRecord,
+    SuspicionChange,
+)
 
 __all__ = ["ReferenceTraceRecorder"]
 
@@ -199,12 +208,180 @@ class _ObjectRounds:
         return list(self._ensure_index().get(querier, ()))
 
 
-class ReferenceTraceRecorder(TraceRecorder):
-    """``TraceRecorder`` on the object stores (no ``checkpoint_interval``)."""
 
-    __slots__ = ()
+class ReferenceTraceRecorder:
+    """Append-only record store with indexed timeline queries.
+
+    Suspicion changes and rounds go to the object stores, which answer
+    the timeline queries; crash, mobility, recovery and membership events
+    are plain lists and messages are counters.
+    """
+
+    __slots__ = (
+        "crashes",
+        "mobility",
+        "recoveries",
+        "membership_events",
+        "messages_by_kind",
+        "messages_by_sender",
+        "messages_total",
+        "messages_dropped",
+        "_changes",
+        "_rounds",
+        "_crash_index",
+        "_crash_indexed",
+        "_crash_source",
+    )
 
     def __init__(self) -> None:
-        super().__init__()
         self._changes = _ObjectChanges()
         self._rounds = _ObjectRounds()
+        self.crashes: list[CrashEvent] = []
+        self.mobility: list[MobilityEvent] = []
+        self.recoveries: list[RecoveryEvent] = []
+        self.membership_events: list[MembershipEvent] = []
+        self.messages_by_kind: Counter = Counter()
+        self.messages_by_sender: Counter = Counter()
+        self.messages_total = 0
+        self.messages_dropped = 0
+        #: lazy ``process -> first crash time`` map over ``crashes``,
+        #: rebuilt when the list is replaced (identity) or shrinks
+        self._crash_index: dict[ProcessId, float] = {}
+        self._crash_indexed = 0
+        self._crash_source: list = self.crashes
+
+    # -- stored timelines --------------------------------------------------
+    @property
+    def suspicion_changes(self) -> tuple[SuspicionChange, ...]:
+        """Every recorded change in order (read-only; see module doc)."""
+        return self._changes.view()
+
+    @property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        """Every recorded round in order (read-only; see module doc)."""
+        return self._rounds.view()
+
+    # -- recording ---------------------------------------------------------
+    def record_suspicion_change(
+        self,
+        time: float,
+        observer: ProcessId,
+        before: frozenset[ProcessId],
+        after: frozenset[ProcessId],
+    ) -> SuspicionChange | None:
+        """Record the delta between two suspect lists; no-op when equal."""
+        if before == after:
+            return None
+        return self._changes.record(time, observer, before, after)
+
+    def record_round(self, record: RoundRecord) -> None:
+        self._rounds.record(record)
+
+    def record_crash(self, time: float, process: ProcessId) -> None:
+        self.crashes.append(CrashEvent(time, process))
+
+    def record_mobility(self, time: float, process: ProcessId, kind: str) -> None:
+        self.mobility.append(MobilityEvent(time, process, kind))
+
+    def record_recovery(self, time: float, process: ProcessId, incarnation: int) -> None:
+        self.recoveries.append(RecoveryEvent(time, process, incarnation))
+
+    def record_membership(self, time: float, process: ProcessId, kind: str) -> None:
+        self.membership_events.append(MembershipEvent(time, process, kind))
+
+    def record_message(self, kind: str, sender: ProcessId) -> None:
+        self.messages_total += 1
+        self.messages_by_kind[kind] += 1
+        self.messages_by_sender[sender] += 1
+
+    def record_messages(self, kind: str, sender: ProcessId, count: int) -> None:
+        """Bulk form of :meth:`record_message` (one broadcast, n-1 sends)."""
+        self.messages_total += count
+        self.messages_by_kind[kind] += count
+        self.messages_by_sender[sender] += count
+
+    def record_drop(self) -> None:
+        self.messages_dropped += 1
+
+    def record_drops(self, count: int) -> None:
+        """Bulk form of :meth:`record_drop` (one lossy broadcast, k drops)."""
+        self.messages_dropped += count
+
+    # -- timeline queries ----------------------------------------------------
+    def changes_of(self, observer: ProcessId) -> list[SuspicionChange]:
+        return self._changes.changes_of(observer)
+
+    def suspects_at(self, observer: ProcessId, time: float) -> frozenset[ProcessId]:
+        """The observer's suspect list at ``time`` (empty before any change)."""
+        return self._changes.suspects_at(observer, time)
+
+    def first_suspicion_time(
+        self,
+        observer: ProcessId,
+        target: ProcessId,
+        *,
+        after: float = 0.0,
+    ) -> float | None:
+        """First time >= ``after`` at which ``observer`` suspects ``target``."""
+        return self._changes.first_suspicion_time(observer, target, after=after)
+
+    def permanent_suspicion_time(
+        self, observer: ProcessId, target: ProcessId
+    ) -> float | None:
+        """Start of the final, never-revoked suspicion interval.
+
+        ``None`` if the observer does not suspect ``target`` at the end of
+        the trace.  This is the quantity behind *strong completeness*
+        detection times.
+        """
+        return self._changes.permanent_suspicion_time(observer, target)
+
+    def suspicion_intervals(
+        self, observer: ProcessId, target: ProcessId, *, horizon: float
+    ) -> list[tuple[float, float]]:
+        """All ``[start, end)`` intervals during which ``target`` was suspected.
+
+        The final interval is closed at ``horizon`` when still open.
+        """
+        return self._changes.suspicion_intervals(observer, target, horizon=horizon)
+
+    def false_suspicion_count_at(
+        self, time: float, crashed: frozenset[ProcessId]
+    ) -> int:
+        """Total (observer, target) pairs wrongly suspected at ``time``.
+
+        Counts every suspicion whose target had not crashed — the quantity in
+        the mobility experiment's "# of false suspicions" axis.
+        """
+        return self._changes.false_suspicion_count_at(time, crashed)
+
+    def targets_of(self, observer: ProcessId) -> frozenset[ProcessId]:
+        """Every process the observer ever suspected (union of ``added``).
+
+        Lets tabulation skip (observer, target) pairs with no suspicion
+        history instead of scanning the observer's timeline per target —
+        the dominant cost of ``mistake_stats`` on large-n grids.
+        """
+        return self._changes.targets_of(observer)
+
+    # -- round queries --------------------------------------------------------
+    def rounds_of(self, querier: ProcessId) -> list[RoundRecord]:
+        return self._rounds.rounds_of(querier)
+
+    def crash_time_of(self, process: ProcessId) -> float | None:
+        crashes = self.crashes
+        index = self._crash_index
+        if crashes is not self._crash_source or len(crashes) < self._crash_indexed:
+            index.clear()
+            self._crash_indexed = 0
+            self._crash_source = crashes
+        count = len(crashes)
+        if count > self._crash_indexed:
+            for event in crashes[self._crash_indexed :]:
+                # setdefault keeps the *first* crash, like the old linear scan
+                index.setdefault(event.process, event.time)
+            self._crash_indexed = count
+        return index.get(process)
+
+    def crashed_processes(self) -> frozenset[ProcessId]:
+        return frozenset(event.process for event in self.crashes)

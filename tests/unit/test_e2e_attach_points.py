@@ -79,9 +79,9 @@ def test_scheduler_boundaries_are_defined_on_scheduler_itself(method):
     ],
 )
 def test_recorder_boundaries_are_defined_on_the_recorder_itself(method):
-    # the delegating facade is the attach point: a recorder that inherited
-    # these from a store, or forwarded them with __getattr__, would zero
-    # sim.trace.* in traced runs
+    # the recorder's own methods are the attach point: a recorder that
+    # inherited these from a base class, or forwarded them with
+    # __getattr__, would zero sim.trace.* in traced runs
     assert inspect.isfunction(vars(TraceRecorder)[method])
 
 

@@ -146,9 +146,9 @@ class TestMessagesAndEvents:
         assert trace.crashed_processes() == frozenset({7})
 
     def test_crash_index_tracks_later_records(self, trace):
-        """The lazily built crash index must invalidate on new records."""
+        """A crash recorded after a query is seen by the next query."""
         trace.record_crash(4.0, 7)
-        assert trace.crash_time_of(7) == 4.0  # builds the index
+        assert trace.crash_time_of(7) == 4.0  # a query before the later records
         trace.record_crash(6.0, 8)
         assert trace.crash_time_of(8) == 6.0
         # First crash of a process wins, matching the linear-scan semantics.
