@@ -10,8 +10,8 @@ the artifact is for tracking, not byte-identity.
 
 Workloads:
 
-* ``chain``   — one event schedules the next (timer-wheel pattern;
-  pure push/pop throughput at a tiny heap).
+* ``chain``   — one event schedules the next (the heartbeat chain
+  pattern; pure push/pop throughput at a tiny heap).
 * ``fanout``  — pre-schedule N events, drain them (large-heap pops).
 * ``churn``   — schedule two, cancel one, repeat (the heartbeat re-arm
   pattern; exercises lazy deletion and compaction).

@@ -23,7 +23,7 @@ The list-of-dataclasses recorder this replaced is the audited oracle in
 ``tests/reference_trace.py``, a standalone recorder: a hypothesis
 differential (``test_columnar_matches_object_oracle`` under
 ``tests/property/``) drives both recorders through identical scripts and
-asserts equal query results, the same pattern that pins the timer wheel to
+asserts equal query results, the same pattern that pins the scheduler to
 the reference heap scheduler.
 
 ``trace.suspicion_changes`` / ``trace.rounds`` are read-only tuples,

@@ -183,14 +183,12 @@ class TestClear:
     """`clear()` ends a simulation: nothing pending, nothing reachable, the clock kept."""
 
     def loaded(self):
-        from repro.sim.engine import _QUANTUM, _L0_SIZE, _SPAN
-
         scheduler = Scheduler()
         fired = []
         scheduler.schedule_at(0.5, fired.append, "early")
         scheduler.run(until=1.0)
-        # One pending event per tier (level 0, level 1, spill) plus a cancelled one.
-        offsets = (_QUANTUM * 3, _QUANTUM * _L0_SIZE * 4, _QUANTUM * _SPAN * 3)
+        # Pending events near, mid and far ahead, plus a cancelled one.
+        offsets = (0.003, 1.0, 200.0)
         handles = [scheduler.schedule_after(dt, fired.append, dt) for dt in offsets]
         handles[0].cancel()
         handles.append(scheduler.schedule_at(scheduler.now, fired.append, "now"))
@@ -200,9 +198,8 @@ class TestClear:
         scheduler, fired, _handles = self.loaded()
         scheduler.clear()
         assert scheduler.pending_events() == 0
-        assert scheduler._spill == []
-        assert scheduler._l0_count == scheduler._l1_count == scheduler._dead == 0
-        assert not any(scheduler._l0) and not any(scheduler._l1)
+        assert scheduler._heap == []
+        assert scheduler._dead == 0
         assert scheduler.run() == 0
         assert fired == ["early"]
 
@@ -222,12 +219,10 @@ class TestClear:
         assert scheduler.events_processed == 1
 
     def test_events_scheduled_after_a_clear_fire_in_time_seq_order(self):
-        from repro.sim.engine import _QUANTUM, _SPAN
-
         scheduler, fired, _handles = self.loaded()
         scheduler.clear()
         del fired[:]
-        times = [1.0, 3.0, 1.0 + _QUANTUM * _SPAN * 2, 1.0, 1.5, 3.0]
+        times = [1.0, 3.0, 129.0, 1.0, 1.5, 3.0]
         for index, time in enumerate(times):
             scheduler.schedule_at(time, fired.append, index)
         scheduler.run()
@@ -256,11 +251,11 @@ def factory(request):
 
 class TestLazyDeletion:
     """Lazy-deletion cancellation (with sweeping) must never change semantics,
-    on the wheel or on the reference heap loop."""
+    on the engine or on the reference heap loop."""
 
     def test_mass_cancellation_triggers_sweep(self, factory):
         # Enough cancellations to cross either scheduler's sweep trigger
-        # (the wheel's is deliberately high — cascade reaps for it).
+        # (the engine's is deliberately high: a memory backstop only).
         count = 20000
         scheduler = factory()
         fired = []
@@ -270,12 +265,7 @@ class TestLazyDeletion:
             if i % 7 != 0:
                 assert handle.cancel() is True
         # Sweeping has reclaimed cancelled entries from the queue structure...
-        if factory is ReferenceHeapScheduler:
-            assert len(scheduler._heap) < count
-        else:
-            assert scheduler._l0_count + len(scheduler._spill) + sum(
-                len(block) for block in scheduler._l1
-            ) < count
+        assert len(scheduler._heap) < count
         assert scheduler.pending_events() == len(survivors)
         # ...and the surviving events still fire, in order.
         scheduler.run()
@@ -316,19 +306,16 @@ class TestLazyDeletion:
 
 
 class TestTimerWheelTiers:
-    """Exercise the wheel's level-1 and spill tiers explicitly."""
+    """Ordering across near, mid and far horizons, ties and sub-millisecond gaps.
+
+    Named for the timer wheel these cases were written against (level 0,
+    level 1, spill); the heap keeps every one of its ordering promises.
+    """
 
     def test_far_future_events_cross_tiers_in_order(self):
-        from repro.sim.engine import _QUANTUM, _L0_SIZE, _SPAN
-
         scheduler = Scheduler()
         fired = []
-        # One event per tier: level-0, level-1, and the sorted spill list.
-        times = [
-            _QUANTUM * (_L0_SIZE // 2),
-            _QUANTUM * (_L0_SIZE * 4),
-            _QUANTUM * (_SPAN * 3),
-        ]
+        times = [0.125, 1.0, 192.0]
         for t in reversed(times):
             scheduler.schedule_at(t, fired.append, t)
         scheduler.run()
@@ -336,42 +323,35 @@ class TestTimerWheelTiers:
         assert scheduler.now == times[-1]
 
     def test_spill_events_share_a_tick_with_wheel_events(self):
-        from repro.sim.engine import _QUANTUM, _SPAN
-
         scheduler = Scheduler()
         fired = []
-        far = _QUANTUM * (_SPAN + 10)
-        # Scheduled while far away (goes to spill), then the wheel advances
-        # and a same-time event lands in level 0 directly.
+        far = 74.0
+        # Scheduled while far away, then a same-time event is scheduled
+        # late, once the clock has nearly reached it.
         scheduler.schedule_at(far, fired.append, "spilled")
         scheduler.schedule_at(far - 1.0, lambda: scheduler.schedule_at(far, fired.append, "direct"))
         scheduler.run()
         assert fired == ["spilled", "direct"]
 
     def test_cancelled_spill_events_are_reclaimed(self):
-        from repro.sim.engine import _QUANTUM, _SPAN
-
-        count = 20000  # enough to cross the wheel's sweep trigger
+        count = 20000  # enough to cross the sweep trigger
         scheduler = Scheduler()
-        far = _QUANTUM * _SPAN * 2
+        far = 128.0
         handles = [scheduler.schedule_at(far + i, lambda: None) for i in range(count)]
         for handle in handles[:-1]:
             handle.cancel()
         assert scheduler.pending_events() == 1
-        assert len(scheduler._spill) < count
+        assert len(scheduler._heap) < count
         scheduler.run()
         assert scheduler.events_processed == 1
 
     def test_same_tick_preserves_schedule_order_across_insert_paths(self):
-        from repro.sim.engine import _QUANTUM
-
         scheduler = Scheduler()
         fired = []
-        # Distinct float times within one wheel tick must still fire in
+        # Distinct float times less than a millisecond apart fire in
         # (time, seq) order, not insertion order.
-        tick_base = _QUANTUM * 100
-        scheduler.schedule_at(tick_base + _QUANTUM * 0.75, fired.append, "late")
-        scheduler.schedule_at(tick_base + _QUANTUM * 0.25, fired.append, "early")
+        scheduler.schedule_at(0.10075, fired.append, "late")
+        scheduler.schedule_at(0.10025, fired.append, "early")
         scheduler.run()
         assert fired == ["early", "late"]
 
